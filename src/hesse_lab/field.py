@@ -38,8 +38,6 @@ from typing import Iterable, Sequence, Union
 
 import mpmath as mp
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 
@@ -250,6 +248,39 @@ class FieldTower:
         den = lcm(*(q.denominator for q in coords))
         num = tuple(q.numerator * (den // q.denominator) for q in coords)
         return FieldElement(self, num, den)
+
+    def dot(self, xs: Sequence["FieldElement"], ys: Sequence["FieldElement"]):
+        """sum(x * y for x, y in zip(xs, ys)) with a single reduction.
+
+        The terms are accumulated in integers over a running lcm of their
+        denominators, one pass through the structure constants per nonzero
+        coordinate pair, and the sum is reduced by one gcd.
+        """
+        table = self._table
+        acc = [0] * self.total_degree
+        den = 1
+        for x, y in zip(xs, ys):
+            ynum = y.num
+            if not any(ynum):
+                continue
+            d = x.den * y.den
+            if den % d:
+                new = lcm(den, d)
+                acc = [v * (new // den) for v in acc]
+                den = new
+            s = den // d
+            for i, a in enumerate(x.num):
+                if not a:
+                    continue
+                a *= s
+                row = table[i]
+                for j, b in enumerate(ynum):
+                    if not b:
+                        continue
+                    ab = a * b
+                    for k, c in row[j]:
+                        acc[k] += c * ab
+        return _reduced(self, acc, den * self._scale)
 
     # -- internal layout ----------------------------------------------------
 
@@ -716,9 +747,6 @@ class GFElement:
         return GFElement(self.p, self.v * o.v)
 
     __rmul__ = __mul__
-    # a new tower builds its table through this alias, so that code wrapping
-    # the operator names (perfbench/tracer.py) counts only callers' products
-    _times = __mul__
 
     def inverse(self):
         if self.v == 0:
@@ -878,7 +906,7 @@ class _ElementParser:
             kind, text = toks.next()
             if kind != "int":
                 raise ValueError("exponent must be an integer")
-            n = int(text)
+            n = _str_int(text)
             val = val ** (-n if neg else n)
         return val
 
@@ -889,7 +917,7 @@ class _ElementParser:
             return -self._atom(toks)
         if kind == "int":
             toks.next()
-            return self._const(int(text))
+            return self._const(_str_int(text))
         if kind == "name":
             toks.next()
             if self.atom_hook is not None:
@@ -916,6 +944,35 @@ def parse_element(text: str, tower: FieldTower) -> FieldElement:
     return _ElementParser(tower).parse(text)
 
 
+# Python refuses int <-> str conversions of more than
+# sys.get_int_max_str_digits() digits (4300 by default, never below 640);
+# longer integers are converted by halves split at a power of ten.
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an int of any size."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of the decimal digits
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
+def _str_int(text: str) -> int:
+    """int(text) for a string of decimal digits of any length."""
+    if len(text) <= 600:
+        return int(text)
+    k = len(text) // 2
+    return _str_int(text[:-k]) * 10**k + _str_int(text[-k:])
+
+
+def _rational_str(q: Fraction) -> str:
+    text = _int_str(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{_int_str(q.denominator)}"
+
+
 def element_to_str(e: FieldElement) -> str:
     t = e.tower
     parts = []
@@ -931,13 +988,13 @@ def element_to_str(e: FieldElement) -> str:
                 monos.append(f"{sym}^{k}")
         mono = "*".join(monos)
         if not mono:
-            text = str(q)
+            text = _rational_str(q)
         elif q == 1:
             text = mono
         elif q == -1:
             text = f"-{mono}"
         else:
-            text = f"{q}*{mono}"
+            text = f"{_rational_str(q)}*{mono}"
         parts.append(text)
     if not parts:
         return "0"

@@ -2,10 +2,15 @@
 
 Transformations are 3x3 matrices over a field tower, compared up to
 scalar via a canonical representative (first nonzero entry scaled to
-one) while keeping the exact linear lift that was supplied.  Groups are
-built by breadth-first closure with canonical deduplication, and the
-module records how the groups act on points, on polynomial forms, on
-the pencil parameter, and on the holomorphic 2-form of the double cover
+one) while keeping the exact linear lift that was supplied.  Matrix
+products are sums of products taken by the domain's fused ``dot``, one
+reduction per entry.  One breadth-first closure routine builds every
+group here, whatever its elements: projective or linear matrices of any
+size (the 3x3 groups and the 2x2 Moebius maps of the pencil parameter)
+and permutations.  The action on a list of points is computed from the
+generators' images only and closed in permutation space.  The module
+also records how the groups act on polynomial forms, on the pencil
+parameter, and on the holomorphic 2-form of the double cover
 w^2 + (degree-six invariant) = 0.
 """
 
@@ -13,18 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import mpmath
 
 from .field import FieldElement, tower_eps, tower_zeta9
 from .hesse import RationalSelfMap, hesse_data, pencil_forms
-from .multipoly import MultiPoly, QQ, convert_domain, field_linsolve, proportionality
+from .multipoly import MultiPoly, convert_domain, field_linsolve, proportionality
+from .multipoly import _domain_inverse
 from .plane import ProjPoint
 
 
 # ---------------------------------------------------------------------------
-# bare 3x3 matrix arithmetic over a field tower
+# bare matrix arithmetic over a scalar domain
 # ---------------------------------------------------------------------------
 
 
@@ -35,55 +41,75 @@ def _mat_coerce(rows, domain) -> tuple:
     return out
 
 
-def _mat_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(
-        tuple(
-            a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-            for j in range(3)
-        )
-        for i in range(3)
+def _mat_mul(a: tuple, b: tuple, domain) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(domain.dot(row, col) for col in cols) for row in a)
+
+
+def _cofactor(m: tuple, i: int, j: int, domain):
+    """The (i, j) cofactor of a 3x3 matrix."""
+    r, s = m[(i + 1) % 3], m[(i + 2) % 3]
+    return domain.dot(
+        (r[(j + 1) % 3], -r[(j + 2) % 3]), (s[(j + 2) % 3], s[(j + 1) % 3])
     )
 
 
-def _mat_det(m: tuple):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def _mat_det(m: tuple, domain):
+    return domain.dot(m[0], [_cofactor(m, 0, j, domain) for j in range(3)])
 
 
-def _mat_inv(m: tuple) -> tuple:
-    det = _mat_det(m)
+def _mat_inv(m: tuple, domain) -> tuple:
+    cof = [[_cofactor(m, i, j, domain) for j in range(3)] for i in range(3)]
+    det = domain.dot(m[0], cof[0])
     if det == 0:
         raise ValueError("singular matrix")
-    cof = [
-        [
-            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
+    inv = _domain_inverse(det)
+    return tuple(tuple(cof[j][i] * inv for j in range(3)) for i in range(3))
 
 
 def _mat_canonical(m: tuple) -> tuple:
-    for row in m:
-        for v in row:
-            if v != 0:
-                inv = v.inverse() if isinstance(v, FieldElement) else 1 / v
-                return tuple(tuple(x * inv for x in row) for row in m)
-    raise ValueError("zero matrix")
+    """The scalar multiple of m whose first nonzero entry is one."""
+    lead = next((v for row in m for v in row if v), None)
+    if lead is None:
+        raise ValueError("zero matrix")
+    if lead == 1:
+        return m
+    inv = _domain_inverse(lead)
+    return tuple(tuple(v * inv if v else v for v in row) for row in m)
 
 
 def _mat_identity(domain) -> tuple:
     one, zero = domain.one(), domain.zero()
-    return (
-        (one, zero, zero),
-        (zero, one, zero),
-        (zero, zero, one),
-    )
+    return tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+
+
+def _group_mul(a: tuple, b: tuple, domain, projective: bool) -> tuple:
+    """The product a b, scaled to canonical form when projective."""
+    m = _mat_mul(a, b, domain)
+    return _mat_canonical(m) if projective else m
+
+
+def _closure(gens: Sequence, mul: Callable, cap: int) -> set:
+    """Breadth-first closure of the generators under mul.
+
+    Elements are hashable canonical forms that mul returns (matrices of
+    any size, or permutations).  For a finite group the words of positive
+    length already contain the identity, so the result is the group.
+    """
+    els = set(gens)
+    frontier = list(els)
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = mul(a, g)
+                if b not in els:
+                    els.add(b)
+                    new.append(b)
+                    if len(els) > cap:
+                        raise ValueError(f"group closure exceeded cap {cap}")
+        frontier = new
+    return els
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +129,7 @@ class ProjTransform:
 
     def __init__(self, rows, domain):
         lift = _mat_coerce(rows, domain)
-        if _mat_det(lift) == 0:
+        if _mat_det(lift, domain) == 0:
             raise ValueError("transformation must be invertible")
         object.__setattr__(self, "lift", lift)
         object.__setattr__(self, "rows", _mat_canonical(lift))
@@ -121,21 +147,18 @@ class ProjTransform:
 
     def compose(self, other: "ProjTransform") -> "ProjTransform":
         """self after other, composing the lifts."""
-        return ProjTransform(_mat_mul(self.lift, other.lift), self.domain)
+        return ProjTransform(_mat_mul(self.lift, other.lift, self.domain), self.domain)
 
     def inverse(self) -> "ProjTransform":
-        return ProjTransform(_mat_inv(self.lift), self.domain)
+        return ProjTransform(_mat_inv(self.lift, self.domain), self.domain)
 
     def det(self):
-        return _mat_det(self.lift)
+        return _mat_det(self.lift, self.domain)
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        m = self.rows
-        coords = tuple(
-            m[i][0] * p.coords[0] + m[i][1] * p.coords[1] + m[i][2] * p.coords[2]
-            for i in range(3)
-        )
-        return ProjPoint(coords, self.domain)
+        K = self.domain
+        coords = tuple(map(K.coerce, p.coords))
+        return ProjPoint(tuple(K.dot(row, coords) for row in self.rows), K)
 
     def pullback(self, f: MultiPoly, use_lift: bool = False) -> MultiPoly:
         """f composed with the map, i.e. substitute the linear images."""
@@ -233,11 +256,8 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def norm(self, m: tuple) -> tuple:
-        return _mat_canonical(m) if self.projective else m
-
-    def identity(self) -> tuple:
-        return self.norm(_mat_identity(self.domain))
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        return _group_mul(a, b, self.domain, self.projective)
 
 
 def generate_closure(
@@ -248,30 +268,16 @@ def generate_closure(
         raise ValueError("need at least one generator")
     domain = gens[0].domain
     base = tuple(g.rows if projective else g.lift for g in gens)
-    norm = _mat_canonical if projective else (lambda m: m)
-    els = {norm(_mat_identity(domain))}
-    els.update(base)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in base:
-                b = norm(_mat_mul(a, g))
-                if b not in els:
-                    els.add(b)
-                    new.append(b)
-                    if len(els) > cap:
-                        raise ValueError(f"group closure exceeded cap {cap}")
-        frontier = new
+    els = _closure(base, lambda a, b: _group_mul(a, b, domain, projective), cap)
     return MatrixGroup(frozenset(els), base, projective, domain)
 
 
 def _element_order(G: MatrixGroup, m: tuple) -> int:
-    ident = G.identity()
+    ident = _mat_identity(G.domain)
     power = m
     k = 1
     while power != ident:
-        power = G.norm(_mat_mul(power, m))
+        power = G.mul(power, m)
         k += 1
         if k > 2 * G.order:
             raise RuntimeError("order computation runaway")
@@ -280,15 +286,9 @@ def _element_order(G: MatrixGroup, m: tuple) -> int:
 
 def group_facts(G: MatrixGroup, sub: Optional[MatrixGroup] = None) -> dict:
     """Exact combinatorial facts: order, center, element orders, normality."""
-    abelian = all(
-        _mat_mul(a, b) == _mat_mul(b, a) or G.norm(_mat_mul(a, b)) == G.norm(_mat_mul(b, a))
-        for a in G.gens
-        for b in G.gens
-    )
+    abelian = all(G.mul(a, b) == G.mul(b, a) for a in G.gens for b in G.gens)
     center = [
-        m
-        for m in G.elements
-        if all(G.norm(_mat_mul(m, g)) == G.norm(_mat_mul(g, m)) for g in G.gens)
+        m for m in G.elements if all(G.mul(m, g) == G.mul(g, m) for g in G.gens)
     ]
     histogram: dict = {}
     for m in G.elements:
@@ -304,7 +304,7 @@ def group_facts(G: MatrixGroup, sub: Optional[MatrixGroup] = None) -> dict:
         if not sub.elements <= G.elements:
             raise ValueError("sub is not contained in G")
         facts["is_normal_sub"] = all(
-            G.norm(_mat_mul(_mat_mul(g, h), _mat_inv(g))) in sub.elements
+            G.mul(G.mul(g, h), _mat_inv(g, G.domain)) in sub.elements
             for g in G.gens
             for h in sub.elements
         )
@@ -357,19 +357,22 @@ def _pair_transitive(perms: Sequence[tuple], n: int) -> bool:
 
 
 def action_on_points(G: MatrixGroup, pts: Sequence[ProjPoint]) -> PermImage:
-    """Permutation image of the group on a labeled point list."""
+    """Permutation image of the group on a labeled point list.
+
+    Only the generators are applied to the points; their permutations
+    generate the image, so the action is faithful exactly when the image
+    is as large as G.
+    """
     lookup = {p: i for i, p in enumerate(pts)}
-    perms = set()
-    for rows in G.elements:
+    gens = []
+    for rows in G.gens:
         g = ProjTransform(rows, G.domain)
-        images = []
-        for p in pts:
-            q = g.apply(p)
-            if q not in lookup:
-                raise ValueError("group element does not permute the points")
-            images.append(lookup[q])
-        perms.add(tuple(images))
-    perms = tuple(sorted(perms))
+        images = tuple(lookup.get(g.apply(p)) for p in pts)
+        if None in images:
+            raise ValueError("group element does not permute the points")
+        gens.append(images)
+    # a permutation is the tuple of images of 0..n-1; a after b is a[b[i]]
+    perms = tuple(sorted(_closure(gens, lambda a, b: tuple(a[i] for i in b), G.order)))
     return PermImage(
         perms,
         faithful=len(perms) == G.order,
@@ -435,56 +438,18 @@ def parameter_action(g: ProjTransform) -> RationalSelfMap:
 def _mobius_matrix(m: RationalSelfMap) -> tuple:
     if m.num.degree() != 1:
         raise ValueError("expected a degree-one parameter map")
-    den, num = m.den, m.num
-    e10, e01 = (1, 0), (0, 1)
-    domain = num.domain
-    rows = (
-        (den.terms.get(e10, domain.zero()), den.terms.get(e01, domain.zero())),
-        (num.terms.get(e10, domain.zero()), num.terms.get(e01, domain.zero())),
-    )
-    for row in rows:
-        for v in row:
-            if v != 0:
-                inv = v.inverse() if isinstance(v, FieldElement) else 1 / v
-                return tuple(tuple(x * inv for x in r) for r in rows)
-    raise ValueError("zero parameter map")
+    zero, basis = m.num.domain.zero(), ((1, 0), (0, 1))
+    rows = tuple(tuple(f.terms.get(e, zero) for e in basis) for f in (m.den, m.num))
+    return _mat_canonical(rows)
 
 
 def parameter_image_order(transforms: Sequence[ProjTransform], cap: int = 200) -> int:
     """Order of the subgroup of parameter Moebius maps the transformations
     generate."""
     gens = [_mobius_matrix(parameter_action(g)) for g in transforms]
-
-    def mul(a, b):
-        return tuple(
-            tuple(
-                a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)
-            )
-            for i in range(2)
-        )
-
-    def canon(m):
-        for row in m:
-            for v in row:
-                if v != 0:
-                    inv = v.inverse() if isinstance(v, FieldElement) else 1 / v
-                    return tuple(tuple(x * inv for x in r) for r in m)
-        raise ValueError("zero matrix")
-
-    els = set(canon(g) for g in gens)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = canon(mul(a, g))
-                if b not in els:
-                    els.add(b)
-                    new.append(b)
-                    if len(els) > cap:
-                        raise ValueError("parameter image exceeded cap")
-        frontier = new
-    return len(els)
+    return len(
+        _closure(gens, lambda a, b: _group_mul(a, b, transforms[0].domain, True), cap)
+    )
 
 
 def invariance_factor(f: MultiPoly, g: ProjTransform, use_lift: bool = False):

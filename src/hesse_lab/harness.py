@@ -40,7 +40,6 @@ from .hesse import (
     _quartic_sextic_forms,
 )
 from .plane import incidence_table
-from .plot import plot_pencil  # re-exported: the rendering entry point
 from .ellaw import (
     contact_pair_vertices_check,
     nine_torsion_check,

@@ -274,10 +274,6 @@ def hessian_parameter(t: PencilParameter) -> PencilParameter:
     return hessian_map().apply(t)
 
 
-def cayleyan_parameter(t: PencilParameter) -> PencilParameter:
-    return cayleyan_map().apply(t)
-
-
 def _quartic_sextic_forms(domain=QQ) -> tuple:
     """The degree-4 and degree-6 coefficient forms of the short Weierstrass
     model of a member, in the pencil coordinates (t0, t1)."""

@@ -51,6 +51,9 @@ class RationalDomain:
             return x.rational_value()
         raise ValueError(f"cannot coerce {x!r} into Q")
 
+    def dot(self, xs, ys):
+        return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+
     def __eq__(self, other):
         return isinstance(other, RationalDomain)
 
@@ -417,11 +420,6 @@ class MultiPoly:
             for k, terms in out.items()
         }
 
-    def map_coefficients(self, fn, domain) -> "MultiPoly":
-        return MultiPoly(
-            self.nvars, {e: fn(c) for e, c in self.terms.items()}, domain
-        )
-
 
 def coerce_between(c, src_domain, dst_domain):
     if src_domain == dst_domain:
@@ -444,20 +442,6 @@ def convert_domain(f: MultiPoly, domain) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def poly_arith(f: MultiPoly, g: MultiPoly, op: str) -> MultiPoly:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def partial_derivative(f: MultiPoly, var: int) -> MultiPoly:
-    return f.derivative(var)
-
-
 def hessian_determinant(f: MultiPoly, vars: Sequence[int] = (0, 1, 2)) -> MultiPoly:
     """Determinant of the 3x3 matrix of second partials in the given
     variables.  Extra variables (pencil parameters) ride along in the
@@ -466,10 +450,6 @@ def hessian_determinant(f: MultiPoly, vars: Sequence[int] = (0, 1, 2)) -> MultiP
         raise ValueError("hessian_determinant works on exactly 3 variables")
     second = [[f.derivative(a).derivative(b) for b in vars] for a in vars]
     return det_generic(second)
-
-
-def substitute(f: MultiPoly, images: Sequence[MultiPoly], **kw) -> MultiPoly:
-    return f.substitute(images, **kw)
 
 
 def proportionality(f: MultiPoly, g: MultiPoly):

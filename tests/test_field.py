@@ -25,6 +25,7 @@ from hesse_lab.field import (
     tower_rationals,
     tower_zeta9,
 )
+from hesse_lab.multipoly import QQ
 
 
 def test_minpoly_reduction_kills_eps_relation():
@@ -342,3 +343,67 @@ def test_reducible_minpoly_zero_divisor_raises():
     with pytest.raises(ZeroDivisionError):
         (x - 1).inverse()
     assert (x + 2) * (x + 2).inverse() == 1
+
+
+_DOT_DOMAINS = (
+    tower_eps,
+    tower_eps_i,
+    tower_eps_i_cbrt2,
+    tower_zeta9,
+    _tower_sqrt_half,
+    lambda: QQ,
+)
+
+
+@st.composite
+def _domain_and_vectors(draw):
+    """A domain and two equal-length vectors mixing zeros, integral entries
+    and entries with unrelated denominators, of height up to 128 bits."""
+    domain = draw(st.sampled_from(_DOT_DOMAINS))()
+    bits = draw(st.sampled_from((4, 16, 64, 128)))
+    numerators = st.integers(min_value=-(2 ** bits), max_value=2 ** bits)
+    degree = 1 if domain is QQ else domain.total_degree
+
+    def entry():
+        kind = draw(st.sampled_from(("zero", "integral", "fractional")))
+        if kind == "zero":
+            return domain.zero()
+        top = 1 if kind == "integral" else 2 ** bits
+        coords = [
+            Fraction(draw(numerators), draw(st.integers(min_value=1, max_value=top)))
+            for _ in range(degree)
+        ]
+        return coords[0] if domain is QQ else domain._from_coords(coords)
+
+    size = draw(st.integers(min_value=0, max_value=4))
+    return domain, [entry() for _ in range(size)], [entry() for _ in range(size)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_domain_and_vectors())
+def test_dot_is_the_canonical_sum_of_products(drawn):
+    domain, xs, ys = drawn
+    expected = domain.zero()
+    for x, y in zip(xs, ys):
+        expected = expected + x * y
+    got = domain.dot(xs, ys)
+    assert got == expected
+    assert domain.dot([], []) == domain.zero()
+    assert domain.dot([domain.zero()] * len(ys), ys) == domain.zero()
+    if domain is not QQ:
+        _assert_canonical(got)
+        assert got.num == expected.num and got.den == expected.den
+
+
+def test_text_round_trip_past_the_int_str_digit_limit():
+    # the inverse of a 128-bit element of Q(eps, i, cbrt2) has numerators of
+    # about 17,900 bits, past Python's default 4300-digit int <-> str limit
+    K = tower_eps_i_cbrt2()
+    x = K._from_coords(
+        [Fraction(2 ** 127 + 3 * k + 1, 2 ** 128 - 5 * k - 1) for k in range(12)]
+    )
+    y = x.inverse()
+    assert max(abs(a) for a in y.num).bit_length() > 4300 * 10 // 3
+    text = element_to_str(y)
+    assert repr(y) == text
+    assert parse_element(text, K) == y

@@ -7,6 +7,7 @@ import pytest
 
 from hesse_lab.field import tower_eps
 from hesse_lab.hesse import PencilParameter, hesse_data, identity_self_map
+from hesse_lab.multipoly import QQ
 from hesse_lab.groups import (
     MatrixGroup,
     ProjTransform,
@@ -99,8 +100,26 @@ def test_subgroup_containment_checked():
 
 
 def test_closure_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeded cap 100"):
         generate_closure(list(GENS.values()), cap=100)
+    # the 2x2 parameter maps go through the same closure routine
+    with pytest.raises(ValueError, match="exceeded cap 5"):
+        parameter_image_order(
+            [GENS["cycle"], GENS["scale"], GENS["fourier"], GENS["dilate"]], cap=5
+        )
+
+
+def test_closure_over_the_rationals():
+    one, zero = Fraction(1), Fraction(0)
+    swap = ProjTransform(((zero, one, zero), (one, zero, zero), (zero, zero, one)), QQ)
+    cycle = ProjTransform(((zero, one, zero), (zero, zero, one), (one, zero, zero)), QQ)
+    sign = ProjTransform(((-one, zero, zero), (zero, one, zero), (zero, zero, one)), QQ)
+    assert generate_closure([swap, cycle]).order == 6
+    # signed permutation matrices: 48 linear maps, 24 projective ones
+    assert generate_closure([swap, cycle, sign], projective=False).order == 48
+    assert generate_closure([swap, cycle, sign]).order == 24
+    assert sign.det() == -1
+    assert sign.inverse().compose(sign).det() == 1
 
 
 def test_heisenberg_lift():
@@ -145,6 +164,27 @@ def test_vertex_orbits_under_translations():
     image = action_on_points(TRANSLATIONS, DATA.vertices)
     assert sorted(len(o) for o in image.orbits) == [3, 3, 3, 3]
     assert not image.two_transitive
+
+
+def _action_by_every_element(G, pts):
+    """Reference permutation image: apply each element to each point."""
+    lookup = {p: i for i, p in enumerate(pts)}
+    return tuple(
+        sorted(
+            {
+                tuple(lookup[ProjTransform(rows, G.domain).apply(p)] for p in pts)
+                for rows in G.elements
+            }
+        )
+    )
+
+
+def test_action_from_generators_matches_every_element():
+    for G in (HESSIAN_GROUP, TRANSLATIONS):
+        for pts in (DATA.vertices, DATA.base_points):
+            image = action_on_points(G, pts)
+            assert image.perms == _action_by_every_element(G, pts)
+            assert image.faithful == (len(image.perms) == G.order)
 
 
 def test_action_requires_closed_point_set():
