@@ -9,11 +9,10 @@ backend with certified working precision.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
-from .field import FieldElement, tower_eps
+from .field import _to_mpc, tower_eps
 from .hesse import (
     PencilParameter,
     PropertyResult,
@@ -241,15 +240,6 @@ class NumericPoint:
     coords: tuple  # mpc triple, scaled to max modulus 1
     precision_bits: int
     residual: object  # bound on the member equation at the point
-
-
-def _to_mpc(value, precision_bits):
-    if isinstance(value, FieldElement):
-        mid, _ = value.embed_complex(precision_bits=precision_bits)
-        return mid
-    if isinstance(value, Fraction):
-        return mpmath.mpc(value.numerator) / value.denominator
-    return mpmath.mpc(value)
 
 
 def _embed_poly(poly: MultiPoly, precision_bits) -> dict:

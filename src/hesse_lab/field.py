@@ -235,9 +235,17 @@ class FieldTower:
         raise TowerError(f"symbol {symbol!r} not in {self!r}")
 
     def coerce(self, x) -> "FieldElement":
+        """x as an element of this tower.
+
+        Q is the tower without levels: its elements go into every tower, and
+        a rational element of any tower goes into Q.  Elements of two
+        distinct non-trivial towers do not mix.
+        """
         if isinstance(x, FieldElement):
             if x.tower is self or x.tower == self:
                 return x
+            if not (x.tower._levels and self._levels):
+                return self.from_rational(x.rational_value())
             raise TowerError(f"element of {x.tower!r} used in {self!r}")
         if isinstance(x, (int, Fraction)):
             return self.from_rational(x)
@@ -669,8 +677,15 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
+        # a rational element equals the int or Fraction of its value, so it
+        # hashes like one
         if self._hash is None:
-            self._hash = hash((self.tower._fingerprint, self.num, self.den))
+            if not self.is_rational():
+                self._hash = hash((self.tower._fingerprint, self.num, self.den))
+            elif self.den == 1:
+                self._hash = hash(self.num[0])
+            else:
+                self._hash = hash(Fraction(self.num[0], self.den))
         return self._hash
 
     def __repr__(self):
@@ -688,6 +703,17 @@ class FieldElement:
             nested = _nested_from_flat(self.coords, t._degrees, levels)
             ball = t._eval_nested_ball(nested, levels, precision_bits + 48)
             return mp.mpc(ball.mid), mp.mpf(ball.rad)
+
+
+def _to_mpc(value, precision_bits: int):
+    """Complex value of an exact scalar: the midpoint of a field element's
+    embedding, or a rational or plain number at the working precision."""
+    if isinstance(value, FieldElement):
+        mid, _ = value.embed_complex(precision_bits=precision_bits)
+        return mid
+    if isinstance(value, Fraction):
+        return mp.mpc(value.numerator) / value.denominator
+    return mp.mpc(value)
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +823,8 @@ class PrimeField:
             if x.p != self.p:
                 raise ValueError("mixed characteristic")
             return x
+        if isinstance(x, FieldElement):
+            x = x.rational_value()  # an element of Q reduces mod p
         if isinstance(x, int):
             return GFElement(self.p, x)
         if isinstance(x, Fraction):

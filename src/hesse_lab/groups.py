@@ -22,11 +22,10 @@ from typing import Callable, Optional, Sequence
 
 import mpmath
 
-from .field import FieldElement, tower_eps, tower_zeta9
-from .hesse import RationalSelfMap, hesse_data, pencil_forms
+from .field import _to_mpc, tower_eps, tower_zeta9
+from .hesse import RationalSelfMap, pencil_forms
 from .multipoly import MultiPoly, convert_domain, field_linsolve, proportionality
-from .multipoly import _domain_inverse
-from .plane import ProjPoint
+from .plane import ProjPoint, normalize_projective
 
 
 # ---------------------------------------------------------------------------
@@ -63,19 +62,15 @@ def _mat_inv(m: tuple, domain) -> tuple:
     det = domain.dot(m[0], cof[0])
     if det == 0:
         raise ValueError("singular matrix")
-    inv = _domain_inverse(det)
+    inv = det.inverse()
     return tuple(tuple(cof[j][i] * inv for j in range(3)) for i in range(3))
 
 
 def _mat_canonical(m: tuple) -> tuple:
     """The scalar multiple of m whose first nonzero entry is one."""
-    lead = next((v for row in m for v in row if v), None)
-    if lead is None:
-        raise ValueError("zero matrix")
-    if lead == 1:
-        return m
-    inv = _domain_inverse(lead)
-    return tuple(tuple(v * inv if v else v for v in row) for row in m)
+    n = len(m[0])
+    flat = normalize_projective(v for row in m for v in row)
+    return tuple(flat[i : i + n] for i in range(0, len(flat), n))
 
 
 def _mat_identity(domain) -> tuple:
@@ -504,15 +499,6 @@ def cover_automorphisms() -> dict:
     }
 
 
-def _embed(value, precision_bits: int):
-    if isinstance(value, FieldElement):
-        mid, _ = value.embed_complex(precision_bits=precision_bits)
-        return mpmath.mpc(mid)
-    if isinstance(value, Fraction):
-        return mpmath.mpc(value.numerator) / value.denominator
-    return mpmath.mpc(value)
-
-
 def _phi6_numeric(x, y, z):
     return (
         x**6
@@ -537,12 +523,12 @@ def symplectic_ratio(
     """
     with mpmath.workprec(precision_bits + 48):
         tol = mpmath.mpf(2) ** (-(precision_bits // 2))
-        m = [[_embed(v, precision_bits) for v in row] for row in g.lift]
-        cw = _embed(w_scalar, precision_bits)
+        m = [[_to_mpc(v, precision_bits) for v in row] for row in g.lift]
+        cw = _to_mpc(w_scalar, precision_bits)
         ratios = []
         for sx, sy in samples:
-            x = _embed(sx, precision_bits)
-            y = _embed(sy, precision_bits)
+            x = _to_mpc(sx, precision_bits)
+            y = _to_mpc(sy, precision_bits)
             phi = _phi6_numeric(x, y, mpmath.mpc(1))
             if abs(phi) < tol:
                 raise ValueError("sample point lies on the branch locus")

@@ -19,12 +19,10 @@ from .field import FieldElement, PrimeField, tower_eps, tower_eps_i, tower_eps_i
 from .multipoly import (
     MultiPoly,
     QQ,
-    RationalDomain,
     binary_form_gcd,
     convert_domain,
     det_generic,
     divide_exact,
-    express_in_subring,
     field_linsolve,
     field_nullspace,
     hessian_determinant,
@@ -45,6 +43,7 @@ from .plane import (
     incidence_table,
     line_through,
     lines_meet,
+    normalize_projective,
     root_multiplicity,
 )
 
@@ -65,14 +64,7 @@ class PencilParameter:
     __slots__ = ("t0", "t1", "domain")
 
     def __init__(self, t0, t1, domain=QQ):
-        t0 = domain.coerce(t0)
-        t1 = domain.coerce(t1)
-        if t0 == 0:
-            if t1 == 0:
-                raise ValueError("(0 : 0) is not a parameter")
-            t0, t1 = domain.zero(), domain.one()
-        else:
-            t0, t1 = domain.one(), t1 / t0
+        t0, t1 = normalize_projective((domain.coerce(t0), domain.coerce(t1)))
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "domain", domain)
@@ -163,7 +155,7 @@ class RationalSelfMap:
 
     @staticmethod
     def _normalize(num: MultiPoly, den: MultiPoly):
-        if isinstance(num.domain, RationalDomain):
+        if num.domain == QQ:
             c = _fraction_gcd(abs(rational_content(num)), abs(rational_content(den)))
             if rational_content(den) < 0:
                 c = -c
@@ -184,13 +176,13 @@ class RationalSelfMap:
         """Coerce the rational-coefficient side into the other's domain."""
         if self.num.domain == other.num.domain:
             return self, other
-        if isinstance(self.num.domain, RationalDomain):
+        if self.num.domain == QQ:
             lifted = RationalSelfMap(
                 convert_domain(self.num, other.num.domain),
                 convert_domain(self.den, other.num.domain),
             )
             return lifted, other
-        if isinstance(other.num.domain, RationalDomain):
+        if other.num.domain == QQ:
             lifted = RationalSelfMap(
                 convert_domain(other.num, self.num.domain),
                 convert_domain(other.den, self.num.domain),
@@ -953,7 +945,7 @@ def dual_curve_check(m: PencilParameter) -> DualCurveResult:
     """Eliminate the tangency point of the member with parameter pair
     (m0, 6*m1) and compare the resulting tangent-line locus with the
     closed-form dual sextic."""
-    if not isinstance(m.domain, RationalDomain):
+    if m.domain != QQ:
         raise ValueError("dual-curve elimination runs over the rationals")
     m0, m1 = m.t0, m.t1
     member_parameter = PencilParameter(m0, 6 * m1)

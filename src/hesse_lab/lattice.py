@@ -238,23 +238,6 @@ def discriminant_order(lattice: IntLattice) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_inverse(rows):
-    n = len(rows)
-    aug = [[Fraction(v) for v in rows[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def vectors_of_norm(lattice: IntLattice, n: int, coeff_bound: int = None) -> tuple:
     """Exhaustive list of vectors with |x Gram x| = |n| on a definite
     lattice; the default bound n*(G^-1)_ii covers every solution."""
@@ -265,10 +248,12 @@ def vectors_of_norm(lattice: IntLattice, n: int, coeff_bound: int = None) -> tup
     gram = lattice.abs_gram
     rank = lattice.rank
     if coeff_bound is None:
-        inverse = _fraction_inverse(gram)
+        det = _int_det(gram)
         bounds = []
         for i in range(rank):
-            limit = inverse[i][i] * target
+            # (G^-1)_ii = det(G without row and column i) / det(G), by Cramer
+            minor = [row[:i] + row[i + 1 :] for k, row in enumerate(gram) if k != i]
+            limit = Fraction(_int_det(minor), det) * target
             b = 0
             while Fraction(b * b) <= limit:
                 b += 1

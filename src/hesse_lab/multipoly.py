@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-Coefficients live in a small "domain" (rationals, a FieldTower, or F_p)
-exposing zero/one/coerce; polynomial arithmetic never leaves the domain.
+Coefficients live in a "domain": a FieldTower (Q itself is the tower of
+degree one, `QQ`) or a PrimeField.  A domain exposes zero/one/coerce and
+every coefficient answers `.inverse()`; polynomial arithmetic never leaves
+the domain.
 Monomials are exponent tuples; the global order is graded lexicographic,
 which fixes canonical printing, the leading term used by exact division,
 and the witness monomial reported when two polynomials fail to be
@@ -16,55 +18,13 @@ stated relative to it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
-from .field import (
-    FieldElement,
-    FieldTower,
-    GFElement,
-    PrimeField,
-    _ElementParser,
-    element_to_str,
-)
+from .field import FieldTower, _ElementParser, tower_rationals
 
-
-class RationalDomain:
-    """Plain Q with raw Fraction values (fast path, no tower overhead)."""
-
-    __slots__ = ()
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, FieldElement):
-            return x.rational_value()
-        raise ValueError(f"cannot coerce {x!r} into Q")
-
-    def dot(self, xs, ys):
-        return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, RationalDomain)
-
-    def __hash__(self):
-        return hash("RationalDomain")
-
-    def __repr__(self):
-        return "Q"
-
-
-QQ = RationalDomain()
+QQ = tower_rationals()
 
 
 def default_names(nvars: int) -> tuple:
@@ -253,8 +213,7 @@ class MultiPoly:
             c = self.domain.coerce(other)
         except (ValueError, TypeError):
             return NotImplemented
-        inv = _domain_inverse(c)
-        return self * inv
+        return self * c.inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -427,12 +386,6 @@ def coerce_between(c, src_domain, dst_domain):
     return dst_domain.coerce(c)
 
 
-def _domain_inverse(c):
-    if isinstance(c, Fraction):
-        return 1 / c
-    return c.inverse()
-
-
 def convert_domain(f: MultiPoly, domain) -> MultiPoly:
     return MultiPoly(f.nvars, dict(f.terms), domain)
 
@@ -470,7 +423,7 @@ def proportionality(f: MultiPoly, g: MultiPoly):
         if m not in f.terms or m not in g.terms:
             return None, m
     lead = support[0]
-    c = f.terms[lead] * _domain_inverse(g.terms[lead])
+    c = f.terms[lead] * g.terms[lead].inverse()
     for m in support:
         if f.terms[m] != c * g.terms[m]:
             return None, m
@@ -484,7 +437,7 @@ def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("polynomial division by zero")
     nvars, domain = f.nvars, f.domain
     glead, gcoef = g.leading()
-    ginv = _domain_inverse(gcoef)
+    ginv = gcoef.inverse()
     q = MultiPoly.zero(nvars, domain)
     r = f
     while r:
@@ -510,7 +463,7 @@ def poly_remainder(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("polynomial reduction by zero")
     nvars, domain = f.nvars, f.domain
     glead, gcoef = g.leading()
-    ginv = _domain_inverse(gcoef)
+    ginv = gcoef.inverse()
     rem: dict = {}
     r = f
     while r:
@@ -532,7 +485,7 @@ def poly_sqrt(h: MultiPoly) -> MultiPoly:
     lead, c = h.leading()
     if any(e % 2 for e in lead):
         raise ValueError("leading monomial is not a square")
-    croot = _fraction_sqrt(_as_fraction(c))
+    croot = _fraction_sqrt(c.rational_value())
     g = MultiPoly(
         h.nvars, {tuple(e // 2 for e in lead): h.domain.coerce(croot)}, h.domain
     )
@@ -545,18 +498,10 @@ def poly_sqrt(h: MultiPoly) -> MultiPoly:
         exps = tuple(a - b for a, b in zip(rlead, glead))
         if min(exps) < 0:
             raise ValueError("not a polynomial square")
-        t = MultiPoly(h.nvars, {exps: rcoef * _domain_inverse(twice_lead_coef)}, h.domain)
+        t = MultiPoly(h.nvars, {exps: rcoef * twice_lead_coef.inverse()}, h.domain)
         g = g + t
         r = h - g * g
     return g
-
-
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, FieldElement):
-        return c.rational_value()
-    raise ValueError("square root supported for rational coefficients only")
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction:
@@ -588,13 +533,13 @@ def rational_content(f: MultiPoly) -> Fraction:
     """gcd of the coefficients of a Q-polynomial, signed by the leading term."""
     if not f:
         return Fraction(1)
-    nums = [ _as_fraction(c) for c in f.terms.values() ]
+    nums = [c.rational_value() for c in f.terms.values()]
     g = Fraction(
         math.gcd(*(abs(q.numerator) for q in nums)) if len(nums) > 1 else abs(nums[0].numerator),
         math.lcm(*(q.denominator for q in nums)) if len(nums) > 1 else nums[0].denominator,
     )
     _, lead = f.leading()
-    if _as_fraction(lead) < 0:
+    if lead.rational_value() < 0:
         g = -g
     return g
 
@@ -699,7 +644,7 @@ def _strip_leading_zeros(coeffs: list) -> list:
 def _list_mod(a: list, b: list, domain) -> list:
     """Remainder of descending univariate coefficient lists (b[0] != 0)."""
     a = list(a)
-    inv = _domain_inverse(b[0])
+    inv = b[0].inverse()
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         return _strip_leading_zeros(a)
@@ -722,7 +667,7 @@ def binary_form_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     fb = binary_coeff_list(g1)
     while fb:
         fa, fb = fb, _list_mod(fa, fb, f.domain)
-    inv = _domain_inverse(fa[0])
+    inv = fa[0].inverse()
     d = len(fa) - 1
     terms = {
         (common[0] + d - k, common[1] + k): c * inv
@@ -775,7 +720,7 @@ def field_rref(matrix: list, domain):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _domain_inverse(rows[r][c])
+        inv = rows[r][c].inverse()
         rows[r] = [v * inv for v in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c]:
@@ -907,7 +852,7 @@ class _PolyParser(_ElementParser):
             if not b.is_constant():
                 raise ValueError("division by a non-constant polynomial")
             b = b.constant_value()
-        return a * _domain_inverse(a.domain.coerce(b))
+        return a * a.domain.coerce(b).inverse()
 
 
 def parse_poly(text: str, nvars: int, domain=QQ, names: Sequence[str] = None) -> MultiPoly:
@@ -916,14 +861,6 @@ def parse_poly(text: str, nvars: int, domain=QQ, names: Sequence[str] = None) ->
     if not isinstance(val, MultiPoly):
         val = MultiPoly.constant(nvars, val, domain)
     return val
-
-
-def _coeff_to_str(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, FieldElement):
-        return element_to_str(c)
-    return str(c)
 
 
 def poly_to_str(f: MultiPoly, names: Sequence[str] = None) -> str:
@@ -940,7 +877,7 @@ def poly_to_str(f: MultiPoly, names: Sequence[str] = None) -> str:
             elif k > 1:
                 monos.append(f"{name}^{k}")
         mono = "*".join(monos)
-        ctext = _coeff_to_str(c)
+        ctext = str(c)
         simple = "/" not in ctext and not any(
             ch in ctext[1:] for ch in "+-*"
         )

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .multipoly import MultiPoly, QQ, divide_exact, _domain_inverse
+from .multipoly import MultiPoly, QQ, divide_exact
 
 
 class SingularityClass(enum.Enum):
@@ -23,15 +23,27 @@ class SingularityClass(enum.Enum):
     HIGHER = "higher"
 
 
+def normalize_projective(values) -> tuple:
+    """The scalar multiple of a projective tuple whose first nonzero entry is one.
+
+    Zero entries are left as they are and a tuple whose lead is already one
+    comes back unchanged; raises ValueError when every entry is zero.
+    """
+    values = tuple(values)
+    lead = next((v for v in values if v), None)
+    if lead is None:
+        raise ValueError("every entry is zero")
+    if lead == 1:
+        return values
+    inv = lead.inverse()
+    return tuple(v * inv if v else v for v in values)
+
+
 def _canonicalize(coords, domain):
-    vals = [domain.coerce(c) for c in coords]
+    vals = tuple(domain.coerce(c) for c in coords)
     if len(vals) != 3:
         raise ValueError("projective coordinates must have length 3")
-    lead = next((v for v in vals if v), None)
-    if lead is None:
-        raise ValueError("all coordinates are zero")
-    inv = _domain_inverse(lead)
-    return tuple(v * inv for v in vals)
+    return normalize_projective(vals)
 
 
 class ProjPoint:
@@ -265,7 +277,7 @@ def line_parameter(line: ProjLine, p: ProjPoint):
                 continue
             det = p0.coords[i] * p1.coords[j] - p0.coords[j] * p1.coords[i]
             if det:
-                inv = _domain_inverse(det)
+                inv = det.inverse()
                 s = (p.coords[i] * p1.coords[j] - p.coords[j] * p1.coords[i]) * inv
                 t = (p0.coords[i] * p.coords[j] - p0.coords[j] * p.coords[i]) * inv
                 return s, t

@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesse_lab.field import PrimeField, tower_eps
+from hesse_lab.field import (
+    FieldElement,
+    PrimeField,
+    TowerError,
+    tower_eps,
+    tower_rationals,
+    tower_zeta9,
+)
 from hesse_lab.multipoly import (
     QQ,
     MultiPoly,
     binary_form_gcd,
+    convert_domain,
     det_generic,
     divide_exact,
     express_in_subring,
@@ -223,17 +231,41 @@ def test_det_generic_matches_known_matrix():
 
 
 def test_linear_solver_and_nullspace():
-    a = [
-        [Fraction(1), Fraction(2)],
-        [Fraction(3), Fraction(4)],
-    ]
-    x = field_linsolve(a, [Fraction(5), Fraction(6)], QQ)
+    q = QQ.coerce
+    a = [[q(1), q(2)], [q(3), q(4)]]
+    x = field_linsolve(a, [q(5), q(6)], QQ)
     assert x == [Fraction(-4), Fraction(9, 2)]
-    assert field_linsolve([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]], [Fraction(0), Fraction(1)], QQ) is None
-    ns = field_nullspace([[Fraction(1), Fraction(1), Fraction(0)]], QQ)
+    assert field_linsolve([[q(1), q(1)], [q(1), q(1)]], [q(0), q(1)], QQ) is None
+    ns = field_nullspace([[q(1), q(1), q(0)]], QQ)
     assert len(ns) == 2
     for v in ns:
         assert v[0] + v[1] == 0
+
+
+def test_rationals_are_the_degree_one_tower():
+    K = tower_eps()
+    eps = K.symbol_element("eps")
+    assert QQ is tower_rationals() and QQ.total_degree == 1
+    half = QQ.coerce(Fraction(1, 2))
+    assert isinstance(half, FieldElement) and half.inverse() == 2
+    # Q goes into every tower, and a rational element of any tower into Q
+    assert K.coerce(half) == K.from_rational(Fraction(1, 2))
+    back = QQ.coerce(K.from_rational(Fraction(-3, 4)))
+    assert back.tower is QQ and back == Fraction(-3, 4)
+    with pytest.raises(TowerError):
+        QQ.coerce(eps)
+    # two distinct non-trivial towers still do not mix
+    for x in (eps, K.one()):
+        with pytest.raises(TowerError):
+            tower_zeta9().coerce(x)
+    f = parse_poly("x^2/2 - 3*x*y + 1/3", 2)
+    assert f.domain is QQ and all(c.tower is QQ for c in f.terms.values())
+    assert f.coefficient((2, 0)) == Fraction(1, 2)
+    assert f.coefficient((0, 0)) == Fraction(1, 3)
+    assert parse_poly(poly_to_str(f), 2) == f
+    assert convert_domain(convert_domain(f, K), QQ) == f
+    with pytest.raises(ValueError):
+        parse_poly("eps*x", 1)
 
 
 def test_prime_field_polynomials():

@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab.field import tower_eps
+from hesse_lab.groups import _mat_canonical
+from hesse_lab.hesse import PencilParameter
 from hesse_lab.multipoly import MultiPoly, det_generic
 from hesse_lab.plane import (
     IncidenceTable,
@@ -19,6 +21,7 @@ from hesse_lab.plane import (
     line_parameter,
     line_through,
     lines_meet,
+    normalize_projective,
     restrict_to_line,
     root_multiplicity,
     tangent_line,
@@ -35,6 +38,25 @@ def test_point_canonicalization():
     assert ProjPoint([1, 0, 0]) != ProjPoint([0, 1, 0])
     with pytest.raises(ValueError):
         ProjPoint([0, 0, 0])
+
+
+def test_normalize_projective():
+    K = tower_eps()
+    eps = K.symbol_element("eps")
+    two = K.from_rational(2)
+    values = (K.zero(), two * eps, two, K.zero())
+    out = normalize_projective(values)
+    assert out == (0, 1, eps.inverse(), 0)
+    assert out[0] is values[0] and out[3] is values[3]  # zeros are not scaled
+    assert normalize_projective(out) is out  # a lead of one is left alone
+    assert normalize_projective([K.one(), two]) == (1, 2)
+    with pytest.raises(ValueError):
+        normalize_projective((K.zero(), K.zero(), K.zero()))
+    # points, lines, pencil parameters and matrices share the one normaliser
+    assert ProjPoint(values[:3], K).coords == out[:3]
+    assert ProjLine(values[:3], K).coeffs == out[:3]
+    assert PencilParameter(values[1], values[2], K).pair() == out[1:3]
+    assert _mat_canonical((values[:2], values[2:])) == (out[:2], out[2:])
 
 
 def test_line_contains_and_meet():
