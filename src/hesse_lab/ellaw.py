@@ -24,6 +24,7 @@ from .hesse import (
 from .multipoly import MultiPoly, divide_exact, proportionality, resultant_in_var
 from .plane import (
     ProjPoint,
+    _cross,
     line_parameter,
     line_through,
     restrict_to_line,
@@ -259,14 +260,6 @@ def _eval_embedded(terms: dict, coords) -> object:
 def _scale(coords):
     m = max(abs(c) for c in coords)
     return tuple(c / m for c in coords)
-
-
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def _proj_distance(u, v):

@@ -30,7 +30,6 @@ ZeroDivisionError.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -412,37 +411,6 @@ class FieldTower:
             acc = acc * root + self._eval_nested_ball(c, lvl - 1, prec)
         return acc
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self) -> str:
-        levels = []
-        for k, lev in enumerate(self._levels):
-            prefix = FieldTower(self._levels[:k])
-            coeffs = [
-                element_to_str(prefix._from_coords(c)) for c in lev.minpoly_coords
-            ]
-            levels.append(
-                {
-                    "symbol": lev.symbol,
-                    "minpoly_coeffs": coeffs,
-                    "hint_re": float(lev.hint.real),
-                    "hint_im": float(lev.hint.imag),
-                }
-            )
-        return json.dumps({"levels": levels}, indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "FieldTower":
-        data = json.loads(text)
-        tower = FieldTower(())
-        for lev in data["levels"]:
-            coeffs = [parse_element(s, tower) for s in lev["minpoly_coeffs"]]
-            spec = ExtensionSpec(
-                lev["symbol"], coeffs, complex(lev["hint_re"], lev["hint_im"])
-            )
-            tower = _extend(tower, spec)
-        return tower
-
 
 def _horner(coeffs, x):
     acc = mp.mpc(0)
@@ -721,6 +689,22 @@ def _to_mpc(value, precision_bits: int):
 # ---------------------------------------------------------------------------
 
 
+def _gf_lift(p: int, x):
+    """x (in F_p, an int, a Fraction or an element of Q) reduced mod p; None
+    for any other type."""
+    if isinstance(x, GFElement):
+        if x.p != p:
+            raise ValueError("mixed characteristic")
+        return x
+    if isinstance(x, FieldElement):
+        x = x.rational_value()
+    if isinstance(x, int):
+        return GFElement(p, x)
+    if isinstance(x, Fraction):
+        return GFElement(p, x.numerator) / GFElement(p, x.denominator)
+    return None
+
+
 class GFElement:
     """Element of F_p with the usual operator protocol."""
 
@@ -730,22 +714,11 @@ class GFElement:
         self.p = p
         self.v = v % p
 
-    def _lift(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristic")
-            return other
-        if isinstance(other, int):
-            return GFElement(self.p, other)
-        if isinstance(other, Fraction):
-            return GFElement(self.p, other.numerator) / GFElement(self.p, other.denominator)
-        return None
-
     def __bool__(self):
         return self.v != 0
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = _gf_lift(self.p, other)
         if o is None:
             return NotImplemented
         return GFElement(self.p, self.v + o.v)
@@ -756,7 +729,7 @@ class GFElement:
         return GFElement(self.p, -self.v)
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = _gf_lift(self.p, other)
         if o is None:
             return NotImplemented
         return GFElement(self.p, self.v - o.v)
@@ -767,7 +740,7 @@ class GFElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return GFElement(self.p, self.v * other)
-        o = self._lift(other)
+        o = _gf_lift(self.p, other)
         if o is None:
             return NotImplemented
         return GFElement(self.p, self.v * o.v)
@@ -780,7 +753,7 @@ class GFElement:
         return GFElement(self.p, pow(self.v, -1, self.p))
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = _gf_lift(self.p, other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
@@ -819,17 +792,10 @@ class PrimeField:
         return GFElement(self.p, 1)
 
     def coerce(self, x):
-        if isinstance(x, GFElement):
-            if x.p != self.p:
-                raise ValueError("mixed characteristic")
-            return x
-        if isinstance(x, FieldElement):
-            x = x.rational_value()  # an element of Q reduces mod p
-        if isinstance(x, int):
-            return GFElement(self.p, x)
-        if isinstance(x, Fraction):
-            return GFElement(self.p, x.numerator) / GFElement(self.p, x.denominator)
-        raise ValueError(f"cannot coerce {x!r} into F_{self.p}")
+        y = _gf_lift(self.p, x)
+        if y is None:
+            raise ValueError(f"cannot coerce {x!r} into F_{self.p}")
+        return y
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -842,139 +808,10 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# element text grammar
-#
-#   expr   := term (('+'|'-') term)*
-#   term   := factor (('*'|'/') factor)*
-#   factor := atom ('^' int)?
-#   atom   := rational | symbol | '(' expr ')' | '-' atom
-#
-# Printing emits one term per nonzero basis coordinate, which the parser
-# reads back exactly.
+# printing: one term per nonzero basis coordinate.  Integers past Python's
+# int -> str limit (sys.get_int_max_str_digits(), 4300 digits by default,
+# never below 640) are printed by halves split at a power of ten.
 # ---------------------------------------------------------------------------
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j]))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-            elif ch in "+-*/^()":
-                self.toks.append((ch, ch))
-                i += 1
-            else:
-                raise ValueError(f"bad character {ch!r} in {text!r}")
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-
-class _ElementParser:
-    """Recursive-descent parser for the element grammar over a tower."""
-
-    def __init__(self, tower: FieldTower, atom_hook=None):
-        self.tower = tower
-        self.atom_hook = atom_hook  # lets the polynomial grammar add variables
-
-    def parse(self, text: str):
-        toks = _Tokens(text)
-        val = self._expr(toks)
-        if toks.peek()[0] is not None:
-            raise ValueError(f"trailing input in {text!r}")
-        return val
-
-    def _expr(self, toks):
-        val = self._term(toks)
-        while toks.peek()[0] in ("+", "-"):
-            op = toks.next()[0]
-            rhs = self._term(toks)
-            val = val + rhs if op == "+" else val - rhs
-        return val
-
-    def _term(self, toks):
-        val = self._factor(toks)
-        while toks.peek()[0] in ("*", "/"):
-            op = toks.next()[0]
-            rhs = self._factor(toks)
-            val = val * rhs if op == "*" else self._divide(val, rhs)
-        return val
-
-    def _divide(self, a, b):
-        return a / b
-
-    def _factor(self, toks):
-        val = self._atom(toks)
-        if toks.peek()[0] == "^":
-            toks.next()
-            neg = False
-            if toks.peek()[0] == "-":
-                toks.next()
-                neg = True
-            kind, text = toks.next()
-            if kind != "int":
-                raise ValueError("exponent must be an integer")
-            n = _str_int(text)
-            val = val ** (-n if neg else n)
-        return val
-
-    def _atom(self, toks):
-        kind, text = toks.peek()
-        if kind == "-":
-            toks.next()
-            return -self._atom(toks)
-        if kind == "int":
-            toks.next()
-            return self._const(_str_int(text))
-        if kind == "name":
-            toks.next()
-            if self.atom_hook is not None:
-                hooked = self.atom_hook(text)
-                if hooked is not None:
-                    return hooked
-            return self._symbol(text)
-        if kind == "(":
-            toks.next()
-            val = self._expr(toks)
-            if toks.next()[0] != ")":
-                raise ValueError("unbalanced parentheses")
-            return val
-        raise ValueError(f"unexpected token {text!r}")
-
-    def _const(self, n: int):
-        return self.tower.from_rational(n)
-
-    def _symbol(self, name: str):
-        return self.tower.symbol_element(name)
-
-
-def parse_element(text: str, tower: FieldTower) -> FieldElement:
-    return _ElementParser(tower).parse(text)
-
-
-# Python refuses int <-> str conversions of more than
-# sys.get_int_max_str_digits() digits (4300 by default, never below 640);
-# longer integers are converted by halves split at a power of ten.
 
 
 def _int_str(n: int) -> str:
@@ -986,14 +823,6 @@ def _int_str(n: int) -> str:
     k = n.bit_length() * 3 // 20  # about half of the decimal digits
     hi, lo = divmod(n, 10**k)
     return _int_str(hi) + _int_str(lo).zfill(k)
-
-
-def _str_int(text: str) -> int:
-    """int(text) for a string of decimal digits of any length."""
-    if len(text) <= 600:
-        return int(text)
-    k = len(text) // 2
-    return _str_int(text[:-k]) * 10**k + _str_int(text[-k:])
 
 
 def _rational_str(q: Fraction) -> str:

@@ -281,12 +281,6 @@ def pencil_discriminant() -> MultiPoly:
     return 4 * a**3 + 27 * b**2
 
 
-def j_map() -> RationalSelfMap:
-    """Parameter to j-line, as the pair (1728*4A^3 : 4A^3+27B^2)."""
-    a, b = _quartic_sextic_forms()
-    return RationalSelfMap(6912 * a**3, 4 * a**3 + 27 * b**2)
-
-
 @dataclass(frozen=True)
 class WeierstrassData:
     quartic: object  # A with y^2 = x^3 + A x + B

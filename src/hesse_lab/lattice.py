@@ -7,7 +7,6 @@ through `abs_gram` for enumeration, so printed positive forms and the
 geometric sign never get mixed up silently.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -428,17 +427,3 @@ def kummer_fibration_gram() -> IntLattice:
     supply their own incidences through fibration_lattice_gram.
     """
     return fibration_lattice_gram((6, 6, 6, 3), (3, 3, 3, 0), 1)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trips
-# ---------------------------------------------------------------------------
-
-
-def lattice_to_json(lattice: IntLattice) -> str:
-    return json.dumps({"gram": [list(r) for r in lattice.gram]}, sort_keys=True)
-
-
-def lattice_from_json(text: str) -> IntLattice:
-    data = json.loads(text)
-    return IntLattice(tuple(tuple(r) for r in data["gram"]))

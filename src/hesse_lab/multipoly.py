@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .field import FieldTower, _ElementParser, tower_rationals
+from .field import tower_rationals
 
 QQ = tower_rationals()
 
@@ -430,24 +430,43 @@ def proportionality(f: MultiPoly, g: MultiPoly):
     return c, None
 
 
-def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Quotient f/g when division is exact; raises ValueError otherwise."""
+def _divmod(f: MultiPoly, g: MultiPoly, *, stop_early=False):
+    """(quotient, remainder) of f by g: each leading term of what is left goes
+    into the quotient when g's leading monomial divides it, else the remainder.
+    With stop_early the division ends at the first remainder term, which is
+    then the whole remainder returned."""
     f._check_compatible(g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     nvars, domain = f.nvars, f.domain
     glead, gcoef = g.leading()
     ginv = gcoef.inverse()
-    q = MultiPoly.zero(nvars, domain)
+    quot, rem = {}, {}
     r = f
     while r:
         rlead, rcoef = r.leading()
         exps = tuple(a - b for a, b in zip(rlead, glead))
-        if min(exps) < 0:
-            raise ValueError(f"inexact division: remainder leading monomial {rlead}")
-        t = MultiPoly(nvars, {exps: rcoef * ginv}, domain)
-        q = q + t
-        r = r - t * g
+        if min(exps) >= 0:
+            c = rcoef * ginv
+            quot[exps] = c
+            r = r - MultiPoly(nvars, {exps: c}, domain, _clean=True) * g
+        else:
+            rem[rlead] = rcoef
+            if stop_early:
+                break
+            r = r - MultiPoly(nvars, {rlead: rcoef}, domain)
+    return (
+        MultiPoly(nvars, quot, domain, _clean=True),
+        MultiPoly(nvars, rem, domain, _clean=True),
+    )
+
+
+def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Quotient f/g when division is exact; raises ValueError otherwise."""
+    q, r = _divmod(f, g, stop_early=True)
+    if r:
+        lead = r.leading()[0]
+        raise ValueError(f"inexact division: remainder leading monomial {lead}")
     return q
 
 
@@ -458,24 +477,7 @@ def poly_remainder(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     remainder is zero exactly when g divides f, and f -> remainder is
     linear in f for fixed g.
     """
-    f._check_compatible(g)
-    if not g:
-        raise ZeroDivisionError("polynomial reduction by zero")
-    nvars, domain = f.nvars, f.domain
-    glead, gcoef = g.leading()
-    ginv = gcoef.inverse()
-    rem: dict = {}
-    r = f
-    while r:
-        rlead, rcoef = r.leading()
-        exps = tuple(a - b for a, b in zip(rlead, glead))
-        if min(exps) >= 0:
-            t = MultiPoly(nvars, {exps: rcoef * ginv}, domain)
-            r = r - t * g
-        else:
-            rem[rlead] = rcoef
-            r = r - MultiPoly(nvars, {rlead: rcoef}, domain)
-    return MultiPoly(nvars, rem, domain, _clean=True)
+    return _divmod(f, g)[1]
 
 
 def poly_sqrt(h: MultiPoly) -> MultiPoly:
@@ -817,50 +819,8 @@ def _bounded_exponents(degs: Sequence[int], target: int):
 
 
 # ---------------------------------------------------------------------------
-# text grammar
+# printing
 # ---------------------------------------------------------------------------
-
-
-class _PolyParser(_ElementParser):
-    """Element grammar extended with polynomial variables."""
-
-    def __init__(self, nvars: int, domain, names: Sequence[str]):
-        self.nvars = nvars
-        self.pdomain = domain
-        self.names = {n: i for i, n in enumerate(names)}
-        tower = domain if isinstance(domain, FieldTower) else None
-        super().__init__(tower, atom_hook=self._variable)
-
-    def _variable(self, name: str):
-        idx = self.names.get(name)
-        if idx is None:
-            return None
-        return MultiPoly.variable(idx, self.nvars, self.pdomain)
-
-    def _const(self, n: int):
-        return MultiPoly.constant(self.nvars, n, self.pdomain)
-
-    def _symbol(self, name: str):
-        if self.tower is None:
-            raise ValueError(f"unknown name {name!r}")
-        return MultiPoly.constant(
-            self.nvars, self.tower.symbol_element(name), self.pdomain
-        )
-
-    def _divide(self, a, b):
-        if isinstance(b, MultiPoly):
-            if not b.is_constant():
-                raise ValueError("division by a non-constant polynomial")
-            b = b.constant_value()
-        return a * a.domain.coerce(b).inverse()
-
-
-def parse_poly(text: str, nvars: int, domain=QQ, names: Sequence[str] = None) -> MultiPoly:
-    names = names or default_names(nvars)
-    val = _PolyParser(nvars, domain, names).parse(text)
-    if not isinstance(val, MultiPoly):
-        val = MultiPoly.constant(nvars, val, domain)
-    return val
 
 
 def poly_to_str(f: MultiPoly, names: Sequence[str] = None) -> str:

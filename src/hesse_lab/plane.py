@@ -122,18 +122,24 @@ class ProjLine:
         return "[" + " : ".join(repr(c) for c in self.coeffs) + "]"
 
 
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
 def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """The unique line through two distinct points (cross product)."""
-    (a1, a2, a3), (b1, b2, b3) = p.coords, q.coords
-    coeffs = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    coeffs = _cross(p.coords, q.coords)
     if not any(coeffs):
         raise ValueError("points coincide; the line is not unique")
     return ProjLine(coeffs, p.domain)
 
 
 def lines_meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    (a1, a2, a3), (b1, b2, b3) = l1.coeffs, l2.coeffs
-    coords = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    coords = _cross(l1.coeffs, l2.coeffs)
     if not any(coords):
         raise ValueError("lines coincide; the intersection is not a point")
     return ProjPoint(coords, l1.domain)

@@ -1,5 +1,6 @@
-"""Field tower arithmetic, embeddings, text grammar and JSON round-trips."""
+"""Field tower arithmetic, embeddings and printing."""
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -12,12 +13,10 @@ from hypothesis import strategies as st
 from hesse_lab.field import (
     ComplexBall,
     ExtensionSpec,
-    FieldTower,
     GFElement,
     PrimeField,
     TowerError,
     element_to_str,
-    parse_element,
     tower_create,
     tower_eps,
     tower_eps_i,
@@ -192,16 +191,11 @@ def test_text_grammar_round_trip():
     i = t.symbol_element("i")
     c = t.symbol_element("cbrt2")
     x = (eps + i * c) ** 3 - Fraction(7, 5) * c + 1
-    s = element_to_str(x)
-    assert parse_element(s, t) == x
-    assert parse_element("(1-eps)/3", t) == (1 - eps) / 3
+    assert element_to_str(x) == (
+        "2 - 2*i - 7/5*cbrt2 - 3*i*cbrt2 - 3*eps*i*cbrt2 - 3*eps*cbrt2^2"
+    )
+    assert element_to_str((1 - eps) / 3) == "1/3 - 1/3*eps"
     assert element_to_str(t.zero()) == "0"
-    assert parse_element("0", t) == t.zero()
-
-
-def test_tower_json_round_trip():
-    for t in (tower_eps(), tower_eps_i(), tower_eps_i_cbrt2(), tower_zeta9()):
-        assert FieldTower.from_json(t.to_json()) == t
 
 
 def test_prime_field():
@@ -214,6 +208,24 @@ def test_prime_field():
     assert f3.coerce(QQ.coerce(Fraction(1, 2))) == 2
     with pytest.raises(ZeroDivisionError):
         f3.zero().inverse()
+
+
+def test_prime_field_arithmetic_takes_elements_of_q():
+    f3 = PrimeField(3)
+    half = QQ.coerce(Fraction(1, 2))  # 1/2 = 2 in F_3
+    for q in (half, Fraction(1, 2)):
+        assert f3.one() + q == 0 and q + f3.one() == 0
+        assert f3.one() * q == 2 and q * f3.one() == 2
+        assert f3.one() / q == 2
+    assert f3.one() + tower_eps().from_rational(Fraction(1, 2)) == 0
+    with pytest.raises(TowerError):
+        f3.one() + tower_eps().symbol_element("eps")
+    # foreign types are left to the other operand
+    assert f3.one().__add__("1") is NotImplemented
+    assert f3.one().__mul__(1.5) is NotImplemented
+    assert f3.one().__truediv__(None) is NotImplemented
+    with pytest.raises(TypeError):
+        f3.one() + 1.5
 
 
 _RAT = st.fractions(
@@ -419,4 +431,19 @@ def test_text_round_trip_past_the_int_str_digit_limit():
     assert max(abs(a) for a in y.num).bit_length() > 4300 * 10 // 3
     text = element_to_str(y)
     assert repr(y) == text
-    assert parse_element(text, K) == y
+    # the same text from plain str(), with Python's digit limit lifted
+    assert all(y.coords) and not any(abs(q) == 1 for q in y.coords)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        terms = [
+            str(q) + "".join(
+                f"*{sym}" if k == 1 else f"*{sym}^{k}"
+                for sym, k in zip(K.symbols, K.basis_exponents(idx))
+                if k
+            )
+            for idx, q in enumerate(y.coords)
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == " + ".join(terms).replace(" + -", " - ")

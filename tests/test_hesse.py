@@ -27,7 +27,6 @@ from hesse_lab.hesse import (
     hessian_map,
     identity_self_map,
     identity_suite,
-    j_map,
     parameter_flip,
     pencil_forms,
     pencil_member,
@@ -157,8 +156,6 @@ def test_j_minus_1728_is_a_square_multiple():
 
     a, b = _quartic_sextic_forms()
     assert 6912 * a**3 - 1728 * (4 * a**3 + 27 * b**2) == -46656 * b**2
-    ok, scalar = j_map().same_map(RationalSelfMap(6912 * a**3, 4 * a**3 + 27 * b**2))
-    assert ok
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from hesse_lab.lattice import (
     fibration_lattice_gram,
     kodaira_components,
     kummer_fibration_gram,
-    lattice_from_json,
-    lattice_to_json,
     shioda_tate_rank,
     smith_normal_form,
     standard_lattice,
@@ -142,11 +140,6 @@ def test_disc_invariants_order_matches_det_magnitude():
     for d in (3, 3, 3, 6, 6):
         order *= d
     assert order == 972 == 4 * 243
-
-
-def test_json_round_trip():
-    lat = standard_lattice("E8", -1)
-    assert lattice_from_json(lattice_to_json(lat)) == lat
 
 
 symmetric_entries = st.integers(min_value=-6, max_value=6)

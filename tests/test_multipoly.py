@@ -25,7 +25,6 @@ from hesse_lab.multipoly import (
     field_linsolve,
     field_nullspace,
     hessian_determinant,
-    parse_poly,
     poly_remainder,
     poly_sqrt,
     poly_to_str,
@@ -169,6 +168,11 @@ def test_divide_exact_and_failure():
     assert q == (X ** 3 - Z ** 3) * (Y ** 3 - Z ** 3)
     with pytest.raises(ValueError):
         divide_exact(S, T)
+    # the error names the first leading monomial that does not reduce
+    f = S * S + X * Y ** 2
+    assert poly_remainder(f, S).leading()[0] == (1, 2, 0)
+    with pytest.raises(ValueError, match=r"remainder leading monomial \(1, 2, 0\)"):
+        divide_exact(f, S)
 
 
 def test_poly_remainder():
@@ -258,14 +262,15 @@ def test_rationals_are_the_degree_one_tower():
     for x in (eps, K.one()):
         with pytest.raises(TowerError):
             tower_zeta9().coerce(x)
-    f = parse_poly("x^2/2 - 3*x*y + 1/3", 2)
+    x, y = MultiPoly.variables(2)
+    f = x**2 / 2 - 3 * x * y + Fraction(1, 3)
     assert f.domain is QQ and all(c.tower is QQ for c in f.terms.values())
     assert f.coefficient((2, 0)) == Fraction(1, 2)
     assert f.coefficient((0, 0)) == Fraction(1, 3)
-    assert parse_poly(poly_to_str(f), 2) == f
+    assert poly_to_str(f) == "(1/2)*x^2 - 3*x*y + (1/3)"
     assert convert_domain(convert_domain(f, K), QQ) == f
     with pytest.raises(ValueError):
-        parse_poly("eps*x", 1)
+        MultiPoly(1, {(1,): eps}, QQ)
 
 
 def test_prime_field_polynomials():
@@ -281,10 +286,9 @@ def test_parse_print_round_trip():
     eps = te.symbol_element("eps")
     x, y, z = MultiPoly.variables(3, te)
     f = (1 - eps) / 3 * x ** 2 * y - z ** 3 + 2
-    assert parse_poly(poly_to_str(f), 3, te) == f
-    g = parse_poly("(1-eps)/3*x^2*y", 3, te)
-    assert g == (1 - eps) / 3 * x ** 2 * y
-    assert parse_poly("x^3 + y^3 + z^3", 3) == S
+    assert poly_to_str(f) == "(1/3 - 1/3*eps)*x^2*y - z^3 + 2"
+    assert poly_to_str((1 - eps) / 3 * x ** 2 * y) == "(1/3 - 1/3*eps)*x^2*y"
+    assert poly_to_str(S) == "x^3 + y^3 + z^3"
     assert poly_to_str(MultiPoly.zero(3)) == "0"
 
 
