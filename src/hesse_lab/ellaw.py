@@ -5,9 +5,12 @@ through known curve points restricts the member to a binary cubic whose
 known roots are divided out, so the leftover root is linear in the input
 coordinates.  Loci that genuinely require root extraction (doubling a
 transcendental point, order-nine contact points) go through a numeric
-backend with certified working precision.
+backend with certified working precision.  The order-nine points take
+one small eigen-solve: the resultant in y, a polynomial in x^3, deflates,
+and each y comes from the exact first subresultant, linear in y.
 """
 
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -262,12 +265,14 @@ def _scale(coords):
     return tuple(c / m for c in coords)
 
 
+def _norm2(w):
+    """Squared Euclidean norm, without the square root each |c| takes."""
+    return sum(c.real**2 + c.imag**2 for c in w)
+
+
 def _proj_distance(u, v):
     """Chordal distance |u x v| / (|u| |v|); zero iff proportional."""
-    cx = _cross(u, v)
-    nu = mpmath.sqrt(sum(abs(c) ** 2 for c in u))
-    nv = mpmath.sqrt(sum(abs(c) ** 2 for c in v))
-    return mpmath.sqrt(sum(abs(c) ** 2 for c in cx)) / (nu * nv)
+    return mpmath.sqrt(_norm2(_cross(u, v)) / (_norm2(u) * _norm2(v)))
 
 
 class _NumericLaw:
@@ -295,45 +300,24 @@ class _NumericLaw:
             3 * self.t0 * z**2 + self.t1 * x * y,
         )
 
-    def _restrict(self, p, q):
-        """Coefficients (s^3, s^2 t, s t^2, t^3) of the member along
-        s*p + t*q."""
-
-        def cube(a, b):
-            return [a**3, 3 * a**2 * b, 3 * a * b**2, b**3]
-
-        coeffs = [mpmath.mpc(0)] * 4
-        for a, b in zip(p, q):
-            for k, c in enumerate(cube(a, b)):
-                coeffs[k] += self.t0 * c
-        prod = [mpmath.mpc(1)]
-        for a, b in zip(p, q):
-            nxt = [mpmath.mpc(0)] * (len(prod) + 1)
-            for k, c in enumerate(prod):
-                nxt[k] += c * a
-                nxt[k + 1] += c * b
-            prod = nxt
-        for k, c in enumerate(prod):
-            coeffs[k] += self.t1 * c
-        return coeffs
+    def polar(self, p, q):
+        """grad F(p) . q, the s^2 t coefficient of F(s*p + t*q)."""
+        return sum(g * c for g, c in zip(self.gradient(p), q))
 
     def tangent_third(self, p):
         """Remaining intersection of the tangent line at p."""
         grad = self.gradient(p)
         candidates = [_cross(grad, basis) for basis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        r = max(candidates, key=lambda c: sum(abs(v) ** 2 for v in _cross(p, c)))
-        r = _scale(r)
-        g = self._restrict(p, r)
-        # double root at (1, 0): the form is t^2 (c s + d t) up to noise
-        c, d = g[2], g[3]
+        r = _scale(max(candidates, key=lambda c: _norm2(_cross(p, c))))
+        # F(s*p + t*r) = t^2 (s grad F(r).p + t F(r)) up to noise
+        c, d = self.polar(r, p), self.member_value(r)
         return _scale(tuple(d * a - c * b for a, b in zip(p, r)))
 
     def third(self, p, q):
         if _proj_distance(p, q) < self.tol:
             return self.tangent_third(p)
-        g = self._restrict(p, q)
-        # roots at (1, 0) and (0, 1): the form is s t (a s + b t) up to noise
-        a, b = g[1], g[2]
+        # F(s*p + t*q) = s t (s grad F(p).q + t grad F(q).p) up to noise
+        a, b = self.polar(p, q), self.polar(q, p)
         return _scale(tuple(b * u - a * v for u, v in zip(p, q)))
 
     def add(self, p, q):
@@ -344,21 +328,32 @@ class _NumericLaw:
 
 
 def _poly_roots(coeffs, precision_bits):
-    """Roots of a univariate polynomial given by descending mpc
-    coefficients: companion-matrix eigenvalues refined by Newton."""
+    """Roots of a univariate polynomial P given by descending mpc
+    coefficients, refined by Newton on P.
+
+    With k the gcd of the exponents of the nonzero terms, P(x) = S(x^k).
+    The eigenvalues u of the companion matrix of S, k times smaller than
+    that of P, give the roots of P as the k k-th roots of each u (a zero
+    u gives a k-fold zero)."""
     lead = coeffs[0]
     monic = [c / lead for c in coeffs[1:]]
     deg = len(monic)
     if deg == 0:
         return []
-    if deg == 1:
-        return [-monic[0]]
-    comp = mpmath.matrix(deg)
-    for i in range(1, deg):
-        comp[i, i - 1] = 1
-    for i in range(deg):
-        comp[i, deg - 1] = -monic[deg - 1 - i]
-    approx = mpmath.eig(comp, left=False, right=False)
+    k = math.gcd(*(deg - i for i, c in enumerate(coeffs) if c != 0))
+    reduced = monic[k - 1 :: k]
+    n = len(reduced)
+    if n == 1:
+        u_roots = [-reduced[0]]
+    else:
+        comp = mpmath.matrix(n)
+        for i in range(1, n):
+            comp[i, i - 1] = 1
+        for i in range(n):
+            comp[i, n - 1] = -reduced[n - 1 - i]
+        u_roots = mpmath.eig(comp, left=False, right=False)
+    unit = mpmath.unitroots(k)
+    approx = [mpmath.root(u, k) * w for u in u_roots for w in unit]
 
     def horner(x):
         val, der = mpmath.mpc(1), mpmath.mpc(0)
@@ -441,7 +436,7 @@ def two_torsion_polar_check(parameter, line_index, precision_bits=128) -> TwoTor
             residual = abs(law.member_value(q))
             points.append(NumericPoint(q, precision_bits, residual))
             grad = law.gradient(q)
-            norm = mpmath.sqrt(sum(abs(c) ** 2 for c in grad))
+            norm = mpmath.sqrt(_norm2(grad))
             incidence = abs(sum(g * m for g, m in zip(grad, marked))) / norm
             tangent_res.append(incidence)
             doubling_res.append(_proj_distance(law.tangent_third(q), marked))
@@ -538,8 +533,14 @@ def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsio
 
 def _transverse_intersection(f: MultiPoly, g: MultiPoly, precision_bits, tol):
     """All common zeros of two plane cubics meeting transversely in the
-    chart z = 1, via a resultant in x followed by matching y-roots and a
-    bivariate Newton polish.  Raises when the count differs from nine."""
+    chart z = 1, followed by a bivariate Newton polish.  Raises when the
+    count differs from nine.
+
+    The x are the roots of R(x) = Res_y(f, g), found by `_poly_roots`
+    (R is a polynomial in x^3 for the contact cubics, so it deflates).
+    The y over each x comes from the first subresultant, computed exactly:
+    S_1 = A(x)*y + B(x) lies in the ideal (f, g), so y = -B(x)/A(x) at a
+    common zero where A(x) does not vanish."""
     K = f.domain
     if g.domain is not K:
         raise ValueError("curves live over different domains")
@@ -552,14 +553,11 @@ def _transverse_intersection(f: MultiPoly, g: MultiPoly, precision_bits, tol):
     if deg != 9:
         raise ValueError("intersection is degenerate at infinity")
     rc = [_to_mpc(res.coefficient((deg - k, 0)), precision_bits) for k in range(deg + 1)]
+    sub = resultant_in_var(fa, ga, 1, index=1).collect(1)
+    a_terms = _embed_poly(sub.get(1, MultiPoly.zero(2, K)), precision_bits)
+    b_terms = _embed_poly(sub.get(0, MultiPoly.zero(2, K)), precision_bits)
     f_terms = _embed_poly(fa, precision_bits)
     g_terms = _embed_poly(ga, precision_bits)
-
-    def eval2(terms, x, y):
-        acc = mpmath.mpc(0)
-        for (i, j), c in terms.items():
-            acc += c * x**i * y**j
-        return acc
 
     def partials(terms, x, y):
         dx = dy = mpmath.mpc(0)
@@ -573,30 +571,26 @@ def _transverse_intersection(f: MultiPoly, g: MultiPoly, precision_bits, tol):
     coarse = mpmath.sqrt(tol)
     found = []
     for x0 in _poly_roots(rc, precision_bits):
-        yc = [mpmath.mpc(0)] * 4
-        for (i, j), c in f_terms.items():
-            yc[3 - j] += c * x0**i
-        while yc and abs(yc[0]) < coarse:
-            yc.pop(0)
-        for y0 in _poly_roots(yc, precision_bits):
-            if abs(eval2(g_terms, x0, y0)) > coarse:
-                continue
-            x, y = x0, y0
-            for _ in range(max(8, precision_bits // 8)):
-                fv, gv = eval2(f_terms, x, y), eval2(g_terms, x, y)
-                fx, fy = partials(f_terms, x, y)
-                gx, gy = partials(g_terms, x, y)
-                det = fx * gy - fy * gx
-                if abs(det) == 0:
-                    raise ValueError("intersection is not transverse")
-                dx = (fv * gy - gv * fy) / det
-                dy = (gv * fx - fv * gx) / det
-                x, y = x - dx, y - dy
-                if abs(dx) + abs(dy) < mpmath.mpf(2) ** -(precision_bits + 16):
-                    break
-            candidate = _scale((x, y, mpmath.mpc(1)))
-            if all(_proj_distance(candidate, seen) > coarse for seen in found):
-                found.append(candidate)
+        a0 = _eval_embedded(a_terms, (x0, 0))
+        scale = max(1, abs(x0))
+        if abs(a0) <= tol * sum(abs(c) * scale**i for (i, _), c in a_terms.items()):
+            raise ValueError("first subresultant vanishes: two common zeros share x")
+        x, y = x0, -_eval_embedded(b_terms, (x0, 0)) / a0
+        for _ in range(max(8, precision_bits // 8)):
+            fv, gv = _eval_embedded(f_terms, (x, y)), _eval_embedded(g_terms, (x, y))
+            fx, fy = partials(f_terms, x, y)
+            gx, gy = partials(g_terms, x, y)
+            det = fx * gy - fy * gx
+            if abs(det) == 0:
+                raise ValueError("intersection is not transverse")
+            dx = (fv * gy - gv * fy) / det
+            dy = (gv * fx - fv * gx) / det
+            x, y = x - dx, y - dy
+            if abs(dx) + abs(dy) < mpmath.mpf(2) ** -(precision_bits + 16):
+                break
+        candidate = _scale((x, y, mpmath.mpc(1)))
+        if all(_proj_distance(candidate, seen) > coarse for seen in found):
+            found.append(candidate)
     if len(found) != 9:
         raise ValueError(f"expected nine transverse intersections, found {len(found)}")
     return found

@@ -762,11 +762,13 @@ class GFElement:
         return GFElement(self.p, pow(self.v, n, self.p))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.v == other % self.p
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.v == other.v
-        return NotImplemented
+        if isinstance(other, GFElement) and other.p != self.p:
+            return False
+        try:
+            o = _gf_lift(self.p, other)
+        except (TowerError, ZeroDivisionError):
+            return False  # an irrational element, or a denominator divisible by p
+        return NotImplemented if o is None else self.v == o.v
 
     def __hash__(self):
         return hash(("GF", self.p, self.v))

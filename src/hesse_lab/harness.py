@@ -417,7 +417,11 @@ def _two_torsion(config):
     samples = [(lam, 0) for lam in config.lambdas] + [(Fraction(0), 0)]
     for lam, i in samples:
         rep = two_torsion_polar_check(lam, i, precision_bits=config.precision_bits)
-        worst = max(max(rep.tangent_residuals), max(rep.doubling_residuals))
+        worst = max(
+            *(p.residual for p in rep.points),
+            *rep.tangent_residuals,
+            *rep.doubling_residuals,
+        )
         out[f"lambda={lam},line={i}"] = worst
         out.setdefault("tolerance", rep.tolerance)
         ok = ok and rep.holds

@@ -602,20 +602,23 @@ def binary_coeff_list(f: MultiPoly):
     return [f.coefficient((d - k, k)) for k in range(d + 1)]
 
 
-def sylvester_matrix(fc: list, gc: list, zero):
-    """Sylvester matrix from descending coefficient lists, f rows on top."""
+def sylvester_matrix(fc: list, gc: list, zero, index: int = 0):
+    """Sylvester matrix from descending coefficient lists, f rows on top.
+
+    With index j > 0 it is the matrix of the j-th subresultant: n - j
+    shifted rows of f over m - j of g, each m + n - j wide."""
     m = len(fc) - 1
     n = len(gc) - 1
     if m < 0 or n < 0:
         raise ValueError("zero polynomial in resultant")
-    size = m + n
+    size = m + n - index
     rows = []
-    for i in range(n):
+    for i in range(n - index):
         row = [zero] * size
         for j, c in enumerate(fc):
             row[i + j] = c
         rows.append(row)
-    for i in range(m):
+    for i in range(m - index):
         row = [zero] * size
         for j, c in enumerate(gc):
             row[i + j] = c
@@ -679,9 +682,13 @@ def binary_form_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(2, terms, f.domain, _clean=True)
 
 
-def resultant_in_var(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
+def resultant_in_var(f: MultiPoly, g: MultiPoly, var: int, index: int = 0) -> MultiPoly:
     """Resultant of f, g viewed as polynomials in one variable; the result
-    is a polynomial in the remaining variables (same arity, var unused)."""
+    is a polynomial in the remaining variables (same arity, var unused).
+
+    With index j > 0 it is the j-th subresultant S_j (Collins, JACM 1967),
+    of degree at most j in var and in the ideal (f, g): the coefficient of
+    var^i is the minor on the leading columns and the column of var^i."""
     f._check_compatible(g)
     cf = f.collect(var)
     cg = g.collect(var)
@@ -691,6 +698,17 @@ def resultant_in_var(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
     zero = MultiPoly.zero(f.nvars, f.domain)
     fc = [cf.get(df - k, zero) for k in range(df + 1)]
     gc = [cg.get(dg - k, zero) for k in range(dg + 1)]
+    if index:
+        if not 0 < index < min(df, dg):
+            raise ValueError("subresultant index must lie below both degrees")
+        rows = sylvester_matrix(fc, gc, zero, index)
+        lead = len(rows) - 1
+        v = MultiPoly.variable(var, f.nvars, f.domain)
+        out = zero
+        for i in range(index + 1):
+            col = len(rows[0]) - 1 - i
+            out = out + det_generic([r[:lead] + [r[col]] for r in rows]) * v**i
+        return out
     if df == 0 and dg == 0:
         return MultiPoly.constant(f.nvars, f.domain.one(), f.domain)
     if df == 0:
@@ -838,9 +856,7 @@ def poly_to_str(f: MultiPoly, names: Sequence[str] = None) -> str:
                 monos.append(f"{name}^{k}")
         mono = "*".join(monos)
         ctext = str(c)
-        simple = "/" not in ctext and not any(
-            ch in ctext[1:] for ch in "+-*"
-        )
+        simple = not any(ch in ctext[1:] for ch in "+-*")
         if not mono:
             text = ctext if simple else f"({ctext})"
         elif ctext == "1":

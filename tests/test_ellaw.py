@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesse_lab.ellaw import (
+    _poly_roots,
+    _transverse_intersection,
     add,
     base_curve_point,
     contact_pair_vertices_check,
@@ -20,7 +24,9 @@ from hesse_lab.ellaw import (
     translation_compatibility_check,
     two_torsion_polar_check,
 )
+from hesse_lab.field import tower_eps
 from hesse_lab.hesse import hesse_data
+from hesse_lab.multipoly import MultiPoly
 
 CTX = curve_context(1)
 PTS = [base_curve_point(CTX, i) for i in range(9)]
@@ -146,6 +152,76 @@ def test_nine_torsion_samples():
         assert max(report.triple_residuals) < tol
         assert max(report.nine_residuals) < tol
         assert report.chain_residual < tol
+
+
+def test_nine_torsion_every_contact_cubic_pinned():
+    # 3p = p_k for every point p cut by contact cubic c
+    expected = dict(zip(range(1, 9), (2, 3, 4, 5, 1, 6, 8, 7)))
+    for lam in (1, Fraction(12345, 678)):
+        for cubic, k in expected.items():
+            report = nine_torsion_check(lam, cubic)
+            assert report.holds, (lam, cubic)
+            assert len(report.points) == 9
+            assert set(report.triple_indices) == {k}, (lam, cubic)
+    report = nine_torsion_check(1, 1, precision_bits=512)
+    assert report.holds and len(report.points) == 9
+    assert set(report.triple_indices) == {2}
+
+
+def test_transverse_intersection_rejects_two_zeros_over_one_x():
+    K = tower_eps()
+    x, y, z = MultiPoly.variables(3, K)
+    # both cubics pass through (0 : 1 : 1) and (0 : -1 : 1)
+    f = (y**2 - z**2) * (y - 2 * z) + x * (
+        x**2 + 2 * x * y - y**2 + 3 * x * z + y * z - 2 * z**2
+    )
+    g = (y**2 - z**2) * (y + 3 * z) + x * (
+        2 * x**2 - x * y + 3 * y**2 - x * z + 2 * y * z + z**2
+    )
+    with mpmath.workprec(176), pytest.raises(ValueError, match="subresultant"):
+        _transverse_intersection(f, g, 128, mpmath.mpf(10) ** -25)
+
+
+def _companion_roots(coeffs):
+    """Eigenvalues of the full companion matrix: the undeflated oracle."""
+    monic = [c / coeffs[0] for c in coeffs[1:]]
+    n = len(monic)
+    if n == 1:
+        return [-monic[0]]
+    comp = mpmath.matrix(n)
+    for i in range(1, n):
+        comp[i, i - 1] = 1
+    for i in range(n):
+        comp[i, n - 1] = -monic[n - 1 - i]
+    return mpmath.eig(comp, left=False, right=False)
+
+
+_GAUSSIAN = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    u_roots=st.lists(_GAUSSIAN, min_size=1, max_size=3, unique=True),
+    zero_root=st.booleans(),
+    bits=st.sampled_from((128, 512)),
+)
+def test_poly_roots_of_a_polynomial_in_x_to_the_k(k, u_roots, zero_root, bits):
+    with mpmath.workprec(bits + 48):
+        us = [mpmath.mpc(a, b) for a, b in u_roots] + [mpmath.mpc(0)] * zero_root
+        s = [mpmath.mpc(1)]
+        for u in us:  # descending coefficients of prod (u' - u)
+            s = [a - u * b for a, b in zip(s + [0], [0] + s)]
+        coeffs = [s[0]]  # P(x) = S(x^k)
+        for c in s[1:]:
+            coeffs += [mpmath.mpc(0)] * (k - 1) + [c]
+        got = _poly_roots(coeffs, bits)
+        want = _companion_roots(coeffs)
+        assert len(got) == len(want) == k * len(us)
+        # a k-fold zero is only known to about bits/k from the oracle
+        for w in want:
+            i = min(range(len(got)), key=lambda j: abs(got[j] - w))
+            assert abs(got.pop(i) - w) < mpmath.mpf(10) ** -10 * max(1, abs(w))
 
 
 def test_nine_torsion_other_cubic():

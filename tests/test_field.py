@@ -228,6 +228,22 @@ def test_prime_field_arithmetic_takes_elements_of_q():
         f3.one() + 1.5
 
 
+def test_prime_field_equality_takes_elements_of_q():
+    f3 = PrimeField(3)
+    half = f3.coerce(Fraction(1, 2))
+    assert f3.one() == QQ.one() and QQ.one() == f3.one()
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half == QQ.coerce(Fraction(1, 2)) and half == -1
+    assert f3.one() != QQ.coerce(Fraction(1, 2))
+    assert f3.one() != PrimeField(5).one()
+    # values with no image in F_3 are unequal to every element
+    assert f3.one() != Fraction(1, 3) and f3.zero() != Fraction(1, 3)
+    assert f3.one() != tower_eps().symbol_element("eps")
+    # foreign types are left to the other operand
+    assert f3.one().__eq__("1") is NotImplemented
+    assert f3.one() != 1.0
+
+
 _RAT = st.fractions(
     min_value=-10, max_value=10, max_denominator=7
 )

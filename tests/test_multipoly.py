@@ -225,6 +225,21 @@ def test_collect_and_resultant_in_var():
     assert r1 == (2 * Y - Z) * Y
 
 
+def test_first_subresultant_recovers_a_shared_root():
+    x, y = MultiPoly.variables(2)
+    common = y - (x**2 + 1)
+    f = common * (y**2 + x * y + 3)
+    g = common * (y**2 - 2 * y + x + 5)
+    assert resultant_in_var(f, g, 1) == 0
+    s1 = resultant_in_var(f, g, 1, index=1).collect(1)
+    assert set(s1) == {0, 1}
+    a, b = s1[1], s1[0]
+    # S_1 = A*y + B with -B/A = x^2 + 1 exactly
+    assert a and b == -a * (x**2 + 1)
+    with pytest.raises(ValueError):
+        resultant_in_var(f, g, 1, index=3)
+
+
 def test_det_generic_matches_known_matrix():
     m = [
         [Fraction(1), Fraction(2), Fraction(3)],
@@ -267,7 +282,7 @@ def test_rationals_are_the_degree_one_tower():
     assert f.domain is QQ and all(c.tower is QQ for c in f.terms.values())
     assert f.coefficient((2, 0)) == Fraction(1, 2)
     assert f.coefficient((0, 0)) == Fraction(1, 3)
-    assert poly_to_str(f) == "(1/2)*x^2 - 3*x*y + (1/3)"
+    assert poly_to_str(f) == "1/2*x^2 - 3*x*y + 1/3"
     assert convert_domain(convert_domain(f, K), QQ) == f
     with pytest.raises(ValueError):
         MultiPoly(1, {(1,): eps}, QQ)
