@@ -386,8 +386,7 @@ def _binary_form_roots(form: MultiPoly, precision_bits):
     ]
     # exact leading-coefficient test: (1 : 0) is a root iff the s-degree drops
     roots = []
-    lead_zero = form.coefficient((deg, 0)) == 0
-    if lead_zero:
+    if form.coefficient((deg, 0)) == 0:
         roots.append((mpmath.mpc(1), mpmath.mpc(0)))
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
@@ -486,9 +485,7 @@ def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsio
             precision_bits // 2
         )
         law = _NumericLaw(ctx.parameter, 0, precision_bits)
-        points = _transverse_intersection(
-            member_eq, contact, precision_bits, tol
-        )
+        points = _transverse_intersection(member_eq, contact, precision_bits, tol)
         base_embed = [
             _scale(tuple(_to_mpc(c, precision_bits) for c in p.coords))
             for p in data.base_points
@@ -540,42 +537,51 @@ def _transverse_intersection(f: MultiPoly, g: MultiPoly, precision_bits, tol):
     (R is a polynomial in x^3 for the contact cubics, so it deflates).
     The y over each x comes from the first subresultant, computed exactly:
     S_1 = A(x)*y + B(x) lies in the ideal (f, g), so y = -B(x)/A(x) at a
-    common zero where A(x) does not vanish."""
+    common zero where A(x) does not vanish.  Where it does (two zeros over
+    one x, as on the Fermat member), the steps rerun on x = u - c*y, c = 1, 2."""
     K = f.domain
     if g.domain is not K:
         raise ValueError("curves live over different domains")
     x2, y2 = MultiPoly.variables(2, K)
     one2 = MultiPoly.constant(2, K.one(), K)
-    fa = f.substitute([x2, y2, one2])
-    ga = g.substitute([x2, y2, one2])
-    res = resultant_in_var(fa, ga, 1)
-    deg = res.degree()
-    if deg != 9:
-        raise ValueError("intersection is degenerate at infinity")
-    rc = [_to_mpc(res.coefficient((deg - k, 0)), precision_bits) for k in range(deg + 1)]
-    sub = resultant_in_var(fa, ga, 1, index=1).collect(1)
-    a_terms = _embed_poly(sub.get(1, MultiPoly.zero(2, K)), precision_bits)
-    b_terms = _embed_poly(sub.get(0, MultiPoly.zero(2, K)), precision_bits)
+    for c in range(3):
+        chart = [x2 - c * y2, y2, one2]
+        fa, ga = f.substitute(chart), g.substitute(chart)
+        res = resultant_in_var(fa, ga, 1)
+        if res.degree() != 9:  # a common zero on z = 0, which no shear moves
+            raise ValueError("intersection is degenerate at infinity")
+        sub = resultant_in_var(fa, ga, 1, index=1).collect(1)
+        a_terms = _embed_poly(sub.get(1, MultiPoly.zero(2, K)), precision_bits)
+        b_terms = _embed_poly(sub.get(0, MultiPoly.zero(2, K)), precision_bits)
+        if not a_terms:
+            continue
+        rc = [_to_mpc(res.coefficient((9 - k, 0)), precision_bits) for k in range(10)]
+        starts = []
+        for u0 in _poly_roots(rc, precision_bits):
+            a0 = _eval_embedded(a_terms, (u0, 0))
+            scale = max(1, abs(u0))
+            if abs(a0) <= tol * sum(abs(t) * scale**i for (i, _), t in a_terms.items()):
+                break
+            starts.append((u0, -_eval_embedded(b_terms, (u0, 0)) / a0))
+        if len(starts) == 9:
+            break
+    else:
+        raise ValueError("first subresultant vanishes: two common zeros share x")
     f_terms = _embed_poly(fa, precision_bits)
     g_terms = _embed_poly(ga, precision_bits)
 
     def partials(terms, x, y):
         dx = dy = mpmath.mpc(0)
-        for (i, j), c in terms.items():
+        for (i, j), t in terms.items():
             if i:
-                dx += c * i * x ** (i - 1) * y**j
+                dx += t * i * x ** (i - 1) * y**j
             if j:
-                dy += c * j * x**i * y ** (j - 1)
+                dy += t * j * x**i * y ** (j - 1)
         return dx, dy
 
     coarse = mpmath.sqrt(tol)
     found = []
-    for x0 in _poly_roots(rc, precision_bits):
-        a0 = _eval_embedded(a_terms, (x0, 0))
-        scale = max(1, abs(x0))
-        if abs(a0) <= tol * sum(abs(c) * scale**i for (i, _), c in a_terms.items()):
-            raise ValueError("first subresultant vanishes: two common zeros share x")
-        x, y = x0, -_eval_embedded(b_terms, (x0, 0)) / a0
+    for x, y in starts:
         for _ in range(max(8, precision_bits // 8)):
             fv, gv = _eval_embedded(f_terms, (x, y)), _eval_embedded(g_terms, (x, y))
             fx, fy = partials(f_terms, x, y)
@@ -588,7 +594,7 @@ def _transverse_intersection(f: MultiPoly, g: MultiPoly, precision_bits, tol):
             x, y = x - dx, y - dy
             if abs(dx) + abs(dy) < mpmath.mpf(2) ** -(precision_bits + 16):
                 break
-        candidate = _scale((x, y, mpmath.mpc(1)))
+        candidate = _scale((x - c * y, y, mpmath.mpc(1)))  # undo the shear
         if all(_proj_distance(candidate, seen) > coarse for seen in found):
             found.append(candidate)
     if len(found) != 9:

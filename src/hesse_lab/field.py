@@ -706,7 +706,8 @@ def _gf_lift(p: int, x):
 
 
 class GFElement:
-    """Element of F_p with the usual operator protocol."""
+    """Element of F_p with the usual operator protocol.  It equals the ints and
+    elements of Q reducing to it, which no hash can follow: never mix them as keys."""
 
     __slots__ = ("p", "v")
 

@@ -698,24 +698,21 @@ def resultant_in_var(f: MultiPoly, g: MultiPoly, var: int, index: int = 0) -> Mu
     zero = MultiPoly.zero(f.nvars, f.domain)
     fc = [cf.get(df - k, zero) for k in range(df + 1)]
     gc = [cg.get(dg - k, zero) for k in range(dg + 1)]
-    if index:
-        if not 0 < index < min(df, dg):
-            raise ValueError("subresultant index must lie below both degrees")
-        rows = sylvester_matrix(fc, gc, zero, index)
-        lead = len(rows) - 1
-        v = MultiPoly.variable(var, f.nvars, f.domain)
-        out = zero
-        for i in range(index + 1):
-            col = len(rows[0]) - 1 - i
-            out = out + det_generic([r[:lead] + [r[col]] for r in rows]) * v**i
-        return out
+    if index and not 0 < index < min(df, dg):
+        raise ValueError("subresultant index must lie below both degrees")
     if df == 0 and dg == 0:
         return MultiPoly.constant(f.nvars, f.domain.one(), f.domain)
     if df == 0:
         return fc[0] ** dg
     if dg == 0:
         return gc[0] ** df
-    return det_generic(sylvester_matrix(fc, gc, zero))
+    rows = sylvester_matrix(fc, gc, zero, index)
+    lead = len(rows) - 1  # at index 0 the one minor is the whole matrix
+    out = det_generic([r[:lead] + [r[-1]] for r in rows])
+    for i in range(1, index + 1):
+        v_i = MultiPoly.variable(var, f.nvars, f.domain) ** i
+        out = out + det_generic([r[:lead] + [r[-1 - i]] for r in rows]) * v_i
+    return out
 
 
 # ---------------------------------------------------------------------------

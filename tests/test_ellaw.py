@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesse_lab.ellaw import (
+    _embed_poly,
+    _eval_embedded,
     _poly_roots,
+    _proj_distance,
     _transverse_intersection,
     add,
     base_curve_point,
@@ -157,7 +160,8 @@ def test_nine_torsion_samples():
 def test_nine_torsion_every_contact_cubic_pinned():
     # 3p = p_k for every point p cut by contact cubic c
     expected = dict(zip(range(1, 9), (2, 3, 4, 5, 1, 6, 8, 7)))
-    for lam in (1, Fraction(12345, 678)):
+    # lam = 0 is the Fermat member: cubics 1 and 5 cut it in a 3 x 3 grid
+    for lam in (1, Fraction(12345, 678), 0):
         for cubic, k in expected.items():
             report = nine_torsion_check(lam, cubic)
             assert report.holds, (lam, cubic)
@@ -168,7 +172,7 @@ def test_nine_torsion_every_contact_cubic_pinned():
     assert set(report.triple_indices) == {2}
 
 
-def test_transverse_intersection_rejects_two_zeros_over_one_x():
+def test_transverse_intersection_shears_zeros_that_share_x():
     K = tower_eps()
     x, y, z = MultiPoly.variables(3, K)
     # both cubics pass through (0 : 1 : 1) and (0 : -1 : 1)
@@ -178,6 +182,26 @@ def test_transverse_intersection_rejects_two_zeros_over_one_x():
     g = (y**2 - z**2) * (y + 3 * z) + x * (
         2 * x**2 - x * y + 3 * y**2 - x * z + 2 * y * z + z**2
     )
+    with mpmath.workprec(176):
+        points = _transverse_intersection(f, g, 128, mpmath.mpf(10) ** -25)
+        assert len(points) == 9
+        for w in ((0, 1, 1), (0, -1, 1)):
+            assert min(_proj_distance(p, w) for p in points) < mpmath.mpf(10) ** -40
+        f_terms, g_terms = _embed_poly(f, 128), _embed_poly(g, 128)
+        for p in points:
+            assert abs(_eval_embedded(f_terms, p)) < mpmath.mpf(10) ** -40
+            assert abs(_eval_embedded(g_terms, p)) < mpmath.mpf(10) ** -40
+
+
+def test_transverse_intersection_rejects_zeros_no_shear_separates():
+    K = tower_eps()
+    x, y, z = MultiPoly.variables(3, K)
+    # x*y and x^2 - 2y^2 - 3xz + 2z^2 span the conics through (0 : 1 : 1),
+    # (0 : -1 : 1), (1 : 0 : 1) and (2 : 0 : 1); pairs of these share x,
+    # x + y and x + 2y, so no shear x = u - c*y with c = 0, 1, 2 separates them
+    q1, q2 = x * y, x**2 - 2 * y**2 - 3 * x * z + 2 * z**2
+    f = q1 * (x + 2 * y - z) + q2 * (3 * x - y + 2 * z)
+    g = q1 * (2 * x - y + 3 * z) + q2 * (x + y - 4 * z)
     with mpmath.workprec(176), pytest.raises(ValueError, match="subresultant"):
         _transverse_intersection(f, g, 128, mpmath.mpf(10) ** -25)
 
