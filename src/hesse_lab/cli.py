@@ -83,8 +83,6 @@ def _run_check(args) -> int:
         overrides["precision_bits"] = args.precision
     if args.lambdas:
         overrides["lambdas"] = tuple(args.lambdas)
-    if args.json_path:
-        overrides["json_path"] = args.json_path
     try:
         config = harness.default_config(**overrides)
         report = harness.run(config)
@@ -93,8 +91,8 @@ def _run_check(args) -> int:
         return 2
     for result in report.results:
         print(f"{result.status:7s} {result.runtime_ms:10.1f}ms  {result.check_id}")
-    if config.json_path:
-        harness.report_json(report, config.json_path)
+    if args.json_path:
+        harness.report_json(report, args.json_path)
     passed = sum(1 for r in report.results if r.status == "pass")
     print(f"{passed}/{len(report.results)} checks passed")
     return report.exit_code

@@ -199,8 +199,9 @@ def translation_compatibility_check(parameter) -> PropertyResult:
             return PropertyResult(False, witness=f"{name} is not a translation")
         assignments[name] = found
     la, lb = data.labels[assignments["cycle"]], data.labels[assignments["scale"]]
-    independent = (la[0] * lb[1] - la[1] * lb[0]) % 3 != 0
-    return PropertyResult(independent, {"assignments": assignments})
+    if (la[0] * lb[1] - la[1] * lb[0]) % 3 == 0:
+        return PropertyResult(False, witness=f"labels {la} and {lb} are dependent")
+    return PropertyResult(True, {"assignments": assignments})
 
 
 def contact_pair_vertices_check() -> PropertyResult:
@@ -227,10 +228,11 @@ def contact_pair_vertices_check() -> PropertyResult:
         for v in data.vertices
         if b1.evaluate(v.coords) == 0 and b5.evaluate(v.coords) == 0
     ]
-    expected = set(data.vertices[3:12])
-    holds = len(common) == 9 and set(common) == expected
+    if len(common) != 9 or set(common) != set(data.vertices[3:12]):
+        witness = "common vertices differ from the nine non-coordinate ones"
+        return PropertyResult(False, witness=witness)
     return PropertyResult(
-        holds, {"count": len(common), "coordinate_vertices_excluded": 3}
+        True, {"count": len(common), "coordinate_vertices_excluded": 3}
     )
 
 

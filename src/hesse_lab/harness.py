@@ -1,7 +1,10 @@
 """Check registry, deterministic runner, and JSON reports.
 
 Every verification exposed by the library is registered here under a
-dotted identifier; the runner executes any glob-selected subset in
+dotted identifier.  A registered check either returns a `PropertyResult`,
+adapted by `_from_property` (a pass reports its `details`, a fail its
+reason string), or builds a numeric report here and returns the pair
+(holds, witness) itself.  The runner executes any glob-selected subset in
 registry order, timing each check and serializing witnesses so that a
 fixed configuration reproduces the same results, whatever PYTHONHASHSEED
 is: every field of a report is byte-identical between runs except each
@@ -61,7 +64,6 @@ class HarnessConfig:
     precision_bits: int = 128
     filters: tuple = ()
     lambdas: tuple = (Fraction(1), Fraction(2), Fraction(1, 2))
-    json_path: str = None
 
     def __post_init__(self):
         if self.precision_bits < 64:
@@ -115,19 +117,13 @@ class RegisteredCheck:
     runner: object  # callable(config) -> (bool, witness)
 
 
-def _from_property(fn):
+def _from_property(fn, *args):
+    """Runner for a check returning a PropertyResult: details on a pass,
+    the reason string on a fail."""
+
     def runner(_config):
-        res = fn()
-        return res.holds, res.witness if res.witness else res.details
-
-    return runner
-
-
-def _identity_runner(name):
-    def runner(_config):
-        res = identity_suite(name)
-        witness = res.witness if res.witness else res.scalars
-        return res.holds, witness
+        res = fn(*args)
+        return res.holds, res.details if res.holds else res.witness
 
     return runner
 
@@ -171,15 +167,6 @@ def _discriminant_roots(_config):
     return True, {"singular_parameters": 4}
 
 
-def _dual_curve(sample):
-    def runner(_config):
-        res = dual_curve_check(PencilParameter(sample[0], sample[1]))
-        witness = {"scalar": res.scalar} if res.matched else res.witness
-        return res.matched, witness
-
-    return runner
-
-
 def _dynamics(_config):
     data = hesse_data()
     triangle = set(data.triangle_parameters)
@@ -197,25 +184,6 @@ def _dynamics(_config):
         "cayleyan_multiplicities": rep_c.multiplicities,
     }
     return ok, witness
-
-
-def _halphen_cofactor(_config):
-    res = halphen_map_check()
-    witness = {
-        "cofactor_degree": res.cofactor_degree,
-        "pullback_scalars": res.pullback_scalars,
-        "triangles_closed": res.triangles_closed,
-    }
-    return res.holds, witness
-
-
-def _nonic_fit(_config):
-    res = derive_cuspidal_nonic()
-    witness = {
-        "coefficient_vector": res.coefficient_vector,
-        "square_scalar": res.square_scalar,
-    }
-    return res.holds, witness
 
 
 # groups ---------------------------------------------------------------------
@@ -401,16 +369,6 @@ def _torsion_table(_config):
     return ok, tables
 
 
-def _translations(_config):
-    rep = translation_compatibility_check(Fraction(1))
-    return rep.holds, rep.details if rep.holds else rep.witness
-
-
-def _contact_vertices(_config):
-    rep = contact_pair_vertices_check()
-    return rep.holds, rep.details if rep.holds else rep.witness
-
-
 def _two_torsion(config):
     out = {"precision_bits": config.precision_bits}
     ok = True
@@ -587,12 +545,12 @@ def _registry() -> tuple:
         RegisteredCheck(
             "hesse.dual_curve.m10",
             "dual-curve elimination matches the degree-six model at the first sample",
-            _dual_curve((1, 0)),
+            _from_property(dual_curve_check, PencilParameter(1, 0)),
         ),
         RegisteredCheck(
             "hesse.dual_curve.m11",
             "dual-curve elimination matches the degree-six model at the second sample",
-            _dual_curve((1, 1)),
+            _from_property(dual_curve_check, PencilParameter(1, 1)),
         ),
         RegisteredCheck(
             "hesse.dynamics",
@@ -602,12 +560,12 @@ def _registry() -> tuple:
         RegisteredCheck(
             "hesse.halphen_cofactor",
             "the degree-nine contact map multiplies both generators by one cofactor",
-            _halphen_cofactor,
+            _from_property(halphen_map_check),
         ),
         RegisteredCheck(
             "hesse.nonic_fit",
             "the relation fit for the quotient model yields a perfect-square nonic",
-            _nonic_fit,
+            _from_property(derive_cuspidal_nonic),
         ),
     ]
     for name in IDENTITY_NAMES:
@@ -615,7 +573,7 @@ def _registry() -> tuple:
             RegisteredCheck(
                 f"hesse.identity.{name}",
                 f"exact polynomial identity '{name}' of the verification suite",
-                _identity_runner(name),
+                _from_property(identity_suite, name),
             )
         )
     checks.extend(
@@ -683,12 +641,12 @@ def _registry() -> tuple:
             RegisteredCheck(
                 "torsion.translations",
                 "the kernel generators act as translations by 3-torsion points",
-                _translations,
+                _from_property(translation_compatibility_check, Fraction(1)),
             ),
             RegisteredCheck(
                 "torsion.contact_vertices",
                 "paired contact cubics meet exactly in the nine non-coordinate vertices",
-                _contact_vertices,
+                _from_property(contact_pair_vertices_check),
             ),
             RegisteredCheck(
                 "torsion.two",

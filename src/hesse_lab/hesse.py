@@ -506,26 +506,33 @@ def collinear_base_triples() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# identity suite
+# check results
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class IdentityResult:
-    name: str
+class PropertyResult:
+    """Outcome of an exact check: on a pass, `details` holds the scalars
+    worth reporting; on a fail, `witness` says why."""
+
     holds: bool
-    scalars: dict = field(default_factory=dict)
+    details: dict = field(default_factory=dict)
     witness: Optional[str] = None
 
 
-def _zero_result(name: str, diff: MultiPoly, scalars: dict = None) -> IdentityResult:
+def _zero_result(diff: MultiPoly, details: dict = None) -> PropertyResult:
     if not diff:
-        return IdentityResult(name, True, scalars or {})
+        return PropertyResult(True, details or {})
     lead = diff.leading()[0]
-    return IdentityResult(name, False, scalars or {}, witness=f"monomial {lead}")
+    return PropertyResult(False, details or {}, witness=f"monomial {lead}")
 
 
-def _identity_a() -> IdentityResult:
+# ---------------------------------------------------------------------------
+# identity suite
+# ---------------------------------------------------------------------------
+
+
+def _identity_a() -> PropertyResult:
     x, y, z, t0, t1 = MultiPoly.variables(5, QQ)
     member = t0 * (x**3 + y**3 + z**3) + t1 * (x * y * z)
     he = hessian_determinant(member)
@@ -535,27 +542,27 @@ def _identity_a() -> IdentityResult:
     target = den5 * (x**3 + y**3 + z**3) + num5 * (x * y * z)
     c, witness = proportionality(he, target)
     if c is None:
-        return IdentityResult("a", False, witness=f"monomial {witness}")
-    return IdentityResult("a", True, {"ratio": c})
+        return PropertyResult(False, witness=f"monomial {witness}")
+    return PropertyResult(True, {"ratio": c})
 
 
-def _identity_b() -> IdentityResult:
+def _identity_b() -> PropertyResult:
     u0, u1 = MultiPoly.variables(2, QQ)
     a = 12 * u1 * (u0**3 - u1**3)
     b = 2 * (u0**6 - 20 * u0**3 * u1**3 - 8 * u1**6)
     diff = 4 * a**3 + 27 * b**2 - 108 * u0**3 * (u0**3 + 8 * u1**3) ** 3
-    return _zero_result("b", diff)
+    return _zero_result(diff)
 
 
-def _identity_c() -> IdentityResult:
+def _identity_c() -> PropertyResult:
     data = hesse_data()
     s = data.fermat_cubic
     b1, b5 = data.halphen_cubics[0], data.halphen_cubics[4]
     diff = data.invariants["sextic"] - (-3 * s**2 + 4 * b1 * b5)
-    return _zero_result("c", diff)
+    return _zero_result(diff)
 
 
-def _identity_d() -> IdentityResult:
+def _identity_d() -> PropertyResult:
     data = hesse_data()
     s, t = data.fermat_cubic, data.coordinate_product
     K, e = data.domain, data.eps
@@ -570,11 +577,11 @@ def _identity_d() -> IdentityResult:
     diff3 = data.invariants["equianharmonic_product"] - members
     if diff1 or diff2 or diff3:
         bad = diff1 if diff1 else (diff2 if diff2 else diff3)
-        return _zero_result("d", bad)
-    return IdentityResult("d", True)
+        return _zero_result(bad)
+    return PropertyResult(True)
 
 
-def _identity_e() -> IdentityResult:
+def _identity_e() -> PropertyResult:
     u0, u1, x, y, z = MultiPoly.variables(5, QQ)
     s = x**3 + y**3 + z**3
     t = x * y * z
@@ -585,11 +592,11 @@ def _identity_e() -> IdentityResult:
     harmonic = s**6 - 540 * t**3 * s**3 - 5832 * t**6
     c, witness = proportionality(core, harmonic)
     if c is None or exps[0] != 0:
-        return IdentityResult("e", False, witness=f"monomial {witness or exps}")
-    return IdentityResult("e", True, {"ratio": c, "stripped": exps})
+        return PropertyResult(False, witness=f"monomial {witness or exps}")
+    return PropertyResult(True, {"ratio": c, "stripped": exps})
 
 
-def _identity_f() -> IdentityResult:
+def _identity_f() -> PropertyResult:
     K = tower_eps()
     e = K.symbol_element("eps")
     x0, y0, z0, t = MultiPoly.variables(4, K)
@@ -599,18 +606,18 @@ def _identity_f() -> IdentityResult:
     cz = z0**2 + t * x0 * y0
     value_at_twist = cx * x0 + cy * (e * y0) + cz * (e * e * z0)
     diff = value_at_twist - (x0**3 + e * y0**3 + e * e * z0**3)
-    return _zero_result("f", diff)
+    return _zero_result(diff)
 
 
-def _identity_g() -> IdentityResult:
+def _identity_g() -> PropertyResult:
     (mu,) = MultiPoly.variables(1, QQ)
     y = mu / 6
     left = -(1 + 2 * y**3) * (3 * mu**2)
     right = -(108 + mu**3) * y**2
-    return _zero_result("g", left - right)
+    return _zero_result(left - right)
 
 
-def _identity_h() -> IdentityResult:
+def _identity_h() -> PropertyResult:
     x, y, z = MultiPoly.variables(3, QQ)
     quadric = (
         x**2 + y**2 + z**2 - 10 * (x * y + y * z + x * z)
@@ -626,9 +633,9 @@ def _identity_h() -> IdentityResult:
             [Fraction(-5), Fraction(-5), Fraction(1)],
         ]
     )
-    result = _zero_result("h", composed - sextic, {"conic_determinant": det})
+    result = _zero_result(composed - sextic, {"conic_determinant": det})
     if result.holds and det == 0:
-        return IdentityResult("h", False, witness="degenerate conic")
+        return PropertyResult(False, witness="degenerate conic")
     return result
 
 
@@ -642,7 +649,7 @@ def _fibration_form(domain, e, sqrt3, nvars=5):
     return u**2 * b1 + v**2 * b5 + sqrt3 * u * v * s
 
 
-def _identity_i() -> IdentityResult:
+def _identity_i() -> PropertyResult:
     K = tower_eps_i()
     e = K.symbol_element("eps")
     i = K.symbol_element("i")
@@ -654,10 +661,10 @@ def _identity_i() -> IdentityResult:
         + (e * u**2 + e * e * v**2 + sqrt3 * u * v) * y**3
         + (e * e * u**2 + e * v**2 + sqrt3 * u * v) * z**3
     )
-    return _zero_result("i", lhs - rhs)
+    return _zero_result(lhs - rhs)
 
 
-def _identity_j() -> IdentityResult:
+def _identity_j() -> PropertyResult:
     K = tower_eps_i()
     e = K.symbol_element("eps")
     i = K.symbol_element("i")
@@ -668,7 +675,7 @@ def _identity_j() -> IdentityResult:
         * (e * u**2 + e * e * v**2 + sqrt3 * u * v)
         * (e * e * u**2 + e * v**2 + sqrt3 * u * v)
     )
-    return _zero_result("j", prod - (u**6 + v**6))
+    return _zero_result(prod - (u**6 + v**6))
 
 
 def elkies_section_coefficients(domain=None) -> tuple:
@@ -692,7 +699,7 @@ def elkies_section_coefficients(domain=None) -> tuple:
     )
 
 
-def _identity_k() -> IdentityResult:
+def _identity_k() -> PropertyResult:
     K = tower_eps_i_cbrt2()
     e = K.symbol_element("eps")
     i = K.symbol_element("i")
@@ -708,10 +715,10 @@ def _identity_k() -> IdentityResult:
         u,
         v,
     ]
-    return _zero_result("k", form.substitute(images))
+    return _zero_result(form.substitute(images))
 
 
-def _identity_l() -> IdentityResult:
+def _identity_l() -> PropertyResult:
     F3 = PrimeField(3)
     x, y, z = MultiPoly.variables(3, F3)
     big_x = x**2 * y + y**2 * z + z**2 * x
@@ -719,7 +726,7 @@ def _identity_l() -> IdentityResult:
     big_z = x**3 + y**3 + z**3
     big_w = x * y * z
     diff = big_x**3 + big_y**3 + big_z**2 * big_w - big_x * big_y * big_z
-    return _zero_result("l", diff)
+    return _zero_result(diff)
 
 
 def _relation_columns(sextic: MultiPoly, nonic_square: MultiPoly, flip_sign: bool):
@@ -747,35 +754,32 @@ def _nullspace_of_columns(cols, domain=QQ):
     return field_nullspace(matrix, domain)
 
 
-def _identity_m() -> IdentityResult:
+def _identity_m() -> PropertyResult:
     data = hesse_data()
     sextic = convert_domain(data.invariants["sextic"], QQ)
     nonic = convert_domain(data.invariants["polar_product"], QQ)
     cols = _relation_columns(sextic, nonic**2, flip_sign=False)
     null = _nullspace_of_columns(cols)
     if len(null) != 1:
-        return IdentityResult(
-            "m", False, witness=f"nullspace dimension {len(null)}"
-        )
+        return PropertyResult(False, witness=f"nullspace dimension {len(null)}")
     n = null[0]
     scale = 1 / n[1] if n[1] else None
     if scale is None:
-        return IdentityResult("m", False, witness="degenerate fit (no sextic cube)")
+        return PropertyResult(False, witness="degenerate fit (no sextic cube)")
     n = tuple(v * scale for v in n)
     consistent = (
         n[5] ** 2 == n[4] * n[6]
         and n[2] ** 2 * n[6] == n[3] ** 2 * n[4]
         and n[2] ** 3 == n[1] * n[4] * n[5]
     )
-    return IdentityResult(
-        "m",
+    return PropertyResult(
         consistent,
         {"coefficient_vector": n},
         witness=None if consistent else "monomial structure of the fit broke",
     )
 
 
-def _identity_n() -> IdentityResult:
+def _identity_n() -> PropertyResult:
     data = hesse_data()
     K, e = data.domain, data.eps
     a1, a2, a3, a4 = data.six_line_products
@@ -788,10 +792,10 @@ def _identity_n() -> IdentityResult:
     rhs = [target.terms.get(m, K.zero()) for m in support]
     sol = field_linsolve(matrix, rhs, K)
     if sol is None:
-        return IdentityResult("n", False, witness="no linear combination exists")
+        return PropertyResult(False, witness="no linear combination exists")
     lam, mu = sol
     diff = lam * combo + mu * a4 - target
-    return _zero_result("n", diff, {"combo_coefficient": lam, "last_coefficient": mu})
+    return _zero_result(diff, {"combo_coefficient": lam, "last_coefficient": mu})
 
 
 _IDENTITY_CHECKS = {
@@ -814,7 +818,7 @@ _IDENTITY_CHECKS = {
 IDENTITY_NAMES = tuple(sorted(_IDENTITY_CHECKS))
 
 
-def identity_suite(name: str) -> IdentityResult:
+def identity_suite(name: str) -> PropertyResult:
     """Run one named symbolic identity check; see _IDENTITY_CHECKS."""
     try:
         check = _IDENTITY_CHECKS[name]
@@ -828,17 +832,7 @@ def identity_suite(name: str) -> IdentityResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonicFitResult:
-    holds: bool
-    coefficient_vector: tuple
-    derived_matches_stored: object  # scalar or None
-    stored_matches_line_product: object  # scalar or None
-    witness: Optional[str] = None
-    square_scalar: object = None  # rational content of the squared quotient
-
-
-def derive_cuspidal_nonic() -> NonicFitResult:
+def derive_cuspidal_nonic() -> PropertyResult:
     """Solve the primed Weierstrass relation for the nonic companion of
     the cuspidal sextic and reconcile it with the stored form and with
     the product of nine explicit lines.
@@ -847,7 +841,9 @@ def derive_cuspidal_nonic() -> NonicFitResult:
     constants, so the coefficient vector of the unprimed fit transfers;
     the nonic is then pinned down as a square root.  Its linear factor
     (the first harmonic polar times yz) is divided off first since the
-    square root routine needs the full square.
+    square root routine needs the full square.  `square_scalar` is the
+    rational content of the squared quotient; the two proportionality
+    scalars compare the derived, stored and line-product nonics.
     """
     data = hesse_data()
     x, y, z = MultiPoly.variables(3, QQ)
@@ -862,13 +858,11 @@ def derive_cuspidal_nonic() -> NonicFitResult:
     rems = [poly_remainder(f, w2) for f in cols]
     null = _nullspace_of_columns(rems)
     if len(null) != 1:
-        return NonicFitResult(
-            False, (), None, None, witness=f"nullspace dimension {len(null)}"
-        )
+        return PropertyResult(False, witness=f"nullspace dimension {len(null)}")
     n = null[0]
     scale = 1 / n[0] if n[0] else None
     if scale is None:
-        return NonicFitResult(False, tuple(n), None, None, witness="degenerate fit")
+        return PropertyResult(False, witness="degenerate fit")
     n = tuple(v * scale for v in n)
     combo = MultiPoly.zero(3, QQ)
     for coeff, col in zip(n, cols):
@@ -876,39 +870,36 @@ def derive_cuspidal_nonic() -> NonicFitResult:
     try:
         quotient = divide_exact(combo, w2)
     except ValueError as err:
-        return NonicFitResult(False, tuple(n), None, None, witness=str(err))
+        return PropertyResult(False, witness=str(err))
     # the quotient is (squared constant) * (squared primitive form); the
     # constant need not be a rational square, so peel the content first
     content = rational_content(quotient)
     try:
         core = poly_sqrt(quotient / content)
     except ValueError as err:
-        return NonicFitResult(False, tuple(n), None, None, witness=str(err))
+        return PropertyResult(False, witness=str(err))
     derived = w * core
     stored = convert_domain(data.invariants["cuspidal_nonic"], QQ)
     c1, wit1 = proportionality(derived, stored)
     a4 = convert_domain(data.six_line_products[3], QQ)
     line_product = w * a4
     c2, wit2 = proportionality(stored, line_product)
-    holds = c1 is not None and c2 is not None
-    witness = None
-    if not holds:
-        witness = f"monomial {wit1 if c1 is None else wit2}"
-    return NonicFitResult(holds, tuple(n), c1, c2, witness, content)
+    if c1 is None or c2 is None:
+        return PropertyResult(False, witness=f"monomial {wit1 if c1 is None else wit2}")
+    return PropertyResult(
+        True,
+        {
+            "coefficient_vector": n,
+            "square_scalar": content,
+            "derived_matches_stored": c1,
+            "stored_matches_line_product": c2,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
 # dual curves by elimination
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualCurveResult:
-    matched: bool
-    chart: int
-    quotient_term: Optional[str]
-    scalar: object
-    witness: Optional[str] = None
 
 
 def dual_sextic_candidate(m0, m1, domain=QQ) -> MultiPoly:
@@ -935,10 +926,11 @@ def dual_sextic_candidate(m0, m1, domain=QQ) -> MultiPoly:
     )
 
 
-def dual_curve_check(m: PencilParameter) -> DualCurveResult:
+def dual_curve_check(m: PencilParameter) -> PropertyResult:
     """Eliminate the tangency point of the member with parameter pair
     (m0, 6*m1) and compare the resulting tangent-line locus with the
-    closed-form dual sextic."""
+    closed-form dual sextic; `scalar` is the coefficient of the monomial
+    quotient of the eliminant by the sextic."""
     if m.domain != QQ:
         raise ValueError("dual-curve elimination runs over the rationals")
     m0, m1 = m.t0, m.t1
@@ -956,7 +948,7 @@ def dual_curve_check(m: PencilParameter) -> DualCurveResult:
     ]
     candidate = dual_sextic_candidate(m0, m1).substitute([x0, x1, x2])
     witness = None
-    for chart, (p_first, p_second) in enumerate(charts):
+    for p_first, p_second in charts:
         images = [
             s * p_first[k] + t * p_second[k] for k in range(3)
         ]
@@ -967,24 +959,19 @@ def dual_curve_check(m: PencilParameter) -> DualCurveResult:
         res = resultant_in_var(cubic.derivative(0), cubic.derivative(1), 0)
         if not res:
             continue
-        exps, core = strip_monomial_content(res)
+        _, core = strip_monomial_content(res)
         if any(e[0] or e[1] for e in core.terms):
             witness = "elimination left parameter variables"
             continue
         try:
             quotient = divide_exact(core, candidate)
         except ValueError as err:
-            return DualCurveResult(False, chart, None, None, witness=str(err))
+            return PropertyResult(False, witness=str(err))
         if not quotient.is_term():
-            return DualCurveResult(
-                False, chart, None, None, witness="quotient is not a monomial"
-            )
-        (qexps, qcoef), = quotient.terms.items()
-        full_exps = tuple(a + b for a, b in zip(exps, qexps))
-        return DualCurveResult(
-            True, chart, f"exponents {full_exps}", qcoef, None
-        )
-    return DualCurveResult(False, -1, None, None, witness=witness or "all charts degenerate")
+            return PropertyResult(False, witness="quotient is not a monomial")
+        ((_, qcoef),) = quotient.terms.items()
+        return PropertyResult(True, {"scalar": qcoef})
+    return PropertyResult(False, witness=witness or "all charts degenerate")
 
 
 # ---------------------------------------------------------------------------
@@ -1032,17 +1019,7 @@ def dynamics_report(rmap: RationalSelfMap, candidates=()) -> DynamicsReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContactMapResult:
-    holds: bool
-    induced_map: Optional[RationalSelfMap]
-    cofactor_degree: Optional[int]
-    pullback_scalars: Optional[dict]
-    triangles_closed: bool
-    witness: Optional[str] = None
-
-
-def halphen_map_check() -> ContactMapResult:
+def halphen_map_check() -> PropertyResult:
     """Verify that the plane map with coordinates (product of the second
     quartet of contact cubics, product of the first quartet, xyz times
     the two diagonal cubics) multiplies both pencil generators by one
@@ -1071,34 +1048,30 @@ def halphen_map_check() -> ContactMapResult:
         quot_s = divide_exact(s_pull, s)
         quot_t = divide_exact(t_pull, t)
     except ValueError as exc:
-        return ContactMapResult(False, None, None, None, False, witness=str(exc))
+        return PropertyResult(False, witness=str(exc))
     c_s, _ = proportionality(quot_s, cofactor)
     c_t, _ = proportionality(quot_t, cofactor)
     if c_s is None or c_t is None or c_s != c_t:
-        return ContactMapResult(
-            False, None, None, None, False,
-            witness="pullback cofactors disagree with the eight-cubic product",
+        return PropertyResult(
+            False, witness="pullback cofactors disagree with the eight-cubic product"
         )
     induced = identity_self_map()
     triangle = set(data.triangle_parameters)
-    closed = all(induced.apply(par) in triangle for par in triangle)
-    return ContactMapResult(
-        closed, induced, cofactor.degree(),
-        {"sum_cubes": c_s, "product": c_t}, closed,
-        witness=None if closed else "triangle parameter escaped",
+    if not all(induced.apply(par) in triangle for par in triangle):
+        return PropertyResult(False, witness="triangle parameter escaped")
+    return PropertyResult(
+        True,
+        {
+            "cofactor_degree": cofactor.degree(),
+            "pullback_scalars": {"sum_cubes": c_s, "product": c_t},
+            "triangles_closed": True,
+        },
     )
 
 
 # ---------------------------------------------------------------------------
 # configuration properties
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PropertyResult:
-    holds: bool
-    details: dict = field(default_factory=dict)
-    witness: Optional[str] = None
 
 
 def base_point_membership_check() -> PropertyResult:

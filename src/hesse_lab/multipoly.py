@@ -11,9 +11,9 @@ proportional.
 
 The resultant here is the classical Sylvester determinant with the rows of
 the first form on top and coefficients listed with the leading power of the
-first variable first.  Under that convention Res(u, v) = +1 for the two
-coordinate forms, and every scalar recorded by the verification suites is
-stated relative to it.
+eliminated variable first.  Under that convention Res(u, v) = +1 for the two
+coordinate forms (eliminating v leaves +u), and every scalar recorded by
+the verification suites is stated relative to it.
 """
 
 from __future__ import annotations
@@ -109,13 +109,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self):
-        if not self.terms:
-            return self.domain.zero()
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
 
     def is_term(self) -> bool:
         return len(self.terms) == 1
@@ -626,19 +619,6 @@ def sylvester_matrix(fc: list, gc: list, zero, index: int = 0):
     return rows
 
 
-def resultant_binary(f: MultiPoly, g: MultiPoly):
-    """Sylvester resultant of two homogeneous binary forms (coefficient)."""
-    fc = binary_coeff_list(f)
-    gc = binary_coeff_list(g)
-    if len(fc) == 1 and len(gc) == 1:
-        return f.domain.one()
-    if len(fc) == 1:
-        return fc[0] ** (len(gc) - 1)
-    if len(gc) == 1:
-        return gc[0] ** (len(fc) - 1)
-    return det_generic(sylvester_matrix(fc, gc, f.domain.zero()))
-
-
 def _strip_leading_zeros(coeffs: list) -> list:
     i = 0
     while i < len(coeffs) and coeffs[i] == 0:
@@ -778,59 +758,6 @@ def field_nullspace(matrix: list, domain) -> list:
             v[c] = -rows[r][fcol]
         basis.append(v)
     return basis
-
-
-def express_in_subring(f: MultiPoly, gens: Sequence[MultiPoly]):
-    """Write a homogeneous f as a polynomial in homogeneous gens.
-
-    Returns {exponent_tuple: coefficient} over the gen list, or None when no
-    exact expression exists at that degree.
-    """
-    if not f:
-        return {}
-    if not f.is_homogeneous():
-        raise ValueError("express_in_subring expects homogeneous input")
-    degs = [g.degree() for g in gens]
-    if any(d <= 0 or not g.is_homogeneous() for d, g in zip(degs, gens)):
-        raise ValueError("generators must be homogeneous of positive degree")
-    target = f.degree()
-    combos = [
-        c
-        for c in _bounded_exponents(degs, target)
-    ]
-    if not combos:
-        return None
-    products = []
-    for combo in combos:
-        p = MultiPoly.constant(f.nvars, f.domain.one(), f.domain)
-        for g, k in zip(gens, combo):
-            if k:
-                p = p * g ** k
-        products.append(p)
-    support = sorted(
-        set(f.terms) | set().union(*(set(p.terms) for p in products)),
-        key=_grlex_key,
-    )
-    matrix = [[p.coefficient(m) for p in products] for m in support]
-    rhs = [f.coefficient(m) for m in support]
-    sol = field_linsolve(matrix, rhs, f.domain)
-    if sol is None:
-        return None
-    return {
-        combo: c for combo, c in zip(combos, sol) if c
-    }
-
-
-def _bounded_exponents(degs: Sequence[int], target: int):
-    """All exponent tuples e with sum e_i * degs_i == target."""
-    if not degs:
-        if target == 0:
-            yield ()
-        return
-    d = degs[0]
-    for k in range(target // d + 1):
-        for rest in _bounded_exponents(degs[1:], target - k * d):
-            yield (k,) + rest
 
 
 # ---------------------------------------------------------------------------

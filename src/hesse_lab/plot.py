@@ -13,25 +13,16 @@ six decimals so identical input yields identical bytes.
 
 from fractions import Fraction
 
-from .field import FieldElement
+from .field import _to_mpc
 from .hesse import PencilParameter, hesse_data
 
 _FMT = "%.6f"
 
 
-def _real_part(value) -> float:
-    if isinstance(value, FieldElement):
-        mid, _ = value.embed_complex(precision_bits=64)
-        return float(mid.real)
-    if isinstance(value, Fraction):
-        return value.numerator / value.denominator
-    return float(value)
-
-
 def _chart_image(coords, window):
     """Affine (u, v) of a projective point, clamped to the window border
     for points on or near the line at infinity."""
-    x, y, z = (_real_part(c) for c in coords)
+    x, y, z = (float(_to_mpc(c, 64).real) for c in coords)
     if abs(z) > 1e-9:
         return x / z, y / z
     xmin, xmax, ymin, ymax = window
@@ -87,8 +78,7 @@ def _marching_segments(values, xs, ys):
 
 
 def _member_segments(parameter: PencilParameter, window, resolution):
-    t0 = _real_part(parameter.t0)
-    t1 = _real_part(parameter.t1)
+    t0, t1 = (float(_to_mpc(c, 64).real) for c in parameter.pair())
     xmin, xmax, ymin, ymax = window
     xs = [xmin + (xmax - xmin) * k / resolution for k in range(resolution + 1)]
     ys = [ymin + (ymax - ymin) * k / resolution for k in range(resolution + 1)]
@@ -130,10 +120,7 @@ def _real_base_points(window):
     data = hesse_data()
     out = []
     for i, p in enumerate(data.base_points):
-        real = all(
-            (not isinstance(c, FieldElement)) or c.is_rational() for c in p.coords
-        )
-        if real:
+        if all(c.is_rational() for c in p.coords):
             out.append((i, _clip(_chart_image(p.coords, window), window)))
     return out
 

@@ -58,7 +58,7 @@ def test_criterion_01_configuration_incidence():
 def test_criterion_02_hessian_proportionality_and_duality():
     with budget(2, 5.0):
         _run_ids("hesse.identity.a", "hesse.duality")
-        assert identity_suite("a").scalars["ratio"] == -2
+        assert identity_suite("a").details["ratio"] == -2
 
 
 def test_criterion_03_discriminant_and_j_special_values():
@@ -147,10 +147,10 @@ def test_criterion_08_relation_fits_and_square():
     with budget(8, 60.0):
         _run_ids("hesse.identity.m", "hesse.nonic_fit")
         fit = identity_suite("m")
-        normalized = fit.scalars["coefficient_vector"]
+        normalized = fit.details["coefficient_vector"]
         assert normalized[1] == 1 and len(normalized) == 7
         nonic = derive_cuspidal_nonic()
-        assert nonic.holds and nonic.square_scalar == 432
+        assert nonic.holds and nonic.details["square_scalar"] == 432
 
 
 def test_criterion_09_torsion_tables_and_polars():

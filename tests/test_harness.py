@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hesse_lab import harness
+from hesse_lab import harness, hesse
 from hesse_lab.cli import main
 from hesse_lab.field import tower_eps
 from hesse_lab.hesse import PencilParameter
@@ -107,6 +107,20 @@ def test_failing_runner_is_caught(monkeypatch):
     assert result.status == "fail"
     assert "ZeroDivisionError" in result.witness
     assert report.exit_code == 1
+
+
+def test_exact_checks_report_their_reason_on_failure(monkeypatch):
+    def refuse(_num, _den):
+        raise ValueError("synthetic: division is not exact")
+
+    hesse.hesse_data()  # built before the patch
+    monkeypatch.setattr(hesse, "divide_exact", refuse)
+    ids = ("hesse.dual_curve.m10", "hesse.halphen_cofactor", "hesse.nonic_fit")
+    report = harness.run(harness.default_config(filters=ids))
+    assert [r.check_id for r in report.results] == list(ids)
+    for result in report.results:
+        assert result.status == "fail"
+        assert result.witness == "synthetic: division is not exact"
 
 
 def test_jsonify_grammar():

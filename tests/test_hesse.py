@@ -237,13 +237,13 @@ def test_identity_holds(name):
 
 
 def test_identity_frozen_scalars():
-    assert identity_suite("a").scalars["ratio"] == Fraction(-2)
+    assert identity_suite("a").details["ratio"] == Fraction(-2)
     e = identity_suite("e")
-    assert e.scalars["ratio"] == Fraction(-16)
-    assert e.scalars["stripped"] == (0, 6, 0, 0, 0)
-    assert identity_suite("h").scalars["conic_determinant"] == Fraction(-324)
+    assert e.details["ratio"] == Fraction(-16)
+    assert e.details["stripped"] == (0, 6, 0, 0, 0)
+    assert identity_suite("h").details["conic_determinant"] == Fraction(-324)
     m = identity_suite("m")
-    assert m.scalars["coefficient_vector"] == (
+    assert m.details["coefficient_vector"] == (
         Fraction(432),
         Fraction(1),
         Fraction(-54),
@@ -253,8 +253,8 @@ def test_identity_frozen_scalars():
         Fraction(-1, 8),
     )
     n = identity_suite("n")
-    assert n.scalars["combo_coefficient"] == -3
-    assert n.scalars["last_coefficient"] == 1
+    assert n.details["combo_coefficient"] == -3
+    assert n.details["last_coefficient"] == 1
 
 
 def test_elkies_coefficients_numeric():
@@ -276,8 +276,8 @@ def test_elkies_coefficients_numeric():
 
 def test_cuspidal_nonic_fit():
     fit = derive_cuspidal_nonic()
-    assert fit.holds
-    assert fit.coefficient_vector == (
+    assert fit.holds, fit.witness
+    assert fit.details["coefficient_vector"] == (
         Fraction(1),
         Fraction(54),
         Fraction(1, 4),
@@ -285,9 +285,9 @@ def test_cuspidal_nonic_fit():
         Fraction(-27),
         Fraction(-1, 8),
     )
-    assert fit.square_scalar == 432
-    assert fit.derived_matches_stored == 1
-    assert fit.stored_matches_line_product == 1
+    assert fit.details["square_scalar"] == 432
+    assert fit.details["derived_matches_stored"] == 1
+    assert fit.details["stored_matches_line_product"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +298,8 @@ def test_cuspidal_nonic_fit():
 @pytest.mark.parametrize("pair", [(1, 0), (1, 1), (2, 1)])
 def test_dual_curve_matches(pair):
     result = dual_curve_check(PencilParameter(Fraction(pair[0]), Fraction(pair[1])))
-    assert result.matched
-    assert result.scalar == 81
+    assert result.holds, result.witness
+    assert result.details == {"scalar": 81}
 
 
 def test_dual_curve_rejects_singular():
@@ -343,11 +343,12 @@ def test_identity_dynamics():
 
 def test_halphen_map_fixes_every_member():
     result = halphen_map_check()
-    assert result.holds and result.triangles_closed
-    assert result.cofactor_degree == 24
-    assert result.pullback_scalars == {"sum_cubes": Fraction(1), "product": Fraction(1)}
-    ok, scalar = result.induced_map.same_map(identity_self_map())
-    assert ok and scalar == 1
+    assert result.holds, result.witness
+    assert result.details == {
+        "cofactor_degree": 24,
+        "pullback_scalars": {"sum_cubes": Fraction(1), "product": Fraction(1)},
+        "triangles_closed": True,
+    }
 
 
 # ---------------------------------------------------------------------------

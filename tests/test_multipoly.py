@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, calculus, resultants and subring expression."""
+"""Polynomial arithmetic, calculus, resultants and exact linear algebra."""
 
 from fractions import Fraction
 
@@ -21,7 +21,6 @@ from hesse_lab.multipoly import (
     convert_domain,
     det_generic,
     divide_exact,
-    express_in_subring,
     field_linsolve,
     field_nullspace,
     hessian_determinant,
@@ -30,7 +29,6 @@ from hesse_lab.multipoly import (
     poly_to_str,
     proportionality,
     rational_content,
-    resultant_binary,
     resultant_in_var,
     strip_monomial_content,
 )
@@ -96,30 +94,34 @@ def test_substitute_identity():
     assert f.substitute([X, Y, Z]) == f
 
 
+# Binary forms are compared by eliminating v.  Where both keep their full
+# degree in v, the eliminant is Res(f, g) * u^(deg f * deg g).
+
+
 def test_resultant_of_coordinate_forms():
     u, v = MultiPoly.variables(2)
-    assert resultant_binary(u, v) == 1
+    assert resultant_in_var(u, v, 1) == u  # Res(u, v) = +1
 
 
 def test_resultant_detects_common_root():
     u, v = MultiPoly.variables(2)
-    assert resultant_binary(u * u - v * v, u - v) == 0
-    assert resultant_binary(u * u - v * v, u + 2 * v) != 0
+    assert resultant_in_var(u * u - v * v, u - v, 1) == 0
+    assert resultant_in_var(u * u - v * v, u + 2 * v, 1) != 0
 
 
 def test_resultant_weierstrass_forms_nonzero():
     u, v = MultiPoly.variables(2)
     a = 12 * v * (u ** 3 - v ** 3)
     b = 2 * (u ** 6 - 20 * u ** 3 * v ** 3 - 8 * v ** 6)
-    assert resultant_binary(a, b) == -940369969152
+    assert resultant_in_var(a, b, 1) == -940369969152 * u ** 24
 
 
 def test_resultant_factored_roots():
     u, v = MultiPoly.variables(2)
     f = (u - v) * (u - 2 * v) * (u + 3 * v)
     g = (u - 5 * v) * (2 * u + v)
-    assert resultant_binary(f, g) != 0
-    assert resultant_binary(f, (u - 2 * v) * (u - 7 * v)) == 0
+    assert resultant_in_var(f, g, 1) != 0
+    assert resultant_in_var(f, (u - 2 * v) * (u - 7 * v), 1) == 0
 
 
 def test_proportionality_scalar():
@@ -144,22 +146,6 @@ def test_proportionality_phi6_under_g3():
     )
     c, witness = proportionality(image, phi6)
     assert witness is None and c == -27
-
-
-def test_express_in_subring_power_of_t():
-    assert express_in_subring(T ** 3, [S, T]) == {(0, 3): Fraction(1)}
-
-
-def test_express_in_subring_phi6_not_expressible():
-    assert express_in_subring(PHI6, [S, T]) is None
-
-
-def test_express_in_subring_phi12():
-    phi12 = S * (S ** 3 + 216 * T ** 3)
-    assert express_in_subring(phi12, [S, T]) == {
-        (4, 0): Fraction(1),
-        (1, 3): Fraction(216),
-    }
 
 
 def test_divide_exact_and_failure():
@@ -341,7 +327,7 @@ def test_hessian_chain_rule(data):
     ]
     det = det_generic([[MultiPoly.constant(3, e, te) for e in row] for row in m])
     lhs = hessian_determinant(f.substitute(images))
-    rhs = det.constant_value() ** 2 * hessian_determinant(f).substitute(images)
+    rhs = det.coefficient((0, 0, 0)) ** 2 * hessian_determinant(f).substitute(images)
     assert lhs == rhs
 
 
