@@ -12,8 +12,9 @@ proportional.
 The resultant here is the classical Sylvester determinant with the rows of
 the first form on top and coefficients listed with the leading power of the
 eliminated variable first.  Under that convention Res(u, v) = +1 for the two
-coordinate forms (eliminating v leaves +u), and every scalar recorded by
-the verification suites is stated relative to it.
+coordinate forms (eliminating u from u and u + v gives the determinant of
+[[1, 0], [1, v]], which is +v), and every scalar recorded by the
+verification suites is stated relative to it.
 """
 
 from __future__ import annotations

@@ -94,13 +94,19 @@ def test_substitute_identity():
     assert f.substitute([X, Y, Z]) == f
 
 
-# Binary forms are compared by eliminating v.  Where both keep their full
-# degree in v, the eliminant is Res(f, g) * u^(deg f * deg g).
+# Binary forms are compared by eliminating one variable.  Where both keep
+# their full degree in it, the eliminant is Res(f, g) times a power of the
+# other variable.
 
 
 def test_resultant_of_coordinate_forms():
+    # Sylvester matrices [[1, 0], [1, v]] and [[1, 0, 0, -v^3], [1, -2v, 0, 0],
+    # ...] with f's rows on top; deg f * deg g is odd, so putting g's rows on
+    # top would flip both signs.
     u, v = MultiPoly.variables(2)
-    assert resultant_in_var(u, v, 1) == u  # Res(u, v) = +1
+    assert resultant_in_var(u, u + v, 0) == v  # Res(u, v) = +1
+    assert resultant_in_var(u + v, u, 0) == -v
+    assert resultant_in_var(u ** 3 - v ** 3, u - 2 * v, 0) == -7 * v ** 3
 
 
 def test_resultant_detects_common_root():
