@@ -20,7 +20,7 @@ from .hesse import (
     PencilParameter,
     PropertyResult,
     hesse_data,
-    hessian_parameter,
+    hessian_map,
     pencil_member,
     weierstrass_data,
 )
@@ -72,36 +72,11 @@ def curve_context(parameter, origin_index: int = 0) -> CurveContext:
     return CurveContext(parameter, origin_index, pencil_member(parameter), K)
 
 
-@dataclass(frozen=True, eq=False)
-class CurvePoint:
-    context: CurveContext
-    point: ProjPoint
-
-    def __eq__(self, other):
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        return self.context is other.context and self.point == other.point
-
-    def __hash__(self):
-        return hash((id(self.context), self.point))
-
-
-def curve_point(ctx: CurveContext, coords) -> CurvePoint:
-    p = coords if isinstance(coords, ProjPoint) else ProjPoint(coords, ctx.domain)
-    if not ctx.member.contains(p):
-        raise ValueError(f"{p!r} is not on the member")
-    return CurvePoint(ctx, p)
-
-
-def base_curve_point(ctx: CurveContext, index: int) -> CurvePoint:
-    return CurvePoint(ctx, hesse_data().base_points[index])
-
-
-def third_intersection(ctx: CurveContext, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    """The remaining intersection of the member with the chord p q (the
-    tangent at p when p = q), computed by dividing the known roots out of
-    the restricted binary cubic."""
-    a, b = p.point, q.point
+def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoint:
+    """The remaining intersection of the member with the chord a b (the
+    tangent at a when a = b), computed by dividing the known roots out of
+    the restricted binary cubic.  Raises ValueError when a or b is off the
+    member, because its root then does not divide."""
     line = tangent_line(ctx.member, a) if a == b else line_through(a, b)
     form = restrict_to_line(ctx.member, line)
     s, t = MultiPoly.variables(2, ctx.domain)
@@ -113,24 +88,24 @@ def third_intersection(ctx: CurveContext, p: CurvePoint, q: CurvePoint) -> Curve
     c_t = form.coefficient((0, 1))
     p0, p1 = line.basis_points()
     coords = tuple(c_t * u - c_s * v for u, v in zip(p0.coords, p1.coords))
-    return CurvePoint(ctx, ProjPoint(coords, ctx.domain))
+    return ProjPoint(coords, ctx.domain)
 
 
-def neg(ctx: CurveContext, p: CurvePoint) -> CurvePoint:
+def neg(ctx: CurveContext, p: ProjPoint) -> ProjPoint:
     # the origin is an inflection point, so reflecting through it is the
     # chord through the origin
-    return third_intersection(ctx, CurvePoint(ctx, ctx.origin), p)
+    return third_intersection(ctx, ctx.origin, p)
 
 
-def add(ctx: CurveContext, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+def add(ctx: CurveContext, p: ProjPoint, q: ProjPoint) -> ProjPoint:
     r = third_intersection(ctx, p, q)
-    return third_intersection(ctx, CurvePoint(ctx, ctx.origin), r)
+    return third_intersection(ctx, ctx.origin, r)
 
 
-def scalar_mul(ctx: CurveContext, n: int, p: CurvePoint) -> CurvePoint:
+def scalar_mul(ctx: CurveContext, n: int, p: ProjPoint) -> ProjPoint:
     if n < 0:
         return scalar_mul(ctx, -n, neg(ctx, p))
-    acc = CurvePoint(ctx, ctx.origin)
+    acc = ctx.origin
     run = p
     while n:
         if n & 1:
@@ -157,15 +132,15 @@ def three_torsion_table(parameter) -> TorsionTable:
     """Addition table of the nine base points, checked against labels."""
     ctx = curve_context(parameter, origin_index=0)
     data = hesse_data()
-    pts = [base_curve_point(ctx, i) for i in range(9)]
-    index = {p.point: i for i, p in enumerate(pts)}
+    pts = data.base_points
+    index = {p: i for i, p in enumerate(pts)}
     rows = []
     holds = True
     for i in range(9):
         row = []
         for j in range(9):
             total = add(ctx, pts[i], pts[j])
-            k = index.get(total.point)
+            k = index.get(total)
             if k is None:
                 raise ValueError("base points are not closed under addition")
             row.append(k)
@@ -183,16 +158,16 @@ def translation_compatibility_check(parameter) -> PropertyResult:
 
     ctx = curve_context(parameter, origin_index=0)
     data = hesse_data()
-    pts = [base_curve_point(ctx, i) for i in range(9)]
-    index = {p.point: i for i, p in enumerate(pts)}
+    pts = data.base_points
+    index = {p: i for i, p in enumerate(pts)}
     gens = hessian_group_generators(ctx.domain)
     assignments = {}
     for name in ("cycle", "scale"):
         g = gens[name]
-        perm = tuple(index[g.apply(p.point)] for p in pts)
+        perm = tuple(index[g.apply(p)] for p in pts)
         found = None
         for k in range(9):
-            if all(index[add(ctx, pts[i], pts[k]).point] == perm[i] for i in range(9)):
+            if all(index[add(ctx, pts[i], pts[k])] == perm[i] for i in range(9)):
                 found = k
                 break
         if found is None:
@@ -267,6 +242,10 @@ def _scale(coords):
     return tuple(c / m for c in coords)
 
 
+def _embed_point(p: ProjPoint, precision_bits):
+    return _scale(tuple(_to_mpc(c, precision_bits) for c in p.coords))
+
+
 def _norm2(w):
     """Squared Euclidean norm, without the square root each |c| takes."""
     return sum(c.real**2 + c.imag**2 for c in w)
@@ -285,10 +264,7 @@ class _NumericLaw:
         self.t0 = _to_mpc(parameter.t0, precision_bits)
         self.t1 = _to_mpc(parameter.t1, precision_bits)
         self.tol = mpmath.mpf(2) ** -(precision_bits // 2)
-        origin = hesse_data().base_points[origin_index]
-        self.origin = _scale(
-            tuple(_to_mpc(c, precision_bits) for c in origin.coords)
-        )
+        self.origin = _embed_point(hesse_data().base_points[origin_index], precision_bits)
 
     def member_value(self, p):
         x, y, z = p
@@ -406,7 +382,6 @@ def _binary_form_roots(form: MultiPoly, precision_bits):
 class TwoTorsionReport:
     holds: bool
     parameter: PencilParameter
-    line_index: int
     precision_bits: int
     tolerance: object
     points: tuple  # the three residual intersections with the harmonic polar
@@ -428,8 +403,7 @@ def two_torsion_polar_check(parameter, line_index, precision_bits=128) -> TwoTor
         )
         law = _NumericLaw(ctx.parameter, line_index, precision_bits)
         p0, p1 = polar.basis_points()
-        b0 = _scale(tuple(_to_mpc(c, precision_bits) for c in p0.coords))
-        b1 = _scale(tuple(_to_mpc(c, precision_bits) for c in p1.coords))
+        b0, b1 = _embed_point(p0, precision_bits), _embed_point(p1, precision_bits)
         marked = law.origin
         points, tangent_res, doubling_res = [], [], []
         for s, t in _binary_form_roots(form, precision_bits):
@@ -450,7 +424,6 @@ def two_torsion_polar_check(parameter, line_index, precision_bits=128) -> TwoTor
         return TwoTorsionReport(
             holds,
             ctx.parameter,
-            line_index,
             precision_bits,
             tol,
             tuple(points),
@@ -463,7 +436,6 @@ def two_torsion_polar_check(parameter, line_index, precision_bits=128) -> TwoTor
 class NineTorsionReport:
     holds: bool
     parameter: PencilParameter
-    cubic_index: int
     precision_bits: int
     tolerance: object
     points: tuple  # nine NumericPoint cut out by the contact cubic
@@ -488,10 +460,7 @@ def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsio
         )
         law = _NumericLaw(ctx.parameter, 0, precision_bits)
         points = _transverse_intersection(member_eq, contact, precision_bits, tol)
-        base_embed = [
-            _scale(tuple(_to_mpc(c, precision_bits) for c in p.coords))
-            for p in data.base_points
-        ]
+        base_embed = [_embed_point(p, precision_bits) for p in data.base_points]
         contact_terms = _embed_poly(contact, precision_bits)
         numeric_points, triple_idx, triple_res, nine_res = [], [], [], []
         for p in points:
@@ -519,7 +488,6 @@ def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsio
         return NineTorsionReport(
             holds,
             ctx.parameter,
-            cubic_index,
             precision_bits,
             tol,
             tuple(numeric_points),
@@ -629,7 +597,7 @@ def prop62_check(parameter, precision_bits=128) -> TangentSectionReport:
     ctx = curve_context(parameter, origin_index=0)
     data = hesse_data()
     K = ctx.domain
-    hess_param = hessian_parameter(PencilParameter(ctx.parameter.t0, ctx.parameter.t1, K))
+    hess_param = hessian_map().apply(ctx.parameter)
     hess_member = pencil_member(hess_param)
     p0 = data.base_points[0]
     tangent = tangent_line(hess_member, p0)
@@ -644,14 +612,10 @@ def prop62_check(parameter, precision_bits=128) -> TangentSectionReport:
         )
         law = _NumericLaw(ctx.parameter, 0, precision_bits)
         b0, b1 = tangent.basis_points()
-        e0 = _scale(tuple(_to_mpc(c, precision_bits) for c in b0.coords))
-        e1 = _scale(tuple(_to_mpc(c, precision_bits) for c in b1.coords))
+        e0, e1 = _embed_point(b0, precision_bits), _embed_point(b1, precision_bits)
         sextic_terms = _embed_poly(sextic, precision_bits)
         scale6 = max(abs(c) for c in sextic_terms.values())
-        base_embed = [
-            _scale(tuple(_to_mpc(c, precision_bits) for c in p.coords))
-            for p in data.base_points
-        ]
+        base_embed = [_embed_point(p, precision_bits) for p in data.base_points]
         points, residuals = [], []
         for s_val, t_val in _binary_form_roots(quadratic, precision_bits):
             q = _scale(tuple(s_val * a + t_val * b for a, b in zip(e0, e1)))

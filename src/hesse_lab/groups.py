@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import mpmath
 
 from .field import _to_mpc, tower_eps, tower_zeta9
-from .hesse import RationalSelfMap, pencil_forms
+from .hesse import pencil_forms
 from .multipoly import MultiPoly, convert_domain, field_linsolve, proportionality
 from .plane import ProjPoint, normalize_projective
 
@@ -157,8 +157,7 @@ class ProjTransform:
 
     def pullback(self, f: MultiPoly, use_lift: bool = False) -> MultiPoly:
         """f composed with the map, i.e. substitute the linear images."""
-        if f.domain != self.domain:
-            f = convert_domain(f, self.domain)
+        f = convert_domain(f, self.domain)
         m = self.lift if use_lift else self.rows
         x, y, z = MultiPoly.variables(3, self.domain)
         images = [m[i][0] * x + m[i][1] * y + m[i][2] * z for i in range(3)]
@@ -412,36 +411,27 @@ def _pencil_coordinates(f: MultiPoly, s: MultiPoly, t: MultiPoly, domain):
     return field_linsolve(matrix, rhs, domain)
 
 
-def parameter_action(g: ProjTransform) -> RationalSelfMap:
+def parameter_action(g: ProjTransform) -> tuple:
     """The Moebius map induced on the pencil parameter by pushing members
-    forward through the transformation."""
+    forward through the transformation, as the canonical 2x2 matrix
+    ((a, c), (b, d)) sending (t0 : t1) to (a*t0 + c*t1 : b*t0 + d*t1).
+    Raises ValueError when g does not preserve the pencil."""
     domain = g.domain
     s, t = pencil_forms(domain)
     h = g.inverse()
-    s_image = h.pullback(s)
-    t_image = h.pullback(t)
-    fit_s = _pencil_coordinates(s_image, s, t, domain)
-    fit_t = _pencil_coordinates(t_image, s, t, domain)
+    fit_s = _pencil_coordinates(h.pullback(s), s, t, domain)
+    fit_t = _pencil_coordinates(h.pullback(t), s, t, domain)
     if fit_s is None or fit_t is None:
         raise ValueError("not pencil-preserving")
     a, b = fit_s
     c, d = fit_t
-    t0, t1 = MultiPoly.variables(2, domain)
-    return RationalSelfMap(b * t0 + d * t1, a * t0 + c * t1)
-
-
-def _mobius_matrix(m: RationalSelfMap) -> tuple:
-    if m.num.degree() != 1:
-        raise ValueError("expected a degree-one parameter map")
-    zero, basis = m.num.domain.zero(), ((1, 0), (0, 1))
-    rows = tuple(tuple(f.terms.get(e, zero) for e in basis) for f in (m.den, m.num))
-    return _mat_canonical(rows)
+    return _mat_canonical(((a, c), (b, d)))
 
 
 def parameter_image_order(transforms: Sequence[ProjTransform], cap: int = 200) -> int:
     """Order of the subgroup of parameter Moebius maps the transformations
     generate."""
-    gens = [_mobius_matrix(parameter_action(g)) for g in transforms]
+    gens = [parameter_action(g) for g in transforms]
     return len(
         _closure(gens, lambda a, b: _group_mul(a, b, transforms[0].domain, True), cap)
     )
@@ -462,7 +452,7 @@ def invariance_factor(f: MultiPoly, g: ProjTransform, use_lift: bool = False):
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_SAMPLES = (
+_SAMPLES = (
     (Fraction(1, 3), Fraction(1, 7)),
     (Fraction(2, 5), Fraction(-3, 4)),
     (Fraction(-1, 2), Fraction(5, 6)),
@@ -511,7 +501,6 @@ def _phi6_numeric(x, y, z):
 def symplectic_ratio(
     g: ProjTransform,
     w_scalar,
-    samples: Sequence = DEFAULT_SAMPLES,
     precision_bits: int = 128,
 ):
     """Pullback ratio of the 2-form dx^dy/(dF/dw) on the double cover.
@@ -526,7 +515,7 @@ def symplectic_ratio(
         m = [[_to_mpc(v, precision_bits) for v in row] for row in g.lift]
         cw = _to_mpc(w_scalar, precision_bits)
         ratios = []
-        for sx, sy in samples:
+        for sx, sy in _SAMPLES:
             x = _to_mpc(sx, precision_bits)
             y = _to_mpc(sy, precision_bits)
             phi = _phi6_numeric(x, y, mpmath.mpc(1))

@@ -167,36 +167,14 @@ class RationalSelfMap:
         return self.num.degree()
 
     def apply(self, t: PencilParameter) -> PencilParameter:
-        num = convert_domain(self.num, t.domain) if self.num.domain != t.domain else self.num
-        den = convert_domain(self.den, t.domain) if self.den.domain != t.domain else self.den
+        num, den = convert_domain(self.num, t.domain), convert_domain(self.den, t.domain)
         point = t.pair()
         return PencilParameter(den.evaluate(point), num.evaluate(point), t.domain)
 
-    def _align(self, other: "RationalSelfMap"):
-        """Coerce the rational-coefficient side into the other's domain."""
-        if self.num.domain == other.num.domain:
-            return self, other
-        if self.num.domain == QQ:
-            lifted = RationalSelfMap(
-                convert_domain(self.num, other.num.domain),
-                convert_domain(self.den, other.num.domain),
-            )
-            return lifted, other
-        if other.num.domain == QQ:
-            lifted = RationalSelfMap(
-                convert_domain(other.num, self.num.domain),
-                convert_domain(other.den, self.num.domain),
-            )
-            return self, lifted
-        raise ValueError("parameter maps live over incompatible domains")
-
     def compose(self, other: "RationalSelfMap") -> "RationalSelfMap":
-        """self after other."""
-        first, second = self._align(other)
-        images = [second.den, second.num]
-        return RationalSelfMap(
-            first.num.substitute(images), first.den.substitute(images)
-        )
+        """self after other; both maps are over one domain."""
+        images = [other.den, other.num]
+        return RationalSelfMap(self.num.substitute(images), self.den.substitute(images))
 
     def wronskian(self) -> MultiPoly:
         ns, nt = self.num.derivative(0), self.num.derivative(1)
@@ -204,11 +182,8 @@ class RationalSelfMap:
         return ns * dt - nt * ds
 
     def same_map(self, other: "RationalSelfMap"):
-        """(True, scalar) when both maps agree pointwise."""
-        first, second = self._align(other)
-        c, witness = proportionality(
-            first.num * second.den, second.num * first.den
-        )
+        """(True, scalar) when both maps, over one domain, agree pointwise."""
+        c, _ = proportionality(self.num * other.den, other.num * self.den)
         return (c is not None), c
 
     def __eq__(self, other):
@@ -257,19 +232,10 @@ def parameter_flip() -> RationalSelfMap:
     return RationalSelfMap(-18 * t0, t1)
 
 
-def identity_self_map() -> RationalSelfMap:
-    t0, t1 = MultiPoly.variables(2, QQ)
-    return RationalSelfMap(t1, t0)
-
-
-def hessian_parameter(t: PencilParameter) -> PencilParameter:
-    return hessian_map().apply(t)
-
-
-def _quartic_sextic_forms(domain=QQ) -> tuple:
+def _quartic_sextic_forms() -> tuple:
     """The degree-4 and degree-6 coefficient forms of the short Weierstrass
     model of a member, in the pencil coordinates (t0, t1)."""
-    t0, t1 = MultiPoly.variables(2, domain)
+    t0, t1 = MultiPoly.variables(2, QQ)
     u1 = t1 / 6
     a = 12 * u1 * (t0**3 - u1**3)
     b = 2 * (t0**6 - 20 * t0**3 * u1**3 - 8 * u1**6)
@@ -639,10 +605,10 @@ def _identity_h() -> PropertyResult:
     return result
 
 
-def _fibration_form(domain, e, sqrt3, nvars=5):
+def _fibration_form(domain, e, sqrt3):
     """u^2*(first contact cubic) + v^2*(its partner) + sqrt(3)*uv*(sum of
     cubes), in variables (x, y, z, u, v)."""
-    x, y, z, u, v = MultiPoly.variables(nvars, domain)
+    x, y, z, u, v = MultiPoly.variables(5, domain)
     b1 = x**3 + e * y**3 + e * e * z**3
     b5 = x**3 + e * e * y**3 + e * z**3
     s = x**3 + y**3 + z**3
@@ -748,10 +714,10 @@ def _relation_columns(sextic: MultiPoly, nonic_square: MultiPoly, flip_sign: boo
     return cols
 
 
-def _nullspace_of_columns(cols, domain=QQ):
+def _nullspace_of_columns(cols):
     support = sorted({m for f in cols for m in f.terms}, reverse=True)
-    matrix = [[f.terms.get(m, domain.zero()) for f in cols] for m in support]
-    return field_nullspace(matrix, domain)
+    matrix = [[f.terms.get(m, QQ.zero()) for f in cols] for m in support]
+    return field_nullspace(matrix, QQ)
 
 
 def _identity_m() -> PropertyResult:
@@ -902,7 +868,7 @@ def derive_cuspidal_nonic() -> PropertyResult:
 # ---------------------------------------------------------------------------
 
 
-def dual_sextic_candidate(m0, m1, domain=QQ) -> MultiPoly:
+def dual_sextic_candidate(m0, m1) -> MultiPoly:
     """The closed-form dual sextic of the member with parameter pair
     (m0, 6*m1), in dual coordinates.
 
@@ -911,9 +877,9 @@ def dual_sextic_candidate(m0, m1, domain=QQ) -> MultiPoly:
     tau = 6*m1 (and the Fermat member m1 = 0 gives the classical
     two-term sextic), so a printed claim of 3*m1 does not survive.
     """
-    m0 = domain.coerce(m0)
-    m1 = domain.coerce(m1)
-    x0, x1, x2 = MultiPoly.variables(3, domain)
+    m0 = QQ.coerce(m0)
+    m1 = QQ.coerce(m1)
+    x0, x1, x2 = MultiPoly.variables(3, QQ)
     p6 = x0**6 + x1**6 + x2**6
     p33 = x0**3 * x1**3 + x0**3 * x2**3 + x1**3 * x2**3
     p3 = x0**3 + x1**3 + x2**3
@@ -999,11 +965,7 @@ def dynamics_report(rmap: RationalSelfMap, candidates=()) -> DynamicsReport:
     candidates = tuple(candidates)
     if w.degree() == 0:
         return DynamicsReport((), (), (), not candidates, 0)
-    if candidates:
-        dom = candidates[0].domain
-        wd = convert_domain(w, dom) if w.domain != dom else w
-    else:
-        wd = w
+    wd = convert_domain(w, candidates[0].domain) if candidates else w
     mults = tuple(root_multiplicity(wd, c.t0, c.t1) for c in candidates)
     complete = (
         sum(mults) == w.degree()

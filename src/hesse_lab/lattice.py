@@ -7,8 +7,8 @@ through `abs_gram` for enumeration, so printed positive forms and the
 geometric sign never get mixed up silently.
 """
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _is_symmetric(rows) -> bool:
@@ -250,13 +250,10 @@ def vectors_of_norm(lattice: IntLattice, n: int, coeff_bound: int = None) -> tup
         det = _int_det(gram)
         bounds = []
         for i in range(rank):
-            # (G^-1)_ii = det(G without row and column i) / det(G), by Cramer
+            # (G^-1)_ii = det(G without row and column i) / det(G), by Cramer;
+            # det > 0 on the positive-definite abs_gram
             minor = [row[:i] + row[i + 1 :] for k, row in enumerate(gram) if k != i]
-            limit = Fraction(_int_det(minor), det) * target
-            b = 0
-            while Fraction(b * b) <= limit:
-                b += 1
-            bounds.append(b - 1 if Fraction((b - 1) ** 2) <= limit else 0)
+            bounds.append(math.isqrt(_int_det(minor) * target // det))
     else:
         bounds = [coeff_bound] * rank
 
@@ -290,8 +287,7 @@ def embeds_finite_index(sub: IntLattice, big: IntLattice):
     if det_big == 0 or det_sub % det_big:
         return None
     ratio = det_sub // det_big
-    root = round(ratio**0.5)
-    if root * root != ratio:
+    if math.isqrt(ratio) ** 2 != ratio:
         return None
     g_sub, g_big = sub.abs_gram, big.abs_gram
     rank = sub.rank
@@ -352,12 +348,11 @@ def kodaira_components(fiber_type: str) -> int:
 class FibrationCombinatorics:
     fiber_types: tuple
     mordell_weil_rank: int
-    sections: int = 1
 
     def __post_init__(self):
         for t in self.fiber_types:
             kodaira_components(t)
-        if self.mordell_weil_rank < 0 or self.sections < 1:
+        if self.mordell_weil_rank < 0:
             raise ValueError("invalid fibration data")
 
 

@@ -271,7 +271,7 @@ class MultiPoly:
 
     # -- substitution --------------------------------------------------------------
 
-    def substitute(self, images: Sequence["MultiPoly"], *, check_homogeneous=False):
+    def substitute(self, images: Sequence["MultiPoly"]):
         if len(images) != self.nvars:
             raise ValueError(
                 f"need {self.nvars} images, got {len(images)}"
@@ -283,10 +283,6 @@ class MultiPoly:
         for g in images:
             if g.nvars != out_nvars or g.domain != domain:
                 raise ValueError("substitution images disagree in arity or domain")
-        if check_homogeneous:
-            degs = {g.degree() for g in images}
-            if len(degs) != 1 or not all(g.is_homogeneous() for g in images):
-                raise ValueError("substitution images are not equi-homogeneous")
         if all(g.is_term() or not g for g in images):
             return self._substitute_monomial(images, out_nvars, domain)
         powers = [{0: MultiPoly.constant(out_nvars, domain.one(), domain)} for _ in images]
@@ -301,7 +297,7 @@ class MultiPoly:
 
         acc = MultiPoly.zero(out_nvars, domain)
         for exps, c in self.terms.items():
-            term = MultiPoly.constant(out_nvars, coerce_between(c, self.domain, domain), domain)
+            term = MultiPoly.constant(out_nvars, domain.coerce(c), domain)
             for v, k in enumerate(exps):
                 if k:
                     term = term * power(v, k)
@@ -312,7 +308,7 @@ class MultiPoly:
         # every image is a single term (or zero): map exponent vectors directly
         out: dict = {}
         for exps, c in self.terms.items():
-            cc = coerce_between(c, self.domain, domain)
+            cc = domain.coerce(c)
             dead = False
             acc_e = [0] * out_nvars
             for v, k in enumerate(exps):
@@ -374,13 +370,11 @@ class MultiPoly:
         }
 
 
-def coerce_between(c, src_domain, dst_domain):
-    if src_domain == dst_domain:
-        return c
-    return dst_domain.coerce(c)
-
-
 def convert_domain(f: MultiPoly, domain) -> MultiPoly:
+    """f with its coefficients coerced into domain; f itself when it is
+    already over domain."""
+    if f.domain == domain:
+        return f
     return MultiPoly(f.nvars, dict(f.terms), domain)
 
 
@@ -389,13 +383,11 @@ def convert_domain(f: MultiPoly, domain) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def hessian_determinant(f: MultiPoly, vars: Sequence[int] = (0, 1, 2)) -> MultiPoly:
-    """Determinant of the 3x3 matrix of second partials in the given
+def hessian_determinant(f: MultiPoly) -> MultiPoly:
+    """Determinant of the 3x3 matrix of second partials in the first three
     variables.  Extra variables (pencil parameters) ride along in the
     coefficients."""
-    if len(vars) != 3:
-        raise ValueError("hessian_determinant works on exactly 3 variables")
-    second = [[f.derivative(a).derivative(b) for b in vars] for a in vars]
+    second = [[f.derivative(a).derivative(b) for b in range(3)] for a in range(3)]
     return det_generic(second)
 
 
@@ -701,7 +693,7 @@ def resultant_in_var(f: MultiPoly, g: MultiPoly, var: int, index: int = 0) -> Mu
 # ---------------------------------------------------------------------------
 
 
-def field_rref(matrix: list, domain):
+def field_rref(matrix: list):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     rows = [list(r) for r in matrix]
     if not rows:
@@ -734,7 +726,7 @@ def field_rref(matrix: list, domain):
 def field_linsolve(matrix: list, rhs: list, domain):
     """One exact solution of A x = b, or None if inconsistent."""
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = field_rref(aug, domain)
+    rows, pivots = field_rref(aug)
     ncols = len(matrix[0]) if matrix else 0
     if ncols in pivots:
         return None  # pivot in the rhs column
@@ -749,7 +741,7 @@ def field_nullspace(matrix: list, domain) -> list:
     if not matrix:
         return []
     ncols = len(matrix[0])
-    rows, pivots = field_rref(matrix, domain)
+    rows, pivots = field_rref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:
@@ -766,10 +758,10 @@ def field_nullspace(matrix: list, domain) -> list:
 # ---------------------------------------------------------------------------
 
 
-def poly_to_str(f: MultiPoly, names: Sequence[str] = None) -> str:
+def poly_to_str(f: MultiPoly) -> str:
     if not f:
         return "0"
-    names = names or default_names(f.nvars)
+    names = default_names(f.nvars)
     parts = []
     for exps in f.monomials_desc():
         c = f.terms[exps]

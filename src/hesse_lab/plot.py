@@ -17,6 +17,7 @@ from .field import _to_mpc
 from .hesse import PencilParameter, hesse_data
 
 _FMT = "%.6f"
+_RESOLUTION = 160  # grid cells per side for marching squares
 
 
 def _chart_image(coords, window):
@@ -77,11 +78,11 @@ def _marching_segments(values, xs, ys):
     return segments
 
 
-def _member_segments(parameter: PencilParameter, window, resolution):
+def _member_segments(parameter: PencilParameter, window):
     t0, t1 = (float(_to_mpc(c, 64).real) for c in parameter.pair())
     xmin, xmax, ymin, ymax = window
-    xs = [xmin + (xmax - xmin) * k / resolution for k in range(resolution + 1)]
-    ys = [ymin + (ymax - ymin) * k / resolution for k in range(resolution + 1)]
+    xs = [xmin + (xmax - xmin) * k / _RESOLUTION for k in range(_RESOLUTION + 1)]
+    ys = [ymin + (ymax - ymin) * k / _RESOLUTION for k in range(_RESOLUTION + 1)]
     values = [
         [t0 * (u**3 + v**3 + 1.0) + t1 * u * v for v in ys] for u in xs
     ]
@@ -133,7 +134,7 @@ def _coerce_parameter(value) -> PencilParameter:
     return PencilParameter.from_affine(Fraction(value))
 
 
-def pencil_svg(lambdas, window=(-2.5, 2.5, -2.5, 2.5), resolution=160) -> str:
+def pencil_svg(lambdas, window=(-2.5, 2.5, -2.5, 2.5)) -> str:
     """SVG document (text) with one group per member, the twelve
     inflection lines, and the real base points."""
     xmin, xmax, ymin, ymax = (float(w) for w in window)
@@ -161,7 +162,7 @@ def pencil_svg(lambdas, window=(-2.5, 2.5, -2.5, 2.5), resolution=160) -> str:
             segments = _triangle_segments(window)
             label = "inf"
         else:
-            segments = _member_segments(parameter, window, resolution)
+            segments = _member_segments(parameter, window)
             label = str(parameter.affine())
         parts.append(f'<g class="member" data-lambda="{label}" stroke="{color}" fill="none">')
         for a, b in segments:
@@ -191,9 +192,9 @@ def pencil_svg(lambdas, window=(-2.5, 2.5, -2.5, 2.5), resolution=160) -> str:
     return "\n".join(parts) + "\n"
 
 
-def plot_pencil(lambdas, out_path, window=(-2.5, 2.5, -2.5, 2.5), resolution=160) -> str:
+def plot_pencil(lambdas, out_path, window=(-2.5, 2.5, -2.5, 2.5)) -> str:
     """Render and write the figure; returns the output path."""
-    text = pencil_svg(lambdas, window, resolution)
+    text = pencil_svg(lambdas, window)
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(text)
     return out_path

@@ -14,10 +14,8 @@ from hesse_lab.ellaw import (
     _proj_distance,
     _transverse_intersection,
     add,
-    base_curve_point,
     contact_pair_vertices_check,
     curve_context,
-    curve_point,
     neg,
     nine_torsion_check,
     prop62_check,
@@ -30,9 +28,10 @@ from hesse_lab.ellaw import (
 from hesse_lab.field import tower_eps
 from hesse_lab.hesse import hesse_data
 from hesse_lab.multipoly import MultiPoly
+from hesse_lab.plane import ProjPoint
 
 CTX = curve_context(1)
-PTS = [base_curve_point(CTX, i) for i in range(9)]
+PTS = hesse_data().base_points
 
 
 def test_context_rejects_singular_and_bad_origin():
@@ -42,9 +41,15 @@ def test_context_rejects_singular_and_bad_origin():
         curve_context(1, origin_index=9)
 
 
-def test_curve_point_membership_enforced():
+def test_off_member_point_raises():
+    off = ProjPoint((1, 1, 1), CTX.domain)
+    assert not CTX.member.contains(off)
     with pytest.raises(ValueError):
-        curve_point(CTX, (1, 1, 1))
+        add(CTX, off, PTS[1])
+    with pytest.raises(ValueError):
+        third_intersection(CTX, PTS[1], off)
+    with pytest.raises(ValueError):
+        third_intersection(CTX, off, off)
 
 
 def test_inflection_line_third_points():
@@ -74,17 +79,18 @@ def test_inverses_and_triple_torsion():
 
 
 GENERIC_CTX = curve_context(-6)
-GENERIC = curve_point(GENERIC_CTX, (1, 2, 3))
+GENERIC = ProjPoint((1, 2, 3), GENERIC_CTX.domain)
 
 
 def test_generic_point_arithmetic_stays_exact():
     ctx = GENERIC_CTX
     q = GENERIC
+    assert ctx.member.contains(q)
     double = add(ctx, q, q)
-    assert ctx.member.contains(double.point)
-    assert double.point != q.point
+    assert ctx.member.contains(double)
+    assert double != q
     assert neg(ctx, neg(ctx, q)) == q
-    assert add(ctx, q, neg(ctx, q)).point == ctx.origin
+    assert add(ctx, q, neg(ctx, q)) == ctx.origin
 
 
 def test_generic_scalar_multiples_consistent():
@@ -100,8 +106,7 @@ def test_generic_scalar_multiples_consistent():
 def test_associativity_mixed_points():
     ctx = GENERIC_CTX
     q = GENERIC
-    b1 = base_curve_point(ctx, 1)
-    b3 = base_curve_point(ctx, 3)
+    b1, b3 = PTS[1], PTS[3]
     assert add(ctx, add(ctx, q, b1), b3) == add(ctx, q, add(ctx, b1, b3))
     assert add(ctx, q, b1) == add(ctx, b1, q)
 

@@ -11,9 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesse_lab.field import (
-    ComplexBall,
     ExtensionSpec,
-    GFElement,
     PrimeField,
     TowerError,
     element_to_str,

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mpc, mpf
 
-from hesse_lab.field import tower_eps, tower_eps_i_cbrt2
-from hesse_lab.multipoly import MultiPoly, QQ, convert_domain, proportionality
+from hesse_lab.field import tower_eps_i_cbrt2
+from hesse_lab.multipoly import MultiPoly
 from hesse_lab.hesse import (
     IDENTITY_NAMES,
     PencilParameter,
@@ -25,10 +25,8 @@ from hesse_lab.hesse import (
     hesse_data,
     hessian_duality_check,
     hessian_map,
-    identity_self_map,
     identity_suite,
     parameter_flip,
-    pencil_forms,
     pencil_member,
     polar_avoidance_check,
     polar_factorization_check,
@@ -110,7 +108,7 @@ def test_duality_composition():
 
 
 def test_identity_map_fixed_points():
-    ident = identity_self_map()
+    ident = RationalSelfMap(T1, T0)
     for value in (Fraction(0), Fraction(-3), Fraction(7, 2)):
         par = PencilParameter.from_affine(value)
         assert ident.apply(par) == par
@@ -331,7 +329,7 @@ def test_cayleyan_dynamics():
 
 
 def test_identity_dynamics():
-    report = dynamics_report(identity_self_map(), ())
+    report = dynamics_report(RationalSelfMap(T1, T0), ())
     assert report.wronskian_degree == 0
     assert report.complete and report.critical_points == ()
 

@@ -1,0 +1,37 @@
+"""Every module-level import in src/ and tests/ is used by its module."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by top-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_the_scan_flags_an_unused_import():
+    source = "import json\nfrom os import path, sep\n\nprint(sep)\n"
+    assert unused_imports(source) == [(1, "json"), (2, "path")]
+
+
+def test_no_unused_module_level_imports():
+    assert SOURCES
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in SOURCES
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

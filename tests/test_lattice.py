@@ -105,6 +105,14 @@ def test_finite_index_embeddings():
         embeds_finite_index(standard_lattice("A1"), standard_lattice("A2"))
 
 
+def test_index_square_test_is_exact_for_huge_determinants():
+    # det ratio 10^400 + 1 is no square; a float root of it overflows
+    sub = IntLattice(((2 * (10**400 + 1),),))
+    assert embeds_finite_index(sub, IntLattice(((2,),))) is None
+    emb = embeds_finite_index(IntLattice(((2 * 7**2,),)), IntLattice(((2,),)))
+    assert emb == (((-7,),), 7)
+
+
 def test_kodaira_component_counts():
     assert kodaira_components("I1") == 1
     assert kodaira_components("I6") == 6

@@ -299,11 +299,13 @@ def test_parse_print_round_trip():
     assert poly_to_str(MultiPoly.zero(3)) == "0"
 
 
-def test_substitution_checks_arity_and_homogeneity():
+def test_substitution_checks_arity_and_domain():
     with pytest.raises(ValueError):
         S.substitute([X, Y])
+    u, v = MultiPoly.variables(2, tower_eps())
     with pytest.raises(ValueError):
-        S.substitute([X, Y, Z + 1], check_homogeneous=True)
+        S.substitute([X, Y, MultiPoly.variables(3, tower_eps())[2]])
+    assert S.substitute([u, v, u + v]) == u**3 + v**3 + (u + v) ** 3
 
 
 _SMALL = st.integers(min_value=-4, max_value=4)

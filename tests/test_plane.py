@@ -11,7 +11,6 @@ from hesse_lab.groups import _mat_canonical
 from hesse_lab.hesse import PencilParameter
 from hesse_lab.multipoly import MultiPoly, det_generic
 from hesse_lab.plane import (
-    IncidenceTable,
     PlaneCurve,
     ProjLine,
     ProjPoint,
