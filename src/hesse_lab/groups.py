@@ -4,14 +4,17 @@ Transformations are 3x3 matrices over a field tower, compared up to
 scalar via a canonical representative (first nonzero entry scaled to
 one) while keeping the exact linear lift that was supplied.  Matrix
 products are sums of products taken by the domain's fused ``dot``, one
-reduction per entry.  One breadth-first closure routine builds every
-group here, whatever its elements: projective or linear matrices of any
-size (the 3x3 groups and the 2x2 Moebius maps of the pencil parameter)
-and permutations.  The action on a list of points is computed from the
-generators' images only and closed in permutation space.  The module
-also records how the groups act on polynomial forms, on the pencil
-parameter, and on the holomorphic 2-form of the double cover
-w^2 + (degree-six invariant) = 0.
+reduction per entry.  One closure routine builds every group here,
+whatever its elements: projective or linear matrices of any size (the
+3x3 groups and the 2x2 Moebius maps of the pencil parameter) and
+permutations.  It is Dimino's coset closure (G. Butler, *Fundamental
+Algorithms for Permutation Groups*, LNCS 559, 1991, ch. 7), which grows
+the group one generator at a time as a union of right cosets of the
+subgroup built so far, at about one product per element.  The action
+on a list of points is computed from the generators' images only and
+closed in permutation space.  The module also records how the groups
+act on polynomial forms, on the pencil parameter, and on the
+holomorphic 2-form of the double cover w^2 + (degree-six invariant) = 0.
 """
 
 from __future__ import annotations
@@ -85,26 +88,58 @@ def _group_mul(a: tuple, b: tuple, domain, projective: bool) -> tuple:
 
 
 def _closure(gens: Sequence, mul: Callable, cap: int) -> set:
-    """Breadth-first closure of the generators under mul.
+    """The group the generators generate under mul, by Dimino's coset
+    closure (G. Butler, *Fundamental Algorithms for Permutation Groups*,
+    LNCS 559, 1991, ch. 7).
 
     Elements are hashable canonical forms that mul returns (matrices of
-    any size, or permutations).  For a finite group the words of positive
-    length already contain the identity, so the result is the group.
+    any size, or permutations).  The cyclic group of the first generator
+    comes first; its identity is the power x with mul(x, g0) == g0.  Each
+    further generator not yet present extends the group H built so far
+    to a union of right cosets H r: the closure tests r s for every coset
+    representative r and every generator s used so far, and adds the
+    coset H (r s) when r s is new.  That costs about one product per
+    element plus one per representative and generator.  The cap is
+    checked while the cyclic group grows and after every coset, so a
+    generator of infinite order raises ValueError.
     """
-    els = set(gens)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                b = mul(a, g)
-                if b not in els:
-                    els.add(b)
-                    new.append(b)
-                    if len(els) > cap:
-                        raise ValueError(f"group closure exceeded cap {cap}")
-        frontier = new
-    return els
+    g0 = gens[0]
+    powers = [g0]
+    while True:
+        x = mul(powers[-1], g0)
+        if x == g0:
+            break
+        powers.append(x)
+        if len(powers) > cap:
+            raise ValueError(f"group closure exceeded cap {cap}")
+    # the last power is the identity; listing it first makes each coset
+    # begin with its representative
+    elements = [powers[-1]] + powers[:-1]
+    members = set(elements)
+    used = [g0]
+
+    def add_coset(sub: list, r) -> None:
+        coset = [r] + [mul(h, r) for h in sub[1:]]
+        elements.extend(coset)
+        members.update(coset)
+        if len(elements) > cap:
+            raise ValueError(f"group closure exceeded cap {cap}")
+
+    for g in gens[1:]:
+        if g in members:
+            continue
+        used.append(g)
+        sub = list(elements)
+        add_coset(sub, g)
+        start = len(sub)
+        while start < len(elements):
+            rep = elements[start]
+            for s in used:
+                x = mul(rep, s)
+                if x not in members:
+                    add_coset(sub, x)
+            start += len(sub)
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +292,8 @@ class MatrixGroup:
 def generate_closure(
     gens: Sequence[ProjTransform], projective: bool = True, cap: int = 2000
 ) -> MatrixGroup:
-    """Breadth-first closure of the generators under multiplication."""
+    """The group the generators generate under multiplication, by the
+    coset closure of `_closure`."""
     if not gens:
         raise ValueError("need at least one generator")
     domain = gens[0].domain

@@ -644,7 +644,7 @@ def _identity_j() -> PropertyResult:
     return _zero_result(prod - (u**6 + v**6))
 
 
-def elkies_section_coefficients(domain=None) -> tuple:
+def elkies_section_coefficients() -> tuple:
     """The three linear-form coefficients (d0, d1, d2) of a section of
     the square fibration, over Q(eps, i, cbrt2).
 
@@ -654,7 +654,7 @@ def elkies_section_coefficients(domain=None) -> tuple:
     printed source vector fails them under every sign, permutation and
     normalization variant.
     """
-    K = domain or tower_eps_i_cbrt2()
+    K = tower_eps_i_cbrt2()
     e = K.symbol_element("eps")
     i = K.symbol_element("i")
     c = K.symbol_element("cbrt2")
@@ -670,7 +670,7 @@ def _identity_k() -> PropertyResult:
     e = K.symbol_element("eps")
     i = K.symbol_element("i")
     sqrt3 = -i * (e - e * e)
-    d0, d1, d2 = elkies_section_coefficients(K)
+    d0, d1, d2 = elkies_section_coefficients()
     x, y, z, u, v = MultiPoly.variables(5, K)
     form = _fibration_form(K, e, sqrt3)
     one_me = K.one() - e
@@ -1022,7 +1022,6 @@ def halphen_map_check() -> PropertyResult:
         {
             "cofactor_degree": cofactor.degree(),
             "pullback_scalars": {"sum_cubes": c_s, "product": c_t},
-            "triangles_closed": True,
         },
     )
 

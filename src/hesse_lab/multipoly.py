@@ -264,9 +264,7 @@ class MultiPoly:
             out[e] = add if acc is None else acc + add
         return MultiPoly(self.nvars, out, self.domain)
 
-    def gradient(self, vars: Sequence[int] = None) -> tuple:
-        if vars is None:
-            vars = range(self.nvars)
+    def gradient(self, vars: Sequence[int]) -> tuple:
         return tuple(self.derivative(v) for v in vars)
 
     # -- substitution --------------------------------------------------------------

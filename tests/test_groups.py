@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesse_lab.field import tower_eps
 from hesse_lab.hesse import PencilParameter, hesse_data
 from hesse_lab.multipoly import QQ
 from hesse_lab.groups import (
     ProjTransform,
+    _closure,
     _group_mul,
+    _mat_identity,
     action_on_points,
     cover_automorphisms,
     form_permutation,
@@ -120,6 +124,100 @@ def test_closure_over_the_rationals():
     assert generate_closure([swap, cycle, sign]).order == 24
     assert sign.det() == -1
     assert sign.inverse().compose(sign).det() == 1
+
+
+def _bfs_closure(gens, mul, cap):
+    """Reference closure: multiply every element by every generator until
+    nothing new appears."""
+    els = set(gens)
+    frontier = list(els)
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = mul(a, g)
+                if b not in els:
+                    els.add(b)
+                    new.append(b)
+                    if len(els) > cap:
+                        raise ValueError(f"group closure exceeded cap {cap}")
+        frontier = new
+    return els
+
+
+def _closure_outcome(closure, gens, mul, cap):
+    try:
+        return closure(gens, mul, cap)
+    except ValueError as err:
+        return str(err)
+
+
+def _assert_matches_oracle(gens, mul, cap):
+    expected = _closure_outcome(_bfs_closure, gens, mul, cap)
+    assert _closure_outcome(_closure, gens, mul, cap) == expected
+
+
+# the linear lift of fourier has infinite order (its square is 3 swap), so
+# linear generator sets holding it must exceed the cap in both routines
+@settings(max_examples=20, deadline=None)
+@given(
+    names=st.lists(
+        st.sampled_from(sorted(GENS) + ["identity"]), min_size=1, max_size=6
+    ),
+    projective=st.booleans(),
+)
+def test_closure_matches_breadth_first_oracle(names, projective):
+    elements = {
+        name: g.rows if projective else g.lift for name, g in GENS.items()
+    }
+    elements["identity"] = _mat_identity(K)
+    gens = [elements[name] for name in names]
+    _assert_matches_oracle(gens, lambda a, b: _group_mul(a, b, K, projective), 300)
+
+
+def test_unit_determinant_closure_matches_oracle():
+    generators = unit_determinant_generators()
+    lifts = [g.lift for g in generators.values()]
+
+    def mul(a, b):
+        return _group_mul(a, b, generators["cycle"].domain, False)
+
+    expected = _bfs_closure(lifts, mul, 700)
+    assert len(expected) == 648
+    assert _closure(lifts, mul, 700) == expected
+    assert _closure(lifts[::-1], mul, 700) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.permutations(range(n)).map(tuple), min_size=1, max_size=4
+        )
+    )
+)
+def test_permutation_closure_matches_oracle(perms):
+    _assert_matches_oracle(perms, lambda a, b: tuple(a[i] for i in b), 720)
+
+
+def test_infinite_order_generator_exceeds_cap():
+    one, zero = Fraction(1), Fraction(0)
+    stretch = ProjTransform(
+        ((2 * one, zero, zero), (zero, one, zero), (zero, zero, one)), QQ
+    ).lift
+    cycle = ProjTransform(
+        ((zero, one, zero), (zero, zero, one), (one, zero, zero)), QQ
+    ).lift
+
+    def mul(a, b):
+        return _group_mul(a, b, QQ, False)
+
+    # first generator: the cyclic group never closes
+    with pytest.raises(ValueError, match="exceeded cap 50"):
+        _closure([stretch, cycle], mul, 50)
+    # later generator: the cosets never close
+    with pytest.raises(ValueError, match="exceeded cap 50"):
+        _closure([cycle, stretch], mul, 50)
 
 
 def test_heisenberg_lift():

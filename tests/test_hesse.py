@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from mpmath import mpc, mpf
 
-from hesse_lab.field import tower_eps_i_cbrt2
 from hesse_lab.multipoly import MultiPoly
 from hesse_lab.hesse import (
     IDENTITY_NAMES,
@@ -256,7 +255,6 @@ def test_identity_frozen_scalars():
 
 
 def test_elkies_coefficients_numeric():
-    tower = tower_eps_i_cbrt2()
     frozen = (
         mpc("-0.508704233214163979619756026133", "-2.55362157587897290214306342691"),
         mpc("-1.14963140481131986958712975345", "-0.663740001036663154992247515997"),
@@ -345,7 +343,6 @@ def test_halphen_map_fixes_every_member():
     assert result.details == {
         "cofactor_degree": 24,
         "pullback_scalars": {"sum_cubes": Fraction(1), "product": Fraction(1)},
-        "triangles_closed": True,
     }
 
 
