@@ -1,17 +1,25 @@
 """Chord-tangent group law on smooth pencil members.
 
-The exact layer never solves a polynomial of degree above one: a line
-through known curve points restricts the member to a binary cubic whose
-known roots are divided out, so the leftover root is linear in the input
-coordinates.  Loci that genuinely require root extraction (doubling a
-transcendental point, order-nine contact points) go through a numeric
-backend with certified working precision.  The order-nine points take
-one small eigen-solve: the resultant in y, a polynomial in x^3, deflates,
-and each y comes from the exact first subresultant, linear in y.
+The exact layer never solves a polynomial of degree above one.  Along the
+chord through two member points u and v, the member
+F = t0*(x^3+y^3+z^3) + t1*xyz restricts by polarisation to the binary cubic
+
+    F(s*u + t*v) = F(u) s^3 + (grad F(u).v) s^2 t + (grad F(v).u) s t^2 + F(v) t^3,
+
+whose coefficients come from the closed-form gradient of F.  Dividing out
+the known roots (1 : 0) and (0 : 1) certifies that u and v lie on the
+member, and the leftover linear form gives the third point.  Loci that
+genuinely require root extraction (doubling a transcendental point,
+order-nine contact points) go through a numeric mpmath backend at a chosen
+working precision, whose residuals are compared with fixed tolerances.  The
+order-nine points take one small eigen-solve: the resultant in y, a
+polynomial in x^3, deflates, and each y comes from the exact first
+subresultant, linear in y.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
@@ -26,13 +34,15 @@ from .hesse import (
 )
 from .multipoly import MultiPoly, divide_exact, proportionality, resultant_in_var
 from .plane import (
+    ProjLine,
     ProjPoint,
     _cross,
     line_parameter,
-    line_through,
     restrict_to_line,
     tangent_line,
 )
+
+_THIRD = Fraction(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -72,23 +82,53 @@ def curve_context(parameter, origin_index: int = 0) -> CurveContext:
     return CurveContext(parameter, origin_index, pencil_member(parameter), K)
 
 
+def _gradient(ctx: CurveContext, p: ProjPoint) -> tuple:
+    """grad F(p) for F = t0*(x^3+y^3+z^3) + t1*xyz, each entry one dot."""
+    K = ctx.domain
+    t0_3, t1 = 3 * ctx.parameter.t0, ctx.parameter.t1
+    x, y, z = p.coords
+    return (
+        K.dot((t0_3, t1), (x * x, y * z)),
+        K.dot((t0_3, t1), (y * y, x * z)),
+        K.dot((t0_3, t1), (z * z, x * y)),
+    )
+
+
 def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoint:
     """The remaining intersection of the member with the chord a b (the
-    tangent at a when a = b), computed by dividing the known roots out of
-    the restricted binary cubic.  Raises ValueError when a or b is off the
-    member, because its root then does not divide."""
-    line = tangent_line(ctx.member, a) if a == b else line_through(a, b)
-    form = restrict_to_line(ctx.member, line)
-    s, t = MultiPoly.variables(2, ctx.domain)
-    for r in (a, b):
-        s0, t0 = line_parameter(line, r)
-        form = divide_exact(form, t0 * s - s0 * t)
-    # the leftover linear form c_s*s + c_t*t vanishes at (c_t, -c_s)
+    tangent at a when a = b).
+
+    With u = a and v = b (for a tangent, v is a basis point of the tangent
+    line other than a) the member restricts to the binary cubic
+    F(s*u + t*v) = F(u) s^3 + (grad F(u).v) s^2 t + (grad F(v).u) s t^2
+    + F(v) t^3, where F(w) = grad F(w).w / 3.  The known roots (1 : 0) and
+    (0 : 1) (a double root at (1 : 0) for a tangent) are divided out
+    exactly; the leftover linear form c_s*s + c_t*t vanishes at the third
+    point c_t*u - c_s*v.  Raises ValueError when a or b is off the member,
+    because its root then does not divide."""
+    K = ctx.domain
+    grad_a = _gradient(ctx, a)
+    tangent = a == b
+    if tangent:
+        p0, p1 = ProjLine(grad_a, K).basis_points()
+        b = p1 if p0 == a else p0
+    grad_b = _gradient(ctx, b)
+    u, v = a.coords, b.coords
+    form = MultiPoly(
+        2,
+        {
+            (3, 0): K.dot(grad_a, u) * _THIRD,
+            (2, 1): K.dot(grad_a, v),
+            (1, 2): K.dot(grad_b, u),
+            (0, 3): K.dot(grad_b, v) * _THIRD,
+        },
+        K,
+    )
+    s, t = MultiPoly.variables(2, K)
+    form = divide_exact(divide_exact(form, t), t if tangent else s)
     c_s = form.coefficient((1, 0))
     c_t = form.coefficient((0, 1))
-    p0, p1 = line.basis_points()
-    coords = tuple(c_t * u - c_s * v for u, v in zip(p0.coords, p1.coords))
-    return ProjPoint(coords, ctx.domain)
+    return ProjPoint(tuple(K.dot((c_t, -c_s), uv) for uv in zip(u, v)), K)
 
 
 def neg(ctx: CurveContext, p: ProjPoint) -> ProjPoint:

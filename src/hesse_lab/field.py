@@ -1,4 +1,4 @@
-"""Towers of number fields over Q with exact arithmetic and certified embeddings.
+"""Towers of number fields over Q with exact arithmetic and complex embeddings.
 
 A tower Q = K0 < K1 < ... < Kn is built one simple extension at a time: each
 level adjoins a root of a monic polynomial whose coefficients live in the
@@ -19,7 +19,9 @@ section 4.2.
 Each level carries a numeric hint that selects one complex root of its
 minimal polynomial; the induced embedding is evaluated in midpoint-radius
 ball arithmetic, so `FieldElement.embed_complex` returns a value together
-with an error bound that is honoured by every arithmetic step.
+with an error radius that every arithmetic step widens.  The radius of each
+generator's root is the heuristic 2|f|/|f'| at its Newton-refined value, so
+the radius is an estimate, not a proved enclosure.
 
 Irreducibility of user-supplied minimal polynomials is *not* verified; the
 built-in towers (`tower_eps`, `tower_eps_i`, `tower_eps_i_cbrt2`,
@@ -662,7 +664,10 @@ class FieldElement:
     # -- embedding ------------------------------------------------------------
 
     def embed_complex(self, precision_bits: int = 128):
-        """Complex value of the element plus a guaranteed error radius."""
+        """Complex value of the element plus an error radius.
+
+        The radius propagates the heuristic 2|f|/|f'| of each generator's
+        Newton-refined root; it is an estimate, not a proved enclosure."""
         if precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
         t = self.tower

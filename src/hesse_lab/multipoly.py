@@ -446,12 +446,28 @@ def _divmod(f: MultiPoly, g: MultiPoly, *, stop_early=False):
 
 
 def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Quotient f/g when division is exact; raises ValueError otherwise."""
-    q, r = _divmod(f, g, stop_early=True)
-    if r:
+    """Quotient f/g when division is exact; raises ValueError otherwise.
+
+    A single-term g divides term by term: each exponent shifts down, and the
+    graded-lex largest term it misses is the one long division would leave
+    as the remainder's leading monomial."""
+    if g.is_term():
+        f._check_compatible(g)
+        ((glead, gcoef),) = g.terms.items()
+        missed = [e for e in f.terms if any(a < b for a, b in zip(e, glead))]
+        if not missed:
+            quot = {tuple(a - b for a, b in zip(e, glead)): c for e, c in f.terms.items()}
+            if gcoef != 1:
+                ginv = gcoef.inverse()
+                quot = {e: c * ginv for e, c in quot.items()}
+            return MultiPoly(f.nvars, quot, f.domain, _clean=True)
+        lead = max(missed, key=_grlex_key)
+    else:
+        q, r = _divmod(f, g, stop_early=True)
+        if not r:
+            return q
         lead = r.leading()[0]
-        raise ValueError(f"inexact division: remainder leading monomial {lead}")
-    return q
+    raise ValueError(f"inexact division: remainder leading monomial {lead}")
 
 
 def poly_remainder(f: MultiPoly, g: MultiPoly) -> MultiPoly:

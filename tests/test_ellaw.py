@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab.ellaw import (
@@ -27,8 +27,14 @@ from hesse_lab.ellaw import (
 )
 from hesse_lab.field import tower_eps
 from hesse_lab.hesse import hesse_data
-from hesse_lab.multipoly import MultiPoly
-from hesse_lab.plane import ProjPoint
+from hesse_lab.multipoly import MultiPoly, _divmod
+from hesse_lab.plane import (
+    ProjPoint,
+    line_parameter,
+    line_through,
+    restrict_to_line,
+    tangent_line,
+)
 
 CTX = curve_context(1)
 PTS = hesse_data().base_points
@@ -109,6 +115,60 @@ def test_associativity_mixed_points():
     b1, b3 = PTS[1], PTS[3]
     assert add(ctx, add(ctx, q, b1), b3) == add(ctx, q, add(ctx, b1, b3))
     assert add(ctx, q, b1) == add(ctx, b1, q)
+
+
+def _third_by_line_restriction(ctx, a, b):
+    """Oracle for third_intersection: substitute the line's canonical
+    parametrisation into the member and divide out the parameters of a, b."""
+    line = tangent_line(ctx.member, a) if a == b else line_through(a, b)
+    form = restrict_to_line(ctx.member, line)
+    s, t = MultiPoly.variables(2, ctx.domain)
+    for r in (a, b):
+        s0, t0 = line_parameter(line, r)
+        form, rem = _divmod(form, t0 * s - s0 * t)
+        if rem:
+            raise ValueError(f"{r!r} is not on the member")
+    c_s = form.coefficient((1, 0))
+    c_t = form.coefficient((0, 1))
+    p0, p1 = line.basis_points()
+    coords = tuple(c_t * u - c_s * v for u, v in zip(p0.coords, p1.coords))
+    return ProjPoint(coords, ctx.domain)
+
+
+_NUMERATOR = st.integers(-(2**128), 2**128).filter(bool)
+_DENOMINATOR = st.integers(1, 2**16)
+_RATIONAL = st.builds(Fraction, _NUMERATOR, _DENOMINATOR)
+# (n, n, n + d) lies on a member with lambda = -3 - O(d^2 / n^2)
+_NEAR_SINGULAR = st.builds(
+    lambda n, d: (Fraction(n), Fraction(n), Fraction(n + d)),
+    st.integers(10, 2**64),
+    st.sampled_from((1, -1, 2)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    point=st.one_of(st.tuples(_RATIONAL, _RATIONAL, _RATIONAL), _NEAR_SINGULAR),
+    chords=st.lists(st.integers(0, 8), min_size=1, max_size=2),
+)
+def test_third_intersection_matches_line_restriction(point, chords):
+    x, y, z = point
+    assume(x * y * z != 0)
+    lam = -(x**3 + y**3 + z**3) / (x * y * z)
+    assume(lam != -3)
+    ctx = curve_context(lam)
+    p = ProjPoint(point, ctx.domain)
+    assert ctx.member.contains(p)
+    points = [p] + [_third_by_line_restriction(ctx, p, PTS[k]) for k in chords]
+    pairs = [(a, b) for a in points for b in points] + [(q, PTS[k]) for q in points for k in chords]
+    for a, b in pairs:
+        assert third_intersection(ctx, a, b) == _third_by_line_restriction(ctx, a, b)
+    off = ProjPoint((x, y, z + 1), ctx.domain)
+    if not ctx.member.contains(off):
+        for law in (third_intersection, _third_by_line_restriction):
+            for a, b in ((off, p), (p, off), (off, off)):
+                with pytest.raises(ValueError):
+                    law(ctx, a, b)
 
 
 def test_three_torsion_table_matches_labels():

@@ -17,6 +17,7 @@ from hesse_lab.field import (
 from hesse_lab.multipoly import (
     QQ,
     MultiPoly,
+    _divmod,
     binary_form_gcd,
     convert_domain,
     det_generic,
@@ -165,6 +166,32 @@ def test_divide_exact_and_failure():
     assert poly_remainder(f, S).leading()[0] == (1, 2, 0)
     with pytest.raises(ValueError, match=r"remainder leading monomial \(1, 2, 0\)"):
         divide_exact(f, S)
+
+
+_EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+_TERMS = st.dictionaries(_EXPONENTS, st.integers(-5, 5), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    quotient=_TERMS,
+    extra=_TERMS,
+    monomial=_EXPONENTS,
+    coefficient=st.sampled_from((1, -1, 2, Fraction(3, 7))),
+    tower=st.sampled_from((QQ, tower_eps())),
+)
+def test_divide_exact_by_a_term_matches_long_division(quotient, extra, monomial, coefficient, tower):
+    g = MultiPoly(3, {monomial: coefficient}, tower)
+    f = MultiPoly(3, quotient, tower) * g + MultiPoly(3, extra, tower)
+    q, r = _divmod(f, g, stop_early=True)
+    if r:
+        lead = r.leading()[0]
+        with pytest.raises(ValueError) as info:
+            divide_exact(f, g)
+        assert str(info.value) == f"inexact division: remainder leading monomial {lead}"
+    else:
+        assert divide_exact(f, g) == q
+        assert q * g == f
 
 
 def test_poly_remainder():

@@ -1,22 +1,24 @@
-"""Negative controls: each closure-driven check fails on wrong input.
+"""Negative controls: each group and 3-torsion check fails on wrong input.
 
 Every mutant patches wrong data into the library with monkeypatch and
 runs one registered check through the harness.  The check must report
 "fail" with its own measured witness; `harness.run` folds any exception
 into a fail whose witness is "Type: message", so a mutant that merely
-makes the check raise does not count.
+makes the check raise does not count.  Where a check's own witness is a
+string, the expected witness is pinned.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from hesse_lab import groups, harness
+from hesse_lab import ellaw, groups, harness
 from hesse_lab.harness import HarnessConfig
 
 _generators = groups.hessian_group_generators
 _unit_determinant_generators = groups.unit_determinant_generators
 _hesse_data = harness.hesse_data
+_ellaw_hesse_data = ellaw.hesse_data
 
 
 def _dilate_dropped():
@@ -31,8 +33,8 @@ def _scale_lift_negated():
     return {**gens, "scale": gens["scale"].scaled(-1)}
 
 
-def _scale_replaced_by_dilate():
-    gens = _generators()
+def _scale_replaced_by_dilate(*domain):
+    gens = _generators(*domain)
     return {**gens, "scale": gens["dilate"]}
 
 
@@ -47,6 +49,13 @@ def _base_points_relabelled():
     data = _hesse_data()
     p = data.base_points
     return replace(data, base_points=(p[1], p[0]) + p[2:])
+
+
+def _labels_one_and_three_swapped():
+    data = _ellaw_hesse_data()
+    labels = list(data.labels)
+    labels[1], labels[3] = labels[3], labels[1]
+    return replace(data, labels=tuple(labels))
 
 
 MUTANTS = {
@@ -64,6 +73,19 @@ MUTANTS = {
         _scale_replaced_by_dilate,
     ),
     "groups.parameter_image": (groups, "hessian_group_generators", _dilate_dropped),
+    "torsion.table": (ellaw, "hesse_data", _labels_one_and_three_swapped),
+    "torsion.translations": (
+        groups,
+        "hessian_group_generators",
+        _scale_replaced_by_dilate,
+    ),
+}
+
+# measured witnesses; a reason string cannot be told from a raised exception
+# by its type, so it is pinned
+PINNED_WITNESS = {
+    "torsion.table": {"1": False, "2": False},
+    "torsion.translations": "scale is not a translation",
 }
 
 
@@ -73,7 +95,10 @@ def test_mutant_is_killed(check_id, monkeypatch):
     monkeypatch.setattr(module, name, mutant)
     (result,) = harness.run(HarnessConfig(filters=(check_id,))).results
     assert result.status == "fail"
-    assert not isinstance(result.witness, str), result.witness
+    if check_id in PINNED_WITNESS:
+        assert result.witness == PINNED_WITNESS[check_id]
+    else:
+        assert not isinstance(result.witness, str), result.witness
 
 
 @pytest.mark.parametrize("check_id", sorted(MUTANTS))
