@@ -20,13 +20,10 @@ holomorphic 2-form of the double cover w^2 + (degree-six invariant) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import mpmath
-
-from .field import _to_mpc, tower_eps, tower_zeta9
-from .hesse import pencil_forms
+from .field import tower_eps, tower_zeta9
+from .hesse import hesse_data, pencil_forms
 from .multipoly import MultiPoly, convert_domain, field_linsolve, proportionality
 from .plane import ProjPoint, normalize_projective
 
@@ -488,23 +485,19 @@ def invariance_factor(f: MultiPoly, g: ProjTransform, use_lift: bool = False):
 # ---------------------------------------------------------------------------
 
 
-_SAMPLES = (
-    (Fraction(1, 3), Fraction(1, 7)),
-    (Fraction(2, 5), Fraction(-3, 4)),
-    (Fraction(-1, 2), Fraction(5, 6)),
-)
-
-
 def cover_automorphisms() -> dict:
     """Named lifts of plane transformations to the double cover, as
     (transform, w scalar) pairs.
 
     The translation generators, the determinant-one fourier lift and its
     dilate-conjugate leave the sextic invariant and lift with w fixed;
-    they generate the subgroup acting trivially on the 2-form.  The two
-    dilate lifts also fix the sextic exactly (the cube roots cancel), so
-    the cover constraint forces their w scalar to 1; their 2-form ratios
-    are the two primitive cube roots of unity.
+    they have determinant one, so their exact 2-form ratio det(A)/1 is 1
+    and they generate the subgroup acting trivially on the 2-form.  The
+    two dilate lifts also fix the sextic exactly (the cube roots cancel),
+    so the cover constraint forces their w scalar to 1; their ratios are
+    their determinants eps^2 = -1 - eps and eps, the two primitive cube
+    roots of unity.  `symplectic_ratio` checks each scalar against the
+    sextic and returns the ratio as an element of Q(eps).
     """
     K = tower_eps()
     e = K.symbol_element("eps")
@@ -525,62 +518,22 @@ def cover_automorphisms() -> dict:
     }
 
 
-def _phi6_numeric(x, y, z):
-    return (
-        x**6
-        + y**6
-        + z**6
-        - 10 * (x**3 * y**3 + x**3 * z**3 + y**3 * z**3)
-    )
-
-
-def symplectic_ratio(
-    g: ProjTransform,
-    w_scalar,
-    precision_bits: int = 128,
-):
-    """Pullback ratio of the 2-form dx^dy/(dF/dw) on the double cover.
+def symplectic_ratio(g: ProjTransform, w_scalar):
+    """Pullback ratio of the 2-form dx^dy/w on the double cover, exactly.
 
     The cover is w^2 + (sextic invariant) = 0 with w of weight three; the
-    map acts by the matrix lift on (x, y, z) and multiplies w by
-    ``w_scalar``.  Evaluates the ratio numerically at the affine samples
-    (chart z = 1) and returns (ratio, spread); all samples must agree.
+    map acts by the matrix lift A on (x, y, z) and multiplies w by
+    ``w_scalar`` = c.  It preserves the cover exactly when the sextic
+    pulls back to c^2 times itself, and raises ValueError otherwise.  On
+    the chart z = 1 the Jacobian of the induced affine map is
+    det(A)/z'^3, where z' is the image's third coordinate, and w pulls
+    back to c w/z'^3, so the ratio is det(A)/c, an element of the domain.
     """
-    with mpmath.workprec(precision_bits + 48):
-        tol = mpmath.mpf(2) ** (-(precision_bits // 2))
-        m = [[_to_mpc(v, precision_bits) for v in row] for row in g.lift]
-        cw = _to_mpc(w_scalar, precision_bits)
-        ratios = []
-        for sx, sy in _SAMPLES:
-            x = _to_mpc(sx, precision_bits)
-            y = _to_mpc(sy, precision_bits)
-            phi = _phi6_numeric(x, y, mpmath.mpc(1))
-            if abs(phi) < tol:
-                raise ValueError("sample point lies on the branch locus")
-            w = mpmath.sqrt(-phi)
-            px = m[0][0] * x + m[0][1] * y + m[0][2]
-            py = m[1][0] * x + m[1][1] * y + m[1][2]
-            pz = m[2][0] * x + m[2][1] * y + m[2][2]
-            if abs(pz) < tol:
-                raise ValueError("sample maps to the line at infinity")
-            ix, iy = px / pz, py / pz
-            iw = cw * w / pz**3
-            residual = abs(iw**2 + _phi6_numeric(ix, iy, mpmath.mpc(1)))
-            scalefree = residual / max(abs(iw) ** 2, mpmath.mpf(1))
-            if scalefree > tol:
-                raise ValueError(
-                    "image point left the double cover; wrong w scalar"
-                )
-            # Jacobian of ((m00 x + m01 y + m02)/pz, (m10 x + m11 y + m12)/pz)
-            dxdx = (m[0][0] * pz - px * m[2][0]) / pz**2
-            dxdy = (m[0][1] * pz - px * m[2][1]) / pz**2
-            dydx = (m[1][0] * pz - py * m[2][0]) / pz**2
-            dydy = (m[1][1] * pz - py * m[2][1]) / pz**2
-            jac = dxdx * dydy - dxdy * dydx
-            ratios.append(jac * w / iw)
-        spread = max(
-            abs(a - b) for a in ratios for b in ratios
+    c = g.domain.coerce(w_scalar)
+    factor = invariance_factor(hesse_data().invariants["sextic"], g, use_lift=True)
+    if factor != c * c:
+        raise ValueError(
+            f"w scalar {c} does not preserve the cover: the sextic pulls back "
+            f"to {factor} times itself, not {c * c}"
         )
-        if spread > tol:
-            raise ValueError("pullback ratio is not constant across samples")
-        return ratios[0], spread
+    return g.det() / c

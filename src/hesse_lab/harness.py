@@ -1,13 +1,13 @@
 """Check registry, deterministic runner, and JSON reports.
 
 Every verification exposed by the library is registered here under a
-dotted identifier.  A registered check either returns a `PropertyResult`,
-adapted by `_from_property` (a pass reports its `details`, a fail its
-reason string), or builds a numeric report here and returns the pair
-(holds, witness) itself.  The runner executes any glob-selected subset in
-registry order, timing each check and serializing witnesses so that a
-fixed configuration reproduces the same results, whatever PYTHONHASHSEED
-is: every field of a report is byte-identical between runs except each
+dotted identifier, and every registered runner returns a
+`PropertyResult`: a pass reports its `details`, a fail its reason
+string, and a check that raises fails with the exception's type and
+message.  The runner executes any glob-selected subset in registry
+order, timing each check and serializing witnesses so that a fixed
+configuration reproduces the same results, whatever PYTHONHASHSEED is:
+every field of a report is byte-identical between runs except each
 check's `runtime_ms`.
 """
 
@@ -23,6 +23,7 @@ import mpmath
 from .hesse import (
     IDENTITY_NAMES,
     PencilParameter,
+    PropertyResult,
     base_point_membership_check,
     char3_check,
     collinearity_check,
@@ -114,30 +115,35 @@ def _jsonify(value):
 class RegisteredCheck:
     check_id: str
     reference: str
-    runner: object  # callable(config) -> (bool, witness)
+    runner: object  # callable(config) -> PropertyResult
 
 
-def _from_property(fn, *args):
-    """Runner for a check returning a PropertyResult: details on a pass,
-    the reason string on a fail."""
-
-    def runner(_config):
-        res = fn(*args)
-        return res.holds, res.details if res.holds else res.witness
-
-    return runner
+def _expect(got: dict, want: dict) -> PropertyResult:
+    """Pass with `got` as details when it agrees with `want` on every key
+    of `want`; otherwise fail naming the first key that differs."""
+    for key, value in want.items():
+        if got.get(key) != value:
+            return PropertyResult(
+                False, witness=f"{key} is {got.get(key)}, expected {value}"
+            )
+    return PropertyResult(True, got)
 
 
 def _incidence(_config):
     data = hesse_data()
     table = incidence_table(data.base_points, data.inflection_lines)
     lines_per_point, points_per_line = table.counts_multiset()
+    if lines_per_point != [4] * 9 or points_per_line != [3] * 12:
+        return PropertyResult(
+            False,
+            witness=f"lines per point {lines_per_point} and points per line "
+            f"{points_per_line}, expected nine 4s and twelve 3s",
+        )
     got = {
         "lines_per_point": sorted(set(lines_per_point)),
         "points_per_line": sorted(set(points_per_line)),
     }
-    ok = lines_per_point == [4] * 9 and points_per_line == [3] * 12
-    return ok, got
+    return PropertyResult(True, got)
 
 
 def _j_special_values(_config):
@@ -145,26 +151,28 @@ def _j_special_values(_config):
     for t in data.equianharmonic_parameters:
         w = weierstrass_data(t.to_domain(data.domain))
         if w.singular or w.j != 0:
-            return False, f"j({t!r}) = {w.j!r}"
+            return PropertyResult(False, witness=f"j({t!r}) = {w.j!r}")
     # j - 1728 is a square multiple of the sextic coefficient form, so
     # the harmonic members are exactly the zeros of that form
     a, b = _quartic_sextic_forms()
     lhs = 6912 * a**3 - 1728 * (4 * a**3 + 27 * b**2)
     diff = lhs + 46656 * b**2
     if diff:
-        return False, "square-multiple identity failed"
-    return True, {"equianharmonic_j": 0, "square_multiple": -46656}
+        return PropertyResult(False, witness="square-multiple identity failed")
+    return PropertyResult(True, {"equianharmonic_j": 0, "square_multiple": -46656})
 
 
 def _discriminant_roots(_config):
     data = hesse_data()
     for t in data.triangle_parameters:
         if not weierstrass_data(t).singular:
-            return False, f"discriminant nonzero at a triangle parameter"
+            return PropertyResult(
+                False, witness="discriminant nonzero at a triangle parameter"
+            )
     for lam in (Fraction(0), Fraction(1), Fraction(-6)):
         if weierstrass_data(PencilParameter.from_affine(lam)).singular:
-            return False, f"unexpected singular member at {lam}"
-    return True, {"singular_parameters": 4}
+            return PropertyResult(False, witness=f"unexpected singular member at {lam}")
+    return PropertyResult(True, {"singular_parameters": 4})
 
 
 def _dynamics(_config):
@@ -172,18 +180,21 @@ def _dynamics(_config):
     triangle = set(data.triangle_parameters)
     rep_h = dynamics_report(hessian_map(), data.equianharmonic_parameters)
     rep_c = dynamics_report(cayleyan_map(), data.triangle_parameters)
-    ok = (
-        rep_h.wronskian_degree == 4
-        and rep_h.complete
-        and set(rep_h.critical_values) <= triangle
-        and rep_c.complete
-        and set(rep_c.critical_values) == triangle
-    )
-    witness = {
-        "hessian_multiplicities": rep_h.multiplicities,
-        "cayleyan_multiplicities": rep_c.multiplicities,
-    }
-    return ok, witness
+    if rep_h.wronskian_degree != 4:
+        reason = f"Hessian map Wronskian degree {rep_h.wronskian_degree}, expected 4"
+    elif not (rep_h.complete and rep_c.complete):
+        reason = "a critical-point count is incomplete"
+    elif not set(rep_h.critical_values) <= triangle:
+        reason = "a Hessian map critical value is not a triangle parameter"
+    elif set(rep_c.critical_values) != triangle:
+        reason = "Cayleyan map critical values differ from the triangle parameters"
+    else:
+        witness = {
+            "hessian_multiplicities": rep_h.multiplicities,
+            "cayleyan_multiplicities": rep_c.multiplicities,
+        }
+        return PropertyResult(True, witness)
+    return PropertyResult(False, witness=reason)
 
 
 # groups ---------------------------------------------------------------------
@@ -205,14 +216,16 @@ def _group_orders(_config):
         "stabilizer": stab.order,
         "stabilizer_involutions": stab_facts["order_histogram"].get(2, 0),
     }
-    ok = got == {
-        "translations": 9,
-        "kernel": 18,
-        "full": 216,
-        "stabilizer": 24,
-        "stabilizer_involutions": 1,
-    }
-    return ok, got
+    return _expect(
+        got,
+        {
+            "translations": 9,
+            "kernel": 18,
+            "full": 216,
+            "stabilizer": 24,
+            "stabilizer_involutions": 1,
+        },
+    )
 
 
 def _heisenberg(_config):
@@ -226,7 +239,7 @@ def _heisenberg(_config):
         "abelian": facts["abelian"],
         "center": facts["center_order"],
     }
-    return got == {"order": 27, "abelian": False, "center": 3}, got
+    return _expect(got, {"order": 27, "abelian": False, "center": 3})
 
 
 def _unit_determinant(_config):
@@ -234,7 +247,7 @@ def _unit_determinant(_config):
     dets_one = all(t.det() == t.domain.one() for t in lifts.values())
     closure = groups_mod.generate_closure(list(lifts.values()), projective=False)
     got = {"order": closure.order, "determinants_one": dets_one}
-    return got == {"order": 648, "determinants_one": True}, got
+    return _expect(got, {"order": 648, "determinants_one": True})
 
 
 def _perm_action(_config):
@@ -250,14 +263,16 @@ def _perm_action(_config):
         "has_triple_cycle": (3, 0, 6, 1, 7, 4, 8, 5, 2) in image.perms,
         "has_double_cycle": (0, 4, 8, 3, 7, 2, 6, 1, 5) in image.perms,
     }
-    ok = got == {
-        "size": 216,
-        "faithful": True,
-        "two_transitive": True,
-        "has_triple_cycle": True,
-        "has_double_cycle": True,
-    }
-    return ok, got
+    return _expect(
+        got,
+        {
+            "size": 216,
+            "faithful": True,
+            "two_transitive": True,
+            "has_triple_cycle": True,
+            "has_double_cycle": True,
+        },
+    )
 
 
 def _vertex_orbits(_config):
@@ -265,7 +280,7 @@ def _vertex_orbits(_config):
     translations = groups_mod.generate_closure([gens["cycle"], gens["scale"]])
     image = groups_mod.action_on_points(translations, hesse_data().vertices)
     sizes = sorted(len(o) for o in image.orbits)
-    return sizes == [3, 3, 3, 3], {"orbit_sizes": sizes}
+    return _expect({"orbit_sizes": sizes}, {"orbit_sizes": [3, 3, 3, 3]})
 
 
 def _parameter_image(_config):
@@ -273,7 +288,7 @@ def _parameter_image(_config):
     order = groups_mod.parameter_image_order(
         [gens["cycle"], gens["scale"], gens["fourier"], gens["dilate"]]
     )
-    return order == 12, {"order": order}
+    return _expect({"order": order}, {"order": 12})
 
 
 def _contact_permutations(_config):
@@ -281,9 +296,10 @@ def _contact_permutations(_config):
     cubics = hesse_data().halphen_cubics
     perm_f, _ = groups_mod.form_permutation(gens["fourier"], cubics)
     perm_d, _ = groups_mod.form_permutation(gens["dilate"], cubics)
-    got = {"fourier": perm_f, "dilate": perm_d}
-    ok = perm_f == (1, 4, 7, 2, 5, 0, 3, 6) and perm_d == (0, 3, 1, 2, 4, 7, 5, 6)
-    return ok, got
+    return _expect(
+        {"fourier": perm_f, "dilate": perm_d},
+        {"fourier": (1, 4, 7, 2, 5, 0, 3, 6), "dilate": (0, 3, 1, 2, 4, 7, 5, 6)},
+    )
 
 
 def _invariance_sextic(_config):
@@ -298,8 +314,7 @@ def _invariance_sextic(_config):
     factors["fourier_normalized"] = groups_mod.invariance_factor(
         sextic, groups_mod.normalized_fourier(K), use_lift=True
     )
-    ok = all(v == K.one() for v in factors.values())
-    return ok, factors
+    return _expect(factors, dict.fromkeys(factors, K.one()))
 
 
 def _invariance_nonic(_config):
@@ -315,63 +330,47 @@ def _invariance_nonic(_config):
         nonic, gens["cycle"]
     )
     got = {"swap": swap_factor, "multiplicative": multiplicative}
-    return swap_factor == -K.one() and multiplicative, got
+    return _expect(got, {"swap": -K.one(), "multiplicative": True})
 
 
 def _invariance_twelve_lines(_config):
     gens = groups_mod.hessian_group_generators()
     data = hesse_data()
-    K = data.domain
     lines = data.invariants["inflection_line_product"]
-    dilate_factor = groups_mod.invariance_factor(lines, gens["dilate"])
-    scale_factor = groups_mod.invariance_factor(lines, gens["scale"])
-    e = data.eps
-    got = {"dilate": dilate_factor, "scale": scale_factor}
-    ok = dilate_factor == e * e and scale_factor == K.one()
-    return ok, got
+    got = {
+        "dilate": groups_mod.invariance_factor(lines, gens["dilate"]),
+        "scale": groups_mod.invariance_factor(lines, gens["scale"]),
+    }
+    return _expect(got, {"dilate": data.eps * data.eps, "scale": data.domain.one()})
 
 
-def _symplectic(config):
+def _symplectic(_config):
     lifts = groups_mod.cover_automorphisms()
-    bits = config.precision_bits
-    with mpmath.workprec(bits + 48):
-        tol = mpmath.mpf(10) ** -25
-        eps_embed, _ = hesse_data().eps.embed_complex(precision_bits=bits)
-        results = {"precision_bits": bits, "tolerance": tol}
-        ok = True
-        for name in ("cycle", "scale", "fourier", "twisted_fourier"):
-            ratio, _spread = groups_mod.symplectic_ratio(
-                *lifts[name], precision_bits=bits
-            )
-            results[name] = ratio
-            ok = ok and abs(ratio - 1) < tol
-        ratio_d, _ = groups_mod.symplectic_ratio(*lifts["dilate"], precision_bits=bits)
-        ratio_d2, _ = groups_mod.symplectic_ratio(
-            *lifts["dilate_square"], precision_bits=bits
-        )
-        results["dilate"] = ratio_d
-        results["dilate_square"] = ratio_d2
-        ok = ok and abs(ratio_d - eps_embed**2) < tol
-        ok = ok and abs(ratio_d2 - eps_embed) < tol
-        return ok, results
+    data = hesse_data()
+    e = data.eps
+    ratios = {}
+    for name, (transform, w_scalar) in lifts.items():
+        try:
+            ratios[name] = groups_mod.symplectic_ratio(transform, w_scalar)
+        except ValueError as exc:
+            return PropertyResult(False, witness=f"{name}: {exc}")
+    one = data.domain.one()
+    want = dict.fromkeys(("cycle", "scale", "fourier", "twisted_fourier"), one)
+    return _expect(ratios, {**want, "dilate": e * e, "dilate_square": e})
 
 
 # torsion ---------------------------------------------------------------------
 
 
 def _torsion_table(_config):
-    tables = {}
-    ok = True
-    for lam in (Fraction(1), Fraction(2)):
-        rep = three_torsion_table(lam)
-        tables[str(lam)] = rep.holds
-        ok = ok and rep.holds
-    return ok, tables
+    tables = {
+        str(lam): three_torsion_table(lam).holds for lam in (Fraction(1), Fraction(2))
+    }
+    return _expect(tables, {"1": True, "2": True})
 
 
 def _two_torsion(config):
     out = {"precision_bits": config.precision_bits}
-    ok = True
     samples = [(lam, 0) for lam in config.lambdas] + [(Fraction(0), 0)]
     for lam, i in samples:
         rep = two_torsion_polar_check(lam, i, precision_bits=config.precision_bits)
@@ -380,38 +379,54 @@ def _two_torsion(config):
             *rep.tangent_residuals,
             *rep.doubling_residuals,
         )
-        out[f"lambda={lam},line={i}"] = worst
+        key = f"lambda={lam},line={i}"
+        if not rep.holds:
+            return PropertyResult(
+                False,
+                witness=f"{key}: {len(rep.points)} points on the polar, worst "
+                f"residual {mpmath.nstr(worst, 5)}, expected 3 points within "
+                f"{mpmath.nstr(rep.tolerance, 5)}",
+            )
+        out[key] = worst
         out.setdefault("tolerance", rep.tolerance)
-        ok = ok and rep.holds
-    return ok, out
+    return PropertyResult(True, out)
 
 
 def _nine_torsion(config):
     out = {"precision_bits": config.precision_bits}
-    ok = True
     for lam in config.lambdas:
         rep = nine_torsion_check(lam, 1, precision_bits=config.precision_bits)
         worst = max(
             max(rep.triple_residuals), max(rep.nine_residuals), rep.chain_residual
         )
+        if not rep.holds:
+            return PropertyResult(
+                False,
+                witness=f"lambda={lam}: triples hit base points {rep.triple_indices}, "
+                f"worst residual {mpmath.nstr(worst, 5)}, expected no origin and "
+                f"residuals within {mpmath.nstr(rep.tolerance, 5)}",
+            )
         out[f"lambda={lam}"] = worst
         out.setdefault("tolerance", rep.tolerance)
-        ok = ok and rep.holds
-    return ok, out
+    return PropertyResult(True, out)
 
 
 def _prop62(config):
     out = {"precision_bits": config.precision_bits}
-    ok = True
     for lam in (Fraction(0), Fraction(1)):
         rep = prop62_check(lam, precision_bits=config.precision_bits)
+        if not rep.holds:
+            return PropertyResult(
+                False,
+                witness=f"lambda={lam}: {rep.count_on_sextic} of {len(rep.points)} "
+                "tangent-line points on the sextic, expected 2 of 2",
+            )
         out[f"lambda={lam}"] = {
             "count": rep.count_on_sextic,
             "off_base_points": rep.off_base_points,
         }
         out.setdefault("tolerance", rep.tolerance)
-        ok = ok and rep.holds
-    return ok, out
+    return PropertyResult(True, out)
 
 
 # lattices ---------------------------------------------------------------------
@@ -424,23 +439,24 @@ def _k3_sum_det(_config):
         lattice_mod.standard_lattice("E8", -1),
         lattice_mod.standard_lattice("A2", -1),
     )
-    det = lattice_mod.determinant(big)
-    return det == -3, {"det": det}
+    return _expect({"det": lattice_mod.determinant(big)}, {"det": -3})
 
 
 def _a2m6_snf(_config):
     snf = lattice_mod.smith_normal_form(lattice_mod.standard_lattice("A2", -6))
-    return snf == (6, 18), {"invariants": snf}
+    return _expect({"invariants": snf}, {"invariants": (6, 18)})
 
 
 def _a2m3_norm12(_config):
     vecs = lattice_mod.vectors_of_norm(lattice_mod.standard_lattice("A2", -3), 12)
-    return vecs == (), {"vectors": list(vecs)}
+    return _expect({"vectors": list(vecs)}, {"vectors": []})
 
 
 def _a2m2_norm12(_config):
     vecs = lattice_mod.vectors_of_norm(lattice_mod.standard_lattice("A2", -2), 12)
-    return (1, 1) in vecs and len(vecs) > 0, {"count": len(vecs)}
+    if (1, 1) not in vecs:
+        return PropertyResult(False, witness="(1, 1) is not a vector of norm twelve")
+    return PropertyResult(True, {"count": len(vecs)})
 
 
 def _embed_a2m6_a2m2(_config):
@@ -448,16 +464,16 @@ def _embed_a2m6_a2m2(_config):
         lattice_mod.standard_lattice("A2", -6), lattice_mod.standard_lattice("A2", -2)
     )
     if emb is None:
-        return False, "no embedding found"
+        return PropertyResult(False, witness="no embedding found")
     matrix, index = emb
-    return index == 3, {"index": index, "matrix": matrix}
+    return _expect({"index": index, "matrix": matrix}, {"index": 3})
 
 
 def _embed_a2m6_a2m3(_config):
     emb = lattice_mod.embeds_finite_index(
         lattice_mod.standard_lattice("A2", -6), lattice_mod.standard_lattice("A2", -3)
     )
-    return emb is None, {"embedding": emb}
+    return _expect({"embedding": emb}, {"embedding": None})
 
 
 def _shioda(_config):
@@ -468,16 +484,19 @@ def _shioda(_config):
         lattice_mod.FibrationCombinatorics(("I6", "I6", "I6", "I3"), 1)
     )
     got = {"extreme_fibers": first, "cyclic_fibers": second}
-    return first == 20 and second == 20, got
+    return _expect(got, {"extreme_fibers": 20, "cyclic_fibers": 20})
 
 
 def _kummer(_config):
     lat = lattice_mod.kummer_fibration_gram()
-    det = lattice_mod.determinant(lat)
-    disc = lattice_mod.discriminant_group(lat)
-    order = lattice_mod.discriminant_order(lat)
-    got = {"det": det, "discriminant_invariants": disc, "order": order}
-    return det == -972 and order == 972 and disc == (3, 3, 3, 6, 6), got
+    got = {
+        "det": lattice_mod.determinant(lat),
+        "discriminant_invariants": lattice_mod.discriminant_group(lat),
+        "order": lattice_mod.discriminant_order(lat),
+    }
+    return _expect(
+        got, {"det": -972, "order": 972, "discriminant_invariants": (3, 3, 3, 6, 6)}
+    )
 
 
 def _registry() -> tuple:
@@ -490,47 +509,47 @@ def _registry() -> tuple:
         RegisteredCheck(
             "hesse.collinear",
             "the twelve collinear triples of base points follow the label sums",
-            _from_property(collinearity_check),
+            lambda _config: collinearity_check(),
         ),
         RegisteredCheck(
             "hesse.membership",
             "every base point lies on both pencil generators",
-            _from_property(base_point_membership_check),
+            lambda _config: base_point_membership_check(),
         ),
         RegisteredCheck(
             "hesse.triangles",
             "the four singular members split into the twelve inflection lines",
-            _from_property(triangle_member_check),
+            lambda _config: triangle_member_check(),
         ),
         RegisteredCheck(
             "hesse.vertices",
             "the twelve triangle vertices are the singular points of singular members",
-            _from_property(vertex_singularity_check),
+            lambda _config: vertex_singularity_check(),
         ),
         RegisteredCheck(
             "hesse.duality",
             "second-polar parameter map composed with the flip equals the line-parameter map",
-            _from_property(hessian_duality_check),
+            lambda _config: hessian_duality_check(),
         ),
         RegisteredCheck(
             "hesse.polar.factorization",
             "the polar conic of each base point splits as inflection tangent times fixed line",
-            _from_property(polar_factorization_check),
+            lambda _config: polar_factorization_check(),
         ),
         RegisteredCheck(
             "hesse.polar.avoidance",
             "each fixed polar line avoids its own base point",
-            _from_property(polar_avoidance_check),
+            lambda _config: polar_avoidance_check(),
         ),
         RegisteredCheck(
             "hesse.cusps",
             "the quotient sextic has cusps at the eight non-origin base points only",
-            _from_property(cuspidal_sextic_check),
+            lambda _config: cuspidal_sextic_check(),
         ),
         RegisteredCheck(
             "hesse.char3",
             "in characteristic three the pencil degenerates onto three base points",
-            _from_property(char3_check),
+            lambda _config: char3_check(),
         ),
         RegisteredCheck(
             "hesse.j_values",
@@ -545,12 +564,12 @@ def _registry() -> tuple:
         RegisteredCheck(
             "hesse.dual_curve.m10",
             "dual-curve elimination matches the degree-six model at the first sample",
-            _from_property(dual_curve_check, PencilParameter(1, 0)),
+            lambda _config: dual_curve_check(PencilParameter(1, 0)),
         ),
         RegisteredCheck(
             "hesse.dual_curve.m11",
             "dual-curve elimination matches the degree-six model at the second sample",
-            _from_property(dual_curve_check, PencilParameter(1, 1)),
+            lambda _config: dual_curve_check(PencilParameter(1, 1)),
         ),
         RegisteredCheck(
             "hesse.dynamics",
@@ -560,12 +579,12 @@ def _registry() -> tuple:
         RegisteredCheck(
             "hesse.halphen_cofactor",
             "the degree-nine contact map multiplies both generators by one cofactor",
-            _from_property(halphen_map_check),
+            lambda _config: halphen_map_check(),
         ),
         RegisteredCheck(
             "hesse.nonic_fit",
             "the relation fit for the quotient model yields a perfect-square nonic",
-            _from_property(derive_cuspidal_nonic),
+            lambda _config: derive_cuspidal_nonic(),
         ),
     ]
     for name in IDENTITY_NAMES:
@@ -573,7 +592,7 @@ def _registry() -> tuple:
             RegisteredCheck(
                 f"hesse.identity.{name}",
                 f"exact polynomial identity '{name}' of the verification suite",
-                _from_property(identity_suite, name),
+                lambda _config, name=name: identity_suite(name),
             )
         )
     checks.extend(
@@ -641,12 +660,12 @@ def _registry() -> tuple:
             RegisteredCheck(
                 "torsion.translations",
                 "the kernel generators act as translations by 3-torsion points",
-                _from_property(translation_compatibility_check, Fraction(1)),
+                lambda _config: translation_compatibility_check(Fraction(1)),
             ),
             RegisteredCheck(
                 "torsion.contact_vertices",
                 "paired contact cubics meet exactly in the nine non-coordinate vertices",
-                _from_property(contact_pair_vertices_check),
+                lambda _config: contact_pair_vertices_check(),
             ),
             RegisteredCheck(
                 "torsion.two",
@@ -759,14 +778,13 @@ def run(config: HarnessConfig = None) -> RunReport:
     for check in select_checks(config.filters):
         start = time.perf_counter()
         try:
-            holds, witness = check.runner(config)
-            status = "pass" if holds else "fail"
+            res = check.runner(config)
+            status = "pass" if res.holds else "fail"
+            witness = res.details if res.holds else res.witness
         except Exception as exc:  # noqa: BLE001 - a check must never kill the run
             status = "fail"
             witness = f"{type(exc).__name__}: {exc}"
         elapsed = (time.perf_counter() - start) * 1000.0
-        if status == "fail" and witness is None:
-            witness = "no witness recorded"
         results.append(
             CheckResult(
                 check.check_id,

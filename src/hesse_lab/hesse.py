@@ -478,12 +478,16 @@ def collinear_base_triples() -> tuple:
 
 @dataclass(frozen=True)
 class PropertyResult:
-    """Outcome of an exact check: on a pass, `details` holds the scalars
-    worth reporting; on a fail, `witness` says why."""
+    """Outcome of a check: on a pass, `details` holds the scalars worth
+    reporting; on a fail, `witness` says why, and must be given."""
 
     holds: bool
     details: dict = field(default_factory=dict)
     witness: Optional[str] = None
+
+    def __post_init__(self):
+        if not self.holds and self.witness is None:
+            raise ValueError("a failed check must give a reason")
 
 
 def _zero_result(diff: MultiPoly, details: dict = None) -> PropertyResult:

@@ -108,9 +108,6 @@ class MultiPoly:
     def monomials_desc(self):
         return sorted(self.terms, key=_grlex_key, reverse=True)
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def is_term(self) -> bool:
         return len(self.terms) == 1
 

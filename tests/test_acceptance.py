@@ -168,17 +168,25 @@ def test_criterion_09_torsion_tables_and_polars():
 
 def test_criterion_10_cover_identities_and_form_ratios():
     with budget(10, 120.0):
-        _run_ids(
+        results = _run_ids(
             "hesse.identity.i", "hesse.identity.j", "hesse.identity.k", "groups.symplectic"
         )
         lifts = cover_automorphisms()
-        with mpmath.workprec(192):
-            eps_embed, _ = hesse_data().eps.embed_complex(precision_bits=160)
-            for name in ("cycle", "scale", "fourier", "twisted_fourier"):
-                ratio, _ = symplectic_ratio(*lifts[name], precision_bits=128)
-                assert abs(ratio - 1) < TOL
-            ratio, _ = symplectic_ratio(*lifts["dilate_square"], precision_bits=128)
-            assert abs(ratio - eps_embed) < TOL
+        data = hesse_data()
+        eps = data.eps
+        for name in ("cycle", "scale", "fourier", "twisted_fourier"):
+            assert symplectic_ratio(*lifts[name]) == data.domain.one()
+        assert symplectic_ratio(*lifts["dilate"]) == eps * eps
+        assert symplectic_ratio(*lifts["dilate_square"]) == eps
+        # the ratios are exact, so the working precision cannot move them
+        witness = results["groups.symplectic"].witness
+        assert witness == {
+            "cycle": "1", "scale": "1", "fourier": "1", "twisted_fourier": "1",
+            "dilate": "-1 - eps", "dilate_square": "eps",
+        }
+        for bits in (64, 512):
+            at_bits = _run_ids("groups.symplectic", precision_bits=bits)
+            assert at_bits["groups.symplectic"].witness == witness
 
 
 def test_criterion_11_lattice_suite():

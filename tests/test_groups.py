@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -408,24 +407,17 @@ def test_invariance_failure_witness():
 
 def test_symplectic_generators_ratio_one():
     lifts = cover_automorphisms()
-    tol = mpmath.mpf("1e-25")
     for name in ("cycle", "scale", "fourier", "twisted_fourier"):
-        transform, w_scalar = lifts[name]
-        ratio, spread = symplectic_ratio(transform, w_scalar)
-        assert abs(ratio - 1) < tol, name
-        assert spread < tol
+        assert symplectic_ratio(*lifts[name]) == K.one(), name
 
 
 def test_dilate_lifts_are_non_symplectic_cube_roots():
     lifts = cover_automorphisms()
-    with mpmath.workprec(160):
-        tol = mpmath.mpf("1e-25")
-        eps_embed, _ = EPS.embed_complex(precision_bits=160)
-        ratio, _ = symplectic_ratio(*lifts["dilate"])
-        assert abs(ratio - eps_embed**2) < tol
-        ratio_sq, _ = symplectic_ratio(*lifts["dilate_square"])
-        assert abs(ratio_sq - eps_embed) < tol
-        assert abs(ratio * ratio_sq - 1) < tol
+    ratio = symplectic_ratio(*lifts["dilate"])
+    ratio_sq = symplectic_ratio(*lifts["dilate_square"])
+    assert ratio == EPS * EPS == -1 - EPS
+    assert ratio_sq == EPS
+    assert ratio * ratio_sq == K.one()
 
 
 def test_wrong_cover_scalar_rejected():

@@ -121,6 +121,8 @@ def test_exact_checks_report_their_reason_on_failure(monkeypatch):
     for result in report.results:
         assert result.status == "fail"
         assert result.witness == "synthetic: division is not exact"
+    with pytest.raises(ValueError):
+        hesse.PropertyResult(False)
 
 
 def test_jsonify_grammar():
