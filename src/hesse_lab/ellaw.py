@@ -14,7 +14,9 @@ order-nine contact points) go through a numeric mpmath backend at a chosen
 working precision, whose residuals are compared with fixed tolerances.  The
 order-nine points take one small eigen-solve: the resultant in y, a
 polynomial in x^3, deflates, and each y comes from the exact first
-subresultant, linear in y.
+subresultant, linear in y.  With a flex as origin, A + B + C = 0 exactly
+when A, B and C are collinear, so 3P is the third point of the line
+through -2P and -P: one chord per point.
 """
 
 import math
@@ -338,12 +340,6 @@ class _NumericLaw:
         a, b = self.polar(p, q), self.polar(q, p)
         return _scale(tuple(b * u - a * v for u, v in zip(p, q)))
 
-    def add(self, p, q):
-        return self.third(self.origin, self.third(p, q))
-
-    def triple(self, p):
-        return self.add(self.add(p, p), p)
-
 
 def _poly_roots(coeffs, precision_bits):
     """Roots of a univariate polynomial P given by descending mpc
@@ -474,20 +470,37 @@ def two_torsion_polar_check(parameter, line_index, precision_bits=128) -> TwoTor
 
 @dataclass(frozen=True)
 class NineTorsionReport:
+    """Numeric witness that a contact cubic cuts nine points P of exact
+    order nine: 3P is a base point p_k other than the origin p_0, and
+    3 p_k = 0.  Residuals are normalised, so they compare with `tolerance`
+    whatever the scale of the coordinates."""
+
     holds: bool
     parameter: PencilParameter
     precision_bits: int
     tolerance: object
     points: tuple  # nine NumericPoint cut out by the contact cubic
-    triple_indices: tuple  # base point hit by 3*p, never the origin
-    triple_residuals: tuple
-    nine_residuals: tuple  # chord of 3*p and 6*p against the origin
+    triple_indices: tuple  # k with 3P = p_k, never the origin
+    triple_residuals: tuple  # chordal distance of 3P from p_k
+    nine_residuals: tuple  # the tangent at p_k closing on p_k, so 9P = 3 p_k = 0
     chain_residual: object  # closure of three successive tangent steps
 
 
 def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsionReport:
     """The chosen contact cubic meets the member in nine points of exact
-    order nine for the group law with origin p_0."""
+    order nine for the group law with origin p_0.
+
+    p_0 is a flex, so A + B + C = 0 exactly when A, B and C are collinear.
+    So 3P is the third point of the line through -2P (third point of the
+    tangent at P) and -P (third point of the chord from p_0): one chord
+    per point, and k is the base point nearest 3P.  The base points lie at
+    chordal distance at least sqrt(3)/2 from each other, so a distance
+    below tol picks out one of them, also near the singular member, where
+    the line itself runs close to a side of the limiting triangle and so
+    to three base points.  Given 3P = p_k, 9P = 0 is 3 p_k = 0, measured
+    once per distinct k as the tangent at p_k closing on p_k.  Three
+    tangent steps from the first point, P -> -2P -> 4P -> -8P, closing on
+    P measure 9P = 0 independently of k."""
     if not 1 <= cubic_index <= 8:
         raise ValueError("contact cubic index must be in 1..8")
     ctx = curve_context(parameter, origin_index=0)
@@ -501,25 +514,32 @@ def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsio
         law = _NumericLaw(ctx.parameter, 0, precision_bits)
         points = _transverse_intersection(member_eq, contact, precision_bits, tol)
         base_embed = [_embed_point(p, precision_bits) for p in data.base_points]
+        base_norm2 = [_norm2(b) for b in base_embed]
         contact_terms = _embed_poly(contact, precision_bits)
+        flex_closure = {}  # k -> the tangent at p_k against p_k
         numeric_points, triple_idx, triple_res, nine_res = [], [], [], []
         for p in points:
             residual = max(abs(law.member_value(p)), abs(_eval_embedded(contact_terms, p)))
             numeric_points.append(NumericPoint(p, precision_bits, residual))
-            q = law.triple(p)
-            dists = [_proj_distance(q, b) for b in base_embed]
-            k = min(range(9), key=lambda i: dists[i])
+            # 3P is the third point of the line through -2P and -P
+            q = law.third(law.tangent_third(p), law.third(law.origin, p))
+            # |3P x p_j|^2 / |p_j|^2 is |3P|^2 times the squared chordal distance
+            k = min(
+                range(9), key=lambda i: _norm2(_cross(q, base_embed[i])) / base_norm2[i]
+            )
             triple_idx.append(k)
-            triple_res.append(dists[k])
-            # the chord through 3p and 6p meets the member at -9p
-            nine_res.append(_proj_distance(law.third(q, law.add(q, q)), law.origin))
+            triple_res.append(_proj_distance(q, base_embed[k]))
+            if k not in flex_closure:
+                flex = base_embed[k]
+                flex_closure[k] = _proj_distance(law.tangent_third(flex), flex)
+            nine_res.append(flex_closure[k])
         chain = points[0]
         for _ in range(3):
             chain = law.tangent_third(chain)
         chain_residual = _proj_distance(chain, points[0])
         holds = (
             len(points) == 9
-            and all(np.residual < tol for np in numeric_points)
+            and all(pt.residual < tol for pt in numeric_points)
             and all(k != 0 for k in triple_idx)
             and all(r < tol for r in triple_res)
             and all(r < tol for r in nine_res)
@@ -540,8 +560,9 @@ def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsio
 
 def _transverse_intersection(f: MultiPoly, g: MultiPoly, precision_bits, tol):
     """All common zeros of two plane cubics meeting transversely in the
-    chart z = 1, followed by a bivariate Newton polish.  Raises when the
-    count differs from nine.
+    chart z = 1, followed by a bivariate Newton polish.  Polished zeros are
+    told apart by their chart coordinates; raises when the count of
+    distinct ones differs from nine.
 
     The x are the roots of R(x) = Res_y(f, g), found by `_poly_roots`
     (R is a polynomial in x^3 for the contact cubics, so it deflates).
@@ -589,8 +610,7 @@ def _transverse_intersection(f: MultiPoly, g: MultiPoly, precision_bits, tol):
                 dy += t * j * x**i * y ** (j - 1)
         return dx, dy
 
-    coarse = mpmath.sqrt(tol)
-    found = []
+    found = []  # (x, y) in the chart, and the point they give
     for x, y in starts:
         for _ in range(max(8, precision_bits // 8)):
             fv, gv = _eval_embedded(f_terms, (x, y)), _eval_embedded(g_terms, (x, y))
@@ -604,12 +624,13 @@ def _transverse_intersection(f: MultiPoly, g: MultiPoly, precision_bits, tol):
             x, y = x - dx, y - dy
             if abs(dx) + abs(dy) < mpmath.mpf(2) ** -(precision_bits + 16):
                 break
-        candidate = _scale((x - c * y, y, mpmath.mpc(1)))  # undo the shear
-        if all(_proj_distance(candidate, seen) > coarse for seen in found):
-            found.append(candidate)
+        # zeros apart by more than sqrt(tol) in the chart are distinct
+        if all(_norm2((x - u, y - v)) > tol for (u, v), _ in found):
+            point = _scale((x - c * y, y, mpmath.mpc(1)))  # undo the shear
+            found.append(((x, y), point))
     if len(found) != 9:
         raise ValueError(f"expected nine transverse intersections, found {len(found)}")
-    return found
+    return [point for _, point in found]
 
 
 @dataclass(frozen=True)

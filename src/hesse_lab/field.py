@@ -56,6 +56,10 @@ def _round_eps() -> mp.mpf:
     return mp.mpf(2) ** (4 - mp.mp.prec)
 
 
+def _rational_mid(q: Fraction) -> mp.mpf:
+    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
+
+
 class ComplexBall:
     """Complex enclosure mid +- rad; every operation pads for rounding."""
 
@@ -69,7 +73,7 @@ class ComplexBall:
     def from_rational(q: Fraction) -> "ComplexBall":
         if q == 0:
             return ComplexBall(0, 0)
-        mid = mp.mpf(q.numerator) / mp.mpf(q.denominator)
+        mid = _rational_mid(q)
         return ComplexBall(mid, abs(mid) * _round_eps())
 
     def __add__(self, other: "ComplexBall") -> "ComplexBall":
@@ -413,6 +417,17 @@ class FieldTower:
             acc = acc * root + self._eval_nested_ball(c, lvl - 1, prec)
         return acc
 
+    def _eval_nested_mid(self, nested, lvl: int, prec: int):
+        """The `mid` of `_eval_nested_ball`, by the same mpc operations on
+        midpoints alone, so the two agree bit for bit."""
+        if lvl == 0:
+            return _rational_mid(nested)
+        root = self._root_ball(lvl - 1, prec).mid
+        acc = mp.mpc(0)
+        for c in reversed(nested):
+            acc = acc * root + self._eval_nested_mid(c, lvl - 1, prec)
+        return acc
+
 
 def _horner(coeffs, x):
     acc = mp.mpc(0)
@@ -663,27 +678,37 @@ class FieldElement:
 
     # -- embedding ------------------------------------------------------------
 
+    def _nested(self, precision_bits: int):
+        """The nested Horner form, its depth, and the working precision,
+        precision_bits plus 48 guard bits, at which to evaluate it."""
+        if precision_bits < 64:
+            raise ValueError("precision_bits must be >= 64")
+        levels = len(self.tower.levels)
+        nested = _nested_from_flat(self.coords, self.tower._degrees, levels)
+        return nested, levels, precision_bits + 48
+
     def embed_complex(self, precision_bits: int = 128):
         """Complex value of the element plus an error radius.
 
         The radius propagates the heuristic 2|f|/|f'| of each generator's
         Newton-refined root; it is an estimate, not a proved enclosure."""
-        if precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
-        t = self.tower
-        levels = len(t.levels)
-        with mp.workprec(precision_bits + 48):
-            nested = _nested_from_flat(self.coords, t._degrees, levels)
-            ball = t._eval_nested_ball(nested, levels, precision_bits + 48)
+        nested, levels, prec = self._nested(precision_bits)
+        with mp.workprec(prec):
+            ball = self.tower._eval_nested_ball(nested, levels, prec)
             return mp.mpc(ball.mid), mp.mpf(ball.rad)
 
 
 def _to_mpc(value, precision_bits: int):
     """Complex value of an exact scalar: the midpoint of a field element's
-    embedding, or a rational or plain number at the working precision."""
+    embedding, or a rational or plain number at the working precision.
+
+    A field element's nested Horner form is evaluated on midpoints only;
+    the value equals `embed_complex(...)[0]` exactly, without the radius
+    that nothing here reads."""
     if isinstance(value, FieldElement):
-        mid, _ = value.embed_complex(precision_bits=precision_bits)
-        return mid
+        nested, levels, prec = value._nested(precision_bits)
+        with mp.workprec(prec):
+            return mp.mpc(value.tower._eval_nested_mid(nested, levels, prec))
     if isinstance(value, Fraction):
         return mp.mpc(value.numerator) / value.denominator
     return mp.mpc(value)

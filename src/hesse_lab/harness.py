@@ -17,6 +17,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 
@@ -127,6 +128,20 @@ def _expect(got: dict, want: dict) -> PropertyResult:
                 False, witness=f"{key} is {got.get(key)}, expected {value}"
             )
     return PropertyResult(True, got)
+
+
+def _measure(measures: dict, want: dict, derive=None) -> PropertyResult:
+    """_expect on {key: measure()}, passed through derive when given.  Each
+    measure maps forms through the map named by its key and raises
+    ValueError when that map lies outside the Hessian group; the first to
+    raise fails with a reason naming it."""
+    got = {}
+    for key, measure in measures.items():
+        try:
+            got[key] = measure()
+        except ValueError as exc:
+            return PropertyResult(False, witness=f"{key}: {exc}")
+    return _expect(derive(got) if derive else got, want)
 
 
 def _incidence(_config):
@@ -294,11 +309,13 @@ def _parameter_image(_config):
 def _contact_permutations(_config):
     gens = groups_mod.hessian_group_generators()
     cubics = hesse_data().halphen_cubics
-    perm_f, _ = groups_mod.form_permutation(gens["fourier"], cubics)
-    perm_d, _ = groups_mod.form_permutation(gens["dilate"], cubics)
-    return _expect(
-        {"fourier": perm_f, "dilate": perm_d},
+    return _measure(
+        {
+            name: partial(groups_mod.form_permutation, gens[name], cubics)
+            for name in ("fourier", "dilate")
+        },
         {"fourier": (1, 4, 7, 2, 5, 0, 3, 6), "dilate": (0, 3, 1, 2, 4, 7, 5, 6)},
+        lambda got: {name: perm for name, (perm, _) in got.items()},
     )
 
 
@@ -306,57 +323,58 @@ def _invariance_sextic(_config):
     gens = groups_mod.hessian_group_generators()
     data = hesse_data()
     K = data.domain
-    sextic = data.invariants["sextic"]
-    factors = {
-        name: groups_mod.invariance_factor(sextic, gens[name])
-        for name in ("cycle", "scale", "dilate")
+    factor = partial(groups_mod.invariance_factor, data.invariants["sextic"])
+    measures = {
+        name: partial(factor, gens[name]) for name in ("cycle", "scale", "dilate")
     }
-    factors["fourier_normalized"] = groups_mod.invariance_factor(
-        sextic, groups_mod.normalized_fourier(K), use_lift=True
+    measures["fourier_normalized"] = partial(
+        factor, groups_mod.normalized_fourier(K), use_lift=True
     )
-    return _expect(factors, dict.fromkeys(factors, K.one()))
+    return _measure(measures, dict.fromkeys(measures, K.one()))
 
 
 def _invariance_nonic(_config):
     gens = groups_mod.hessian_group_generators()
     data = hesse_data()
-    K = data.domain
-    nonic = data.invariants["polar_product"]
-    swap_factor = groups_mod.invariance_factor(nonic, gens["swap"])
-    combined = groups_mod.invariance_factor(
-        nonic, gens["swap"].compose(gens["cycle"])
+    factor = partial(groups_mod.invariance_factor, data.invariants["polar_product"])
+    swap, cycle = gens["swap"], gens["cycle"]
+    return _measure(
+        {
+            "swap": partial(factor, swap),
+            "cycle": partial(factor, cycle),
+            "swap*cycle": partial(factor, swap.compose(cycle)),
+        },
+        {"swap": -data.domain.one(), "multiplicative": True},
+        lambda f: {
+            "swap": f["swap"],
+            "multiplicative": f["swap*cycle"] == f["swap"] * f["cycle"],
+        },
     )
-    multiplicative = combined == swap_factor * groups_mod.invariance_factor(
-        nonic, gens["cycle"]
-    )
-    got = {"swap": swap_factor, "multiplicative": multiplicative}
-    return _expect(got, {"swap": -K.one(), "multiplicative": True})
 
 
 def _invariance_twelve_lines(_config):
     gens = groups_mod.hessian_group_generators()
     data = hesse_data()
     lines = data.invariants["inflection_line_product"]
-    got = {
-        "dilate": groups_mod.invariance_factor(lines, gens["dilate"]),
-        "scale": groups_mod.invariance_factor(lines, gens["scale"]),
-    }
-    return _expect(got, {"dilate": data.eps * data.eps, "scale": data.domain.one()})
+    factor = partial(groups_mod.invariance_factor, lines)
+    return _measure(
+        {name: partial(factor, gens[name]) for name in ("dilate", "scale")},
+        {"dilate": data.eps * data.eps, "scale": data.domain.one()},
+    )
 
 
 def _symplectic(_config):
-    lifts = groups_mod.cover_automorphisms()
     data = hesse_data()
     e = data.eps
-    ratios = {}
-    for name, (transform, w_scalar) in lifts.items():
-        try:
-            ratios[name] = groups_mod.symplectic_ratio(transform, w_scalar)
-        except ValueError as exc:
-            return PropertyResult(False, witness=f"{name}: {exc}")
     one = data.domain.one()
     want = dict.fromkeys(("cycle", "scale", "fourier", "twisted_fourier"), one)
-    return _expect(ratios, {**want, "dilate": e * e, "dilate_square": e})
+    return _measure(
+        {
+            name: partial(groups_mod.symplectic_ratio, transform, w_scalar)
+            for name, (transform, w_scalar) in groups_mod.cover_automorphisms().items()
+        },
+        {**want, "dilate": e * e, "dilate_square": e},
+    )
 
 
 # torsion ---------------------------------------------------------------------

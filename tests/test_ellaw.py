@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab.ellaw import (
+    _NumericLaw,
+    _embed_point,
     _embed_poly,
     _eval_embedded,
     _poly_roots,
@@ -237,6 +239,41 @@ def test_nine_torsion_every_contact_cubic_pinned():
     assert set(report.triple_indices) == {2}
 
 
+def _addition_chain_index(law, p, base_points):
+    """k with 3P = (P + P) + P nearest p_k, by four numeric chords: the
+    independent route the single chord through -2P and -P replaces."""
+
+    def add(a, b):
+        return law.third(law.origin, law.third(a, b))
+
+    q = add(add(p, p), p)
+    return min(range(9), key=lambda i: _proj_distance(q, base_points[i]))
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    lam=st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    cubic=st.integers(1, 8),
+    bits=st.sampled_from((128, 512)),
+)
+def test_nine_torsion_index_matches_the_addition_chain(lam, cubic, bits):
+    assume(abs(lam + 3) > Fraction(1, 100))
+    report = nine_torsion_check(lam, cubic, precision_bits=bits)
+    assert report.holds
+    with mpmath.workprec(bits + 48):
+        law = _NumericLaw(report.parameter, 0, bits)
+        base = [_embed_point(p, bits) for p in PTS]
+        chain = [_addition_chain_index(law, p.coords, base) for p in report.points]
+    assert list(report.triple_indices) == chain
+
+
+def test_nine_torsion_holds_near_the_singular_member():
+    # the line through -2P and -P passes within about 0.04 (lambda + 3) of
+    # base points other than p_k there, but 3P itself stays near p_k
+    report = nine_torsion_check(-3 + Fraction(1, 10**25), 2, precision_bits=512)
+    assert report.holds and set(report.triple_indices) == {3}
+
+
 def test_transverse_intersection_shears_zeros_that_share_x():
     K = tower_eps()
     x, y, z = MultiPoly.variables(3, K)
@@ -271,20 +308,6 @@ def test_transverse_intersection_rejects_zeros_no_shear_separates():
         _transverse_intersection(f, g, 128, mpmath.mpf(10) ** -25)
 
 
-def _companion_roots(coeffs):
-    """Eigenvalues of the full companion matrix: the undeflated oracle."""
-    monic = [c / coeffs[0] for c in coeffs[1:]]
-    n = len(monic)
-    if n == 1:
-        return [-monic[0]]
-    comp = mpmath.matrix(n)
-    for i in range(1, n):
-        comp[i, i - 1] = 1
-    for i in range(n):
-        comp[i, n - 1] = -monic[n - 1 - i]
-    return mpmath.eig(comp, left=False, right=False)
-
-
 _GAUSSIAN = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
 
 
@@ -305,9 +328,10 @@ def test_poly_roots_of_a_polynomial_in_x_to_the_k(k, u_roots, zero_root, bits):
         for c in s[1:]:
             coeffs += [mpmath.mpc(0)] * (k - 1) + [c]
         got = _poly_roots(coeffs, bits)
-        want = _companion_roots(coeffs)
+        # the exact roots: the k k-th roots of each u, a zero u giving a k-fold zero
+        want = [mpmath.root(u, k) * w for u in us for w in mpmath.unitroots(k)]
         assert len(got) == len(want) == k * len(us)
-        # a k-fold zero is only known to about bits/k from the oracle
+        # _poly_roots finds a k-fold zero only to about bits/k
         for w in want:
             i = min(range(len(got)), key=lambda j: abs(got[j] - w))
             assert abs(got.pop(i) - w) < mpmath.mpf(10) ** -10 * max(1, abs(w))

@@ -14,6 +14,7 @@ from hesse_lab.field import (
     ExtensionSpec,
     PrimeField,
     TowerError,
+    _to_mpc,
     element_to_str,
     tower_create,
     tower_eps,
@@ -346,6 +347,14 @@ def _tower_and_elements(draw):
             x = x + unit * Fraction(draw(numerators), draw(denominators))
         elems.append(x)
     return tower, elems
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tower_and_elements(), st.sampled_from((64, 128, 512)))
+def test_to_mpc_is_the_embedding_midpoint_bit_for_bit(drawn, bits):
+    _, elems = drawn
+    for x in elems:
+        assert _to_mpc(x, bits) == x.embed_complex(bits)[0]
 
 
 def test_fractional_minpolys_give_a_common_denominator():

@@ -5,6 +5,8 @@ runs one registered check through the harness.  The check must report
 "fail" with its own reason string.  `harness.run` folds any exception
 into a fail whose witness is "Type: message", so a mutant that merely
 makes the check raise does not count; every reason is therefore pinned.
+A mutant is keyed by its check id, or by "check id/variant" for a further
+mutant of a check.
 """
 
 from dataclasses import replace
@@ -13,7 +15,9 @@ import pytest
 
 from hesse_lab import ellaw, groups, harness
 from hesse_lab import lattice as lattice_mod
+from hesse_lab.groups import ProjTransform
 from hesse_lab.harness import HarnessConfig
+from hesse_lab.multipoly import MultiPoly
 
 _generators = groups.hessian_group_generators
 _unit_determinant_generators = groups.unit_determinant_generators
@@ -80,6 +84,28 @@ def _swap_replaced_by_cycle():
     return {**gens, "swap": gens["cycle"]}
 
 
+def _replaced_by_shear(name):
+    # (x, y, z) -> (x + y, y, z) lies outside the Hessian group, so it maps
+    # no invariant to a multiple of itself and permutes no forms
+    def mutant(*domain):
+        gens = _generators(*domain)
+        K = gens[name].domain
+        one, zero = K.one(), K.zero()
+        shear = ((one, one, zero), (zero, one, zero), (zero, zero, one))
+        return {**gens, name: ProjTransform(shear, K)}
+
+    return mutant
+
+
+def _first_contact_cubic_replaced(cubic):
+    def mutant():
+        data = _ellaw_hesse_data()
+        x, y, z = MultiPoly.variables(3, data.domain)
+        return replace(data, halphen_cubics=(cubic(x, y, z),) + data.halphen_cubics[1:])
+
+    return mutant
+
+
 def _gram_entry_moved(lattice, delta):
     # the (0, 1) entry and its mirror move together, so the Gram stays symmetric
     rows = [list(row) for row in lattice.gram]
@@ -121,16 +147,36 @@ MUTANTS = {
         "hessian_group_generators",
         _dilate_dropped,
     ),
+    "groups.contact_permutations/shear": (
+        groups,
+        "hessian_group_generators",
+        _replaced_by_shear("dilate"),
+    ),
     "groups.invariance.sextic": (groups, "normalized_fourier", _fourier_not_normalized),
+    "groups.invariance.sextic/shear": (
+        groups,
+        "hessian_group_generators",
+        _replaced_by_shear("dilate"),
+    ),
     "groups.invariance.nonic": (
         groups,
         "hessian_group_generators",
         _swap_replaced_by_cycle,
     ),
+    "groups.invariance.nonic/shear": (
+        groups,
+        "hessian_group_generators",
+        _replaced_by_shear("swap"),
+    ),
     "groups.invariance.twelve_lines": (
         groups,
         "hessian_group_generators",
         _scale_replaced_by_dilate,
+    ),
+    "groups.invariance.twelve_lines/shear": (
+        groups,
+        "hessian_group_generators",
+        _replaced_by_shear("dilate"),
     ),
     "groups.symplectic": (
         groups,
@@ -143,6 +189,24 @@ MUTANTS = {
         "hessian_group_generators",
         _scale_replaced_by_dilate,
     ),
+    # a generic cubic: its points are not 9-torsion, so no residual is small
+    "torsion.nine": (
+        ellaw,
+        "hesse_data",
+        _first_contact_cubic_replaced(
+            lambda x, y, z: x**3 + 2 * y**3 + 3 * z**3 + x * y * z
+        ),
+    ),
+    # x times a conic: it cuts the member in the three base points on x = 0,
+    # which are 3-torsion, so 3P hits the origin there and the origin clause
+    # fails as well as the residuals of the six points on the conic
+    "torsion.nine/origin": (
+        ellaw,
+        "hesse_data",
+        _first_contact_cubic_replaced(
+            lambda x, y, z: x * (2 * x**2 + y**2 + 3 * z**2 - x * z + y * z)
+        ),
+    ),
     "lattice.k3sum.det": (lattice_mod, "direct_sum", _k3_sum_entry_moved),
     "lattice.a2m6.snf": (lattice_mod, "standard_lattice", _standard_entry_moved),
     "lattice.kummer": (lattice_mod, "kummer_fibration_gram", _kummer_entry_moved),
@@ -154,10 +218,20 @@ PINNED_WITNESS = {
     "groups.contact_permutations": (
         "dilate is (4, 5, 6, 7, 0, 1, 2, 3), expected (0, 3, 1, 2, 4, 7, 5, 6)"
     ),
+    "groups.contact_permutations/shear": "dilate: map does not permute the forms",
     "groups.heisenberg": "order is 54, expected 27",
     "groups.invariance.nonic": "swap is 1, expected -1",
+    "groups.invariance.nonic/shear": (
+        "swap: not a relative invariant; first mismatch at (5, 4, 0)"
+    ),
     "groups.invariance.sextic": "fourier_normalized is -27, expected 1",
+    "groups.invariance.sextic/shear": (
+        "dilate: not a relative invariant; first mismatch at (5, 1, 0)"
+    ),
     "groups.invariance.twelve_lines": "scale is -1 - eps, expected 1",
+    "groups.invariance.twelve_lines/shear": (
+        "dilate: not a relative invariant; first mismatch at (9, 2, 1)"
+    ),
     "groups.orders": "full is 36, expected 216",
     "groups.parameter_image": "order is 2, expected 12",
     "groups.permutation": "has_triple_cycle is False, expected True",
@@ -170,21 +244,30 @@ PINNED_WITNESS = {
     "lattice.a2m6.snf": "invariants is (1, 119), expected (6, 18)",
     "lattice.k3sum.det": "det is -12, expected -3",
     "lattice.kummer": "det is -1296, expected -972",
+    "torsion.nine": (
+        "lambda=1: triples hit base points (7, 7, 7, 8, 8, 8, 3, 3, 3), worst "
+        "residual 0.94656, expected no origin and residuals within 1.0e-25"
+    ),
+    "torsion.nine/origin": (
+        "lambda=1: triples hit base points (3, 6, 0, 0, 2, 1, 0, 6, 3), worst "
+        "residual 0.99127, expected no origin and residuals within 1.0e-25"
+    ),
     "torsion.table": "1 is False, expected True",
     "torsion.translations": "scale is not a translation",
 }
 
 
-@pytest.mark.parametrize("check_id", sorted(MUTANTS))
-def test_mutant_is_killed(check_id, monkeypatch):
-    module, name, mutant = MUTANTS[check_id]
+@pytest.mark.parametrize("key", sorted(MUTANTS))
+def test_mutant_is_killed(key, monkeypatch):
+    module, name, mutant = MUTANTS[key]
     monkeypatch.setattr(module, name, mutant)
+    check_id = key.split("/")[0]
     (result,) = harness.run(HarnessConfig(filters=(check_id,))).results
     assert result.status == "fail"
-    assert result.witness == PINNED_WITNESS[check_id]
+    assert result.witness == PINNED_WITNESS[key]
 
 
-@pytest.mark.parametrize("check_id", sorted(MUTANTS))
+@pytest.mark.parametrize("check_id", sorted({key.split("/")[0] for key in MUTANTS}))
 def test_unmutated_check_passes(check_id):
     (result,) = harness.run(HarnessConfig(filters=(check_id,))).results
     assert result.status == "pass"
