@@ -8,15 +8,19 @@ F = t0*(x^3+y^3+z^3) + t1*xyz restricts by polarisation to the binary cubic
 
 whose coefficients come from the closed-form gradient of F.  Dividing out
 the known roots (1 : 0) and (0 : 1) certifies that u and v lie on the
-member, and the leftover linear form gives the third point.  Loci that
-genuinely require root extraction (doubling a transcendental point,
-order-nine contact points) go through a numeric mpmath backend at a chosen
-working precision, whose residuals are compared with fixed tolerances.  The
-order-nine points take one small eigen-solve: the resultant in y, a
-polynomial in x^3, deflates, and each y comes from the exact first
-subresultant, linear in y.  With a flex as origin, A + B + C = 0 exactly
-when A, B and C are collinear, so 3P is the third point of the line
-through -2P and -P: one chord per point.
+member, and the leftover linear form gives the third point.  The 3-torsion
+table and the translation check add base points whose sums share chords
+(a + b and b + a, and each sum's second chord through the origin), so each
+makes every distinct chord once per call.
+
+Loci that genuinely require root extraction (doubling a transcendental
+point, order-nine contact points) go through a numeric mpmath backend at a
+chosen working precision, whose residuals are compared with fixed
+tolerances.  The order-nine points take one small eigen-solve: the
+resultant in y, a polynomial in x^3, deflates, and each y comes from the
+exact first subresultant, linear in y.  With a flex as origin,
+A + B + C = 0 exactly when A, B and C are collinear, so 3P is the third
+point of the line through -2P and -P: one chord per point.
 """
 
 import math
@@ -133,29 +137,28 @@ def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoi
     return ProjPoint(tuple(K.dot((c_t, -c_s), uv) for uv in zip(u, v)), K)
 
 
-def neg(ctx: CurveContext, p: ProjPoint) -> ProjPoint:
-    # the origin is an inflection point, so reflecting through it is the
-    # chord through the origin
-    return third_intersection(ctx, ctx.origin, p)
-
-
 def add(ctx: CurveContext, p: ProjPoint, q: ProjPoint) -> ProjPoint:
     r = third_intersection(ctx, p, q)
     return third_intersection(ctx, ctx.origin, r)
 
 
-def scalar_mul(ctx: CurveContext, n: int, p: ProjPoint) -> ProjPoint:
-    if n < 0:
-        return scalar_mul(ctx, -n, neg(ctx, p))
-    acc = ctx.origin
-    run = p
-    while n:
-        if n & 1:
-            acc = add(ctx, acc, run)
-        n >>= 1
-        if n:
-            run = add(ctx, run, run)
-    return acc
+def _add_each_chord_once(ctx: CurveContext):
+    """`add` on ctx that makes each distinct chord once while it lives.
+
+    The chord through a and b is the chord through b and a, so each chord
+    is kept under the unordered pair {a, b} ({a} for the tangent at a).
+    Every chord is still made on the member by third_intersection, with
+    both membership certificates; the store goes with the returned function.
+    """
+    chords = {}
+
+    def third(a, b):
+        key = frozenset((a, b))
+        if key not in chords:
+            chords[key] = third_intersection(ctx, a, b)
+        return chords[key]
+
+    return lambda p, q: third(ctx.origin, third(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +174,11 @@ class TorsionTable:
 
 
 def three_torsion_table(parameter) -> TorsionTable:
-    """Addition table of the nine base points, checked against labels."""
+    """Addition table of the nine base points, checked against labels.
+
+    The 81 sums make 45 distinct chords, each made once."""
     ctx = curve_context(parameter, origin_index=0)
+    plus = _add_each_chord_once(ctx)
     data = hesse_data()
     pts = data.base_points
     index = {p: i for i, p in enumerate(pts)}
@@ -181,7 +187,7 @@ def three_torsion_table(parameter) -> TorsionTable:
     for i in range(9):
         row = []
         for j in range(9):
-            total = add(ctx, pts[i], pts[j])
+            total = plus(pts[i], pts[j])
             k = index.get(total)
             if k is None:
                 raise ValueError("base points are not closed under addition")
@@ -195,10 +201,14 @@ def three_torsion_table(parameter) -> TorsionTable:
 
 def translation_compatibility_check(parameter) -> PropertyResult:
     """The two order-3 generators fixing every member act on the base
-    points as translations by 3-torsion points of the group law."""
+    points as translations by 3-torsion points of the group law.
+
+    Candidate translations are tried in turn, and each distinct chord among
+    their sums is made once."""
     from .groups import hessian_group_generators
 
     ctx = curve_context(parameter, origin_index=0)
+    plus = _add_each_chord_once(ctx)
     data = hesse_data()
     pts = data.base_points
     index = {p: i for i, p in enumerate(pts)}
@@ -209,7 +219,7 @@ def translation_compatibility_check(parameter) -> PropertyResult:
         perm = tuple(index[g.apply(p)] for p in pts)
         found = None
         for k in range(9):
-            if all(index[add(ctx, pts[i], pts[k])] == perm[i] for i in range(9)):
+            if all(index[plus(pts[i], pts[k])] == perm[i] for i in range(9)):
                 found = k
                 break
         if found is None:

@@ -1,12 +1,14 @@
 """Group-law module: exact chord-tangent arithmetic and numeric torsion."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hesse_lab import ellaw
 from hesse_lab.ellaw import (
     _NumericLaw,
     _embed_point,
@@ -18,16 +20,15 @@ from hesse_lab.ellaw import (
     add,
     contact_pair_vertices_check,
     curve_context,
-    neg,
     nine_torsion_check,
     prop62_check,
-    scalar_mul,
     third_intersection,
     three_torsion_table,
     translation_compatibility_check,
     two_torsion_polar_check,
 )
 from hesse_lab.field import tower_eps
+from hesse_lab.groups import hessian_group_generators
 from hesse_lab.hesse import hesse_data
 from hesse_lab.multipoly import MultiPoly, _divmod
 from hesse_lab.plane import (
@@ -40,6 +41,26 @@ from hesse_lab.plane import (
 
 CTX = curve_context(1)
 PTS = hesse_data().base_points
+
+
+def neg(ctx, p):
+    # the origin is an inflection point, so reflecting through it is the
+    # chord through the origin
+    return third_intersection(ctx, ctx.origin, p)
+
+
+def scalar_mul(ctx, n, p):
+    if n < 0:
+        return scalar_mul(ctx, -n, neg(ctx, p))
+    acc = ctx.origin
+    run = p
+    while n:
+        if n & 1:
+            acc = add(ctx, acc, run)
+        n >>= 1
+        if n:
+            run = add(ctx, run, run)
+    return acc
 
 
 def test_context_rejects_singular_and_bad_origin():
@@ -173,6 +194,26 @@ def test_third_intersection_matches_line_restriction(point, chords):
                     law(ctx, a, b)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    point=st.one_of(st.tuples(_RATIONAL, _RATIONAL, _RATIONAL), _NEAR_SINGULAR),
+    chords=st.lists(st.integers(0, 8), min_size=1, max_size=2),
+)
+def test_third_intersection_is_symmetric(point, chords):
+    # the torsion table and the translation check make each chord once for
+    # both orders of its points, so an order-dependent law must fail here
+    x, y, z = point
+    assume(x * y * z != 0)
+    lam = -(x**3 + y**3 + z**3) / (x * y * z)
+    assume(lam != -3)
+    ctx = curve_context(lam)
+    p = ProjPoint(point, ctx.domain)
+    points = [p] + [third_intersection(ctx, p, PTS[k]) for k in chords]
+    pairs = list(combinations(points, 2)) + [(q, b) for q in points for b in PTS]
+    for a, b in pairs + list(combinations(PTS, 2)):
+        assert third_intersection(ctx, a, b) == third_intersection(ctx, b, a)
+
+
 def test_three_torsion_table_matches_labels():
     for lam in (1, 2):
         report = three_torsion_table(lam)
@@ -189,6 +230,82 @@ def test_translation_compatibility():
     # matrix action convention: each generator translates by the inverse
     # of the point singled out under the substitution convention
     assert report.details["assignments"] == {"cycle": 6, "scale": 1}
+
+
+# lambda of 2- to 128-bit height, near the singular member -3, and Fermat
+_TORSION_LAMBDA = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(2, 128).flatmap(
+        lambda bits: st.builds(
+            Fraction, st.integers(-(2**bits), 2**bits), st.integers(1, 2**bits)
+        )
+    ),
+    st.builds(
+        lambda k, sign: -3 + sign * Fraction(1, 10**k),
+        st.integers(1, 30),
+        st.sampled_from((1, -1)),
+    ),
+)
+
+
+def _oracle_sums(lam):
+    """table[i][j] = k with p_i + p_j = p_k, all 81 sums made by `add`."""
+    ctx = curve_context(lam)
+    index = {p: i for i, p in enumerate(PTS)}
+    return tuple(tuple(index[add(ctx, a, b)] for b in PTS) for a in PTS)
+
+
+def _oracle_translations(table):
+    """translation_compatibility_check's verdict, read off the full table."""
+    labels = hesse_data().labels
+    index = {p: i for i, p in enumerate(PTS)}
+    gens = hessian_group_generators(tower_eps())
+    assignments = {}
+    for name in ("cycle", "scale"):
+        perm = tuple(index[gens[name].apply(p)] for p in PTS)
+        found = [k for k in range(9) if all(table[i][k] == perm[i] for i in range(9))]
+        if not found:
+            return False, {}, f"{name} is not a translation"
+        assignments[name] = found[0]
+    la, lb = labels[assignments["cycle"]], labels[assignments["scale"]]
+    if (la[0] * lb[1] - la[1] * lb[0]) % 3 == 0:
+        return False, {}, f"labels {la} and {lb} are dependent"
+    return True, {"assignments": assignments}, None
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=_TORSION_LAMBDA)
+def test_torsion_table_and_translations_match_the_full_table(lam):
+    assume(lam != -3)
+    table = _oracle_sums(lam)
+    labels = hesse_data().labels
+    holds = all(
+        labels[table[i][j]]
+        == ((labels[i][0] + labels[j][0]) % 3, (labels[i][1] + labels[j][1]) % 3)
+        for i in range(9)
+        for j in range(9)
+    )
+    report = three_torsion_table(lam)
+    assert (report.table, report.holds) == (table, holds)
+    result = translation_compatibility_check(lam)
+    assert (result.holds, result.details, result.witness) == _oracle_translations(table)
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=_TORSION_LAMBDA)
+def test_torsion_table_and_translations_make_each_chord_once(lam):
+    assume(lam != -3)
+    for check in (three_torsion_table, translation_compatibility_check):
+        made = []
+
+        def counted(ctx, a, b):
+            made.append(frozenset((a, b)))
+            return third_intersection(ctx, a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ellaw, "third_intersection", counted)
+            check(lam)
+        assert len(made) == len(set(made)) <= 45, check.__name__
 
 
 def test_contact_pair_vertices():

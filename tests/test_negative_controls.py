@@ -23,6 +23,7 @@ _generators = groups.hessian_group_generators
 _unit_determinant_generators = groups.unit_determinant_generators
 _hesse_data = harness.hesse_data
 _ellaw_hesse_data = ellaw.hesse_data
+_third_intersection = ellaw.third_intersection
 _cover_automorphisms = groups.cover_automorphisms
 _direct_sum = lattice_mod.direct_sum
 _standard_lattice = lattice_mod.standard_lattice
@@ -64,6 +65,18 @@ def _labels_one_and_three_swapped():
     labels = list(data.labels)
     labels[1], labels[3] = labels[3], labels[1]
     return replace(data, labels=tuple(labels))
+
+
+def _chord_replaced(indices, wrong):
+    # the chord through the base points p_i, i in indices (the tangent for
+    # one index), returns p_wrong, in either order of its points
+    def mutant(ctx, a, b):
+        pts = _ellaw_hesse_data().base_points
+        if {a, b} == {pts[i] for i in indices}:
+            return pts[wrong]
+        return _third_intersection(ctx, a, b)
+
+    return mutant
 
 
 def _dilate_lift_with_w_scalar_eps():
@@ -184,10 +197,18 @@ MUTANTS = {
         _dilate_lift_with_w_scalar_eps,
     ),
     "torsion.table": (ellaw, "hesse_data", _labels_one_and_three_swapped),
+    # p_1 is a flex, so its tangent meets the member again only at p_1
+    "torsion.table/tangent": (ellaw, "third_intersection", _chord_replaced((1,), 2)),
     "torsion.translations": (
         groups,
         "hessian_group_generators",
         _scale_replaced_by_dilate,
+    ),
+    # the line through p_3 and p_6 meets the member again at p_0
+    "torsion.translations/chord": (
+        ellaw,
+        "third_intersection",
+        _chord_replaced((3, 6), 3),
     ),
     # a generic cubic: its points are not 9-torsion, so no residual is small
     "torsion.nine": (
@@ -253,7 +274,9 @@ PINNED_WITNESS = {
         "residual 0.99127, expected no origin and residuals within 1.0e-25"
     ),
     "torsion.table": "1 is False, expected True",
+    "torsion.table/tangent": "1 is False, expected True",
     "torsion.translations": "scale is not a translation",
+    "torsion.translations/chord": "cycle is not a translation",
 }
 
 
