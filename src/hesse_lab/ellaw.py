@@ -11,12 +11,13 @@ the known roots (1 : 0) and (0 : 1) certifies that u and v lie on the
 member, and the leftover linear form gives the third point.  The 3-torsion
 table and the translation check add base points whose sums share chords
 (a + b and b + a, and each sum's second chord through the origin), so each
-makes every distinct chord once per call.
+makes every distinct chord once per call.  Proposition 6.2 takes no root
+either: the quadratic cutting its two points divides the sextic on the line.
 
-Loci that genuinely require root extraction (doubling a transcendental
-point, order-nine contact points) go through a numeric mpmath backend at a
-chosen working precision, whose residuals are compared with fixed
-tolerances.  The order-nine points take one small eigen-solve: the
+Loci that genuinely require root extraction (the 2-torsion on a harmonic
+polar, order-nine contact points) go through a numeric mpmath backend at a
+chosen working precision, whose residuals are compared with one fixed
+tolerance rule.  The order-nine points take one small eigen-solve: the
 resultant in y, a polynomial in x^3, deflates, and each y comes from the
 exact first subresultant, linear in y.  With a flex as origin,
 A + B + C = 0 exactly when A, B and C are collinear, so 3P is the third
@@ -38,8 +39,15 @@ from .hesse import (
     pencil_member,
     weierstrass_data,
 )
-from .multipoly import MultiPoly, divide_exact, proportionality, resultant_in_var
+from .multipoly import (
+    MultiPoly,
+    binary_form_gcd,
+    divide_exact,
+    proportionality,
+    resultant_in_var,
+)
 from .plane import (
+    PlaneCurve,
     ProjLine,
     ProjPoint,
     _cross,
@@ -137,13 +145,9 @@ def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoi
     return ProjPoint(tuple(K.dot((c_t, -c_s), uv) for uv in zip(u, v)), K)
 
 
-def add(ctx: CurveContext, p: ProjPoint, q: ProjPoint) -> ProjPoint:
-    r = third_intersection(ctx, p, q)
-    return third_intersection(ctx, ctx.origin, r)
-
-
 def _add_each_chord_once(ctx: CurveContext):
-    """`add` on ctx that makes each distinct chord once while it lives.
+    """Addition on ctx, p + q = third(origin, third(p, q)), that makes
+    each distinct chord once while it lives.
 
     The chord through a and b is the chord through b and a, so each chord
     is kept under the unordered pair {a, b} ({a} for the tangent at a).
@@ -308,6 +312,14 @@ def _proj_distance(u, v):
     return mpmath.sqrt(_norm2(_cross(u, v)) / (_norm2(u) * _norm2(v)))
 
 
+def _tolerance(precision_bits):
+    """Pass bound of a normalised residual: 1e-25 from 128 bits on, below
+    that half the working bits.  Call it inside the working precision."""
+    if precision_bits >= 128:
+        return mpmath.mpf(10) ** -25
+    return mpmath.mpf(2) ** -(precision_bits // 2)
+
+
 class _NumericLaw:
     """Chord-tangent arithmetic on one member with embedded coefficients."""
 
@@ -444,9 +456,7 @@ def two_torsion_polar_check(parameter, line_index, precision_bits=128) -> TwoTor
     polar = data.harmonic_polars[line_index]
     form = restrict_to_line(ctx.member, polar)
     with mpmath.workprec(precision_bits + 48):
-        tol = mpmath.mpf(10) ** -25 if precision_bits >= 128 else mpmath.mpf(2) ** -(
-            precision_bits // 2
-        )
+        tol = _tolerance(precision_bits)
         law = _NumericLaw(ctx.parameter, line_index, precision_bits)
         p0, p1 = polar.basis_points()
         b0, b1 = _embed_point(p0, precision_bits), _embed_point(p1, precision_bits)
@@ -518,9 +528,7 @@ def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsio
     contact = data.halphen_cubics[cubic_index - 1]
     member_eq = ctx.member.equation
     with mpmath.workprec(precision_bits + 48):
-        tol = mpmath.mpf(10) ** -25 if precision_bits >= 128 else mpmath.mpf(2) ** -(
-            precision_bits // 2
-        )
+        tol = _tolerance(precision_bits)
         law = _NumericLaw(ctx.parameter, 0, precision_bits)
         points = _transverse_intersection(member_eq, contact, precision_bits, tol)
         base_embed = [_embed_point(p, precision_bits) for p in data.base_points]
@@ -643,76 +651,28 @@ def _transverse_intersection(f: MultiPoly, g: MultiPoly, precision_bits, tol):
     return [point for _, point in found]
 
 
-@dataclass(frozen=True)
-class TangentSectionReport:
-    holds: bool
-    parameter: PencilParameter
-    hessian_param: PencilParameter
-    precision_bits: int
-    tolerance: object
-    points: tuple  # the two residual tangent-line intersections
-    sextic_residuals: tuple  # cuspidal sextic evaluated there
-    count_on_sextic: int
-    off_base_points: bool
-    swap_symmetric: bool
+def prop62_check(parameter) -> PropertyResult:
+    """The tangent T at p_0 to the Hessian of the member meets the member
+    again in two points, and both lie on the cuspidal sextic.
 
-
-def prop62_check(parameter, precision_bits=128) -> TangentSectionReport:
-    """The cuspidal sextic meets the member in exactly two points beyond
-    the cusps, and they lie on the tangent at p_0 to the Hessian of the
-    member.
-
-    The tangent line cuts the member in p_0 plus two residual points;
-    those are computed numerically and tested against the sextic.
-    """
+    T cuts the member in p_0 and the two zeros of the binary quadratic Q
+    left when p_0 is divided out.  Both lie on the sextic exactly when Q
+    divides the sextic restricted to T, so the count of points on the
+    sextic is the degree of their gcd over Q(eps): no root is taken."""
     ctx = curve_context(parameter, origin_index=0)
     data = hesse_data()
-    K = ctx.domain
-    hess_param = hessian_map().apply(ctx.parameter)
-    hess_member = pencil_member(hess_param)
     p0 = data.base_points[0]
-    tangent = tangent_line(hess_member, p0)
-    form = restrict_to_line(ctx.member, tangent)
-    s, t = MultiPoly.variables(2, K)
+    tangent = tangent_line(pencil_member(hessian_map().apply(ctx.parameter)), p0)
+    s, t = MultiPoly.variables(2, ctx.domain)
     s0, t0 = line_parameter(tangent, p0)
-    quadratic = divide_exact(form, t0 * s - s0 * t)
-    sextic = data.invariants["cuspidal_sextic"]
-    with mpmath.workprec(precision_bits + 48):
-        tol = mpmath.mpf(10) ** -20 if precision_bits >= 128 else mpmath.mpf(2) ** -(
-            precision_bits // 3
-        )
-        law = _NumericLaw(ctx.parameter, 0, precision_bits)
-        b0, b1 = tangent.basis_points()
-        e0, e1 = _embed_point(b0, precision_bits), _embed_point(b1, precision_bits)
-        sextic_terms = _embed_poly(sextic, precision_bits)
-        scale6 = max(abs(c) for c in sextic_terms.values())
-        base_embed = [_embed_point(p, precision_bits) for p in data.base_points]
-        points, residuals = [], []
-        for s_val, t_val in _binary_form_roots(quadratic, precision_bits):
-            q = _scale(tuple(s_val * a + t_val * b for a, b in zip(e0, e1)))
-            member_res = abs(law.member_value(q))
-            points.append(NumericPoint(q, precision_bits, member_res))
-            residuals.append(abs(_eval_embedded(sextic_terms, q)) / scale6)
-        count = sum(1 for r in residuals if r < tol)
-        off_base = all(
-            min(_proj_distance(p.coords, b) for b in base_embed) > mpmath.sqrt(tol)
-            for p in points
-        )
-        swapped = False
-        if len(points) == 2:
-            u = points[0].coords
-            mirrored = (u[0], u[2], u[1])
-            swapped = bool(_proj_distance(mirrored, points[1].coords) < mpmath.sqrt(tol))
-        holds = len(points) == 2 and count == 2
-        return TangentSectionReport(
-            holds,
-            ctx.parameter,
-            hess_param,
-            precision_bits,
-            tol,
-            tuple(points),
-            tuple(residuals),
-            count,
-            off_base,
-            swapped,
-        )
+    quadratic = divide_exact(restrict_to_line(ctx.member, tangent), t0 * s - s0 * t)
+    sextic = restrict_to_line(PlaneCurve(data.invariants["cuspidal_sextic"]), tangent)
+    count = binary_form_gcd(quadratic, sextic).degree()
+    if count != 2:
+        reason = f"{count} of 2 tangent-line points on the sextic, expected 2 of 2"
+        return PropertyResult(False, witness=reason)
+    off_base = not any(
+        tangent.contains(p) and not quadratic.evaluate(line_parameter(tangent, p))
+        for p in data.base_points
+    )
+    return PropertyResult(True, {"count": count, "off_base_points": off_base})

@@ -429,21 +429,13 @@ def _nine_torsion(config):
     return PropertyResult(True, out)
 
 
-def _prop62(config):
-    out = {"precision_bits": config.precision_bits}
+def _prop62(_config):
+    out = {}
     for lam in (Fraction(0), Fraction(1)):
-        rep = prop62_check(lam, precision_bits=config.precision_bits)
-        if not rep.holds:
-            return PropertyResult(
-                False,
-                witness=f"lambda={lam}: {rep.count_on_sextic} of {len(rep.points)} "
-                "tangent-line points on the sextic, expected 2 of 2",
-            )
-        out[f"lambda={lam}"] = {
-            "count": rep.count_on_sextic,
-            "off_base_points": rep.off_base_points,
-        }
-        out.setdefault("tolerance", rep.tolerance)
+        res = prop62_check(lam)
+        if not res.holds:
+            return PropertyResult(False, witness=f"lambda={lam}: {res.witness}")
+        out[f"lambda={lam}"] = res.details
     return PropertyResult(True, out)
 
 

@@ -257,6 +257,7 @@ class WeierstrassData:
 
 
 def weierstrass_data(t: PencilParameter) -> WeierstrassData:
+    """`_quartic_sextic_forms` at t, written out pointwise for speed."""
     dom = t.domain
     sixth = dom.coerce(Fraction(1, 6))
     u0, u1 = t.t0, t.t1 * sixth
@@ -518,8 +519,7 @@ def _identity_a() -> PropertyResult:
 
 def _identity_b() -> PropertyResult:
     u0, u1 = MultiPoly.variables(2, QQ)
-    a = 12 * u1 * (u0**3 - u1**3)
-    b = 2 * (u0**6 - 20 * u0**3 * u1**3 - 8 * u1**6)
+    a, b = (f.substitute([u0, 6 * u1]) for f in _quartic_sextic_forms())
     diff = 4 * a**3 + 27 * b**2 - 108 * u0**3 * (u0**3 + 8 * u1**3) ** 3
     return _zero_result(diff)
 
@@ -555,7 +555,7 @@ def _identity_e() -> PropertyResult:
     u0, u1, x, y, z = MultiPoly.variables(5, QQ)
     s = x**3 + y**3 + z**3
     t = x * y * z
-    b = 2 * (u0**6 - 20 * u0**3 * u1**3 - 8 * u1**6)
+    b = _quartic_sextic_forms()[1].substitute([u0, 6 * u1])
     member = u0 * s + 6 * u1 * t
     res = resultant_in_var(b, member, 0)
     exps, core = strip_monomial_content(res)

@@ -15,7 +15,6 @@ from hesse_lab import harness
 from hesse_lab.ellaw import (
     contact_pair_vertices_check,
     nine_torsion_check,
-    prop62_check,
     three_torsion_table,
     translation_compatibility_check,
     two_torsion_polar_check,
@@ -210,11 +209,15 @@ def test_criterion_12_side_results():
             "hesse.dual_curve.m11",
             "hesse.dynamics",
         )
-        rep1 = prop62_check(Fraction(1), precision_bits=128)
-        assert rep1.holds and rep1.count_on_sextic == 2 and rep1.off_base_points
-        assert max(rep1.sextic_residuals) < mpmath.mpf("1e-20")
-        rep0 = prop62_check(Fraction(0), precision_bits=128)
-        assert rep0.holds and rep0.count_on_sextic == 2
+        witness = _run_ids("torsion.prop62")["torsion.prop62"].witness
+        assert witness == {
+            "lambda=0": {"count": 2, "off_base_points": False},
+            "lambda=1": {"count": 2, "off_base_points": True},
+        }
+        # the count is exact, so the working precision cannot move it
+        for bits in (64, 512):
+            at_bits = _run_ids("torsion.prop62", precision_bits=bits)
+            assert at_bits["torsion.prop62"].witness == witness
 
 
 def test_total_budget():

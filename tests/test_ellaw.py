@@ -17,7 +17,6 @@ from hesse_lab.ellaw import (
     _poly_roots,
     _proj_distance,
     _transverse_intersection,
-    add,
     contact_pair_vertices_check,
     curve_context,
     nine_torsion_check,
@@ -29,7 +28,7 @@ from hesse_lab.ellaw import (
 )
 from hesse_lab.field import tower_eps
 from hesse_lab.groups import hessian_group_generators
-from hesse_lab.hesse import hesse_data
+from hesse_lab.hesse import PencilParameter, hesse_data, hessian_map
 from hesse_lab.multipoly import MultiPoly, _divmod
 from hesse_lab.plane import (
     ProjPoint,
@@ -41,6 +40,10 @@ from hesse_lab.plane import (
 
 CTX = curve_context(1)
 PTS = hesse_data().base_points
+
+
+def add(ctx, p, q):
+    return third_intersection(ctx, ctx.origin, third_intersection(ctx, p, q))
 
 
 def neg(ctx, p):
@@ -470,19 +473,26 @@ def test_nine_torsion_input_validation():
 def test_tangent_section_generic():
     report = prop62_check(1)
     assert report.holds
-    assert report.count_on_sextic == 2
-    assert report.off_base_points
-    assert report.swap_symmetric
-    assert report.hessian_param.affine() == Fraction(-109, 3)
+    assert report.details == {"count": 2, "off_base_points": True}
+    hessian = hessian_map().apply(PencilParameter.from_affine(Fraction(1)))
+    assert hessian.affine() == Fraction(-109, 3)
 
 
 def test_tangent_section_fermat_degenerates_to_cusps():
     report = prop62_check(0)
     assert report.holds
-    assert report.count_on_sextic == 2
     # at the Fermat member the two residual points collide with cusps
-    assert not report.off_base_points
-    assert report.hessian_param.is_infinite
+    assert report.details == {"count": 2, "off_base_points": False}
+    assert hessian_map().apply(PencilParameter.from_affine(Fraction(0))).is_infinite
+
+
+@settings(max_examples=15, deadline=None)
+@given(lam=_TORSION_LAMBDA)
+def test_tangent_section_holds_at_large_heights_and_near_the_singular_member(lam):
+    assume(lam != -3)
+    report = prop62_check(lam)
+    assert report.holds
+    assert report.details["count"] == 2
 
 
 def test_numeric_reports_stable_under_more_precision():

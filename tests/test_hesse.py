@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from hesse_lab.multipoly import MultiPoly
+from hesse_lab.field import tower_eps
+from hesse_lab.multipoly import MultiPoly, convert_domain
 from hesse_lab.hesse import (
     IDENTITY_NAMES,
     PencilParameter,
@@ -26,12 +29,14 @@ from hesse_lab.hesse import (
     hessian_map,
     identity_suite,
     parameter_flip,
+    pencil_discriminant,
     pencil_member,
     polar_avoidance_check,
     polar_factorization_check,
     triangle_member_check,
     vertex_singularity_check,
     weierstrass_data,
+    _quartic_sextic_forms,
 )
 
 T0, T1 = MultiPoly.variables(2)
@@ -149,10 +154,33 @@ def test_j_vanishes_at_equianharmonic_parameters():
 def test_j_minus_1728_is_a_square_multiple():
     # 1728*4A^3 - 1728*(4A^3+27B^2) = -46656*B^2, so j = 1728 exactly
     # on the vanishing locus of the sextic coefficient
-    from hesse_lab.hesse import _quartic_sextic_forms
-
     a, b = _quartic_sextic_forms()
     assert 6912 * a**3 - 1728 * (4 * a**3 + 27 * b**2) == -46656 * b**2
+
+
+_K_EPS = tower_eps()
+_RATIONAL = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+# a + b*eps with a, b rationals of up to 64-bit height
+_EPS_ELEMENT = st.builds(
+    lambda a, b: a * _K_EPS.one() + b * _K_EPS.symbol_element("eps"), _RATIONAL, _RATIONAL
+)
+_EPS_PARAMETER = st.one_of(
+    st.tuples(_EPS_ELEMENT, _EPS_ELEMENT)
+    .filter(any)
+    .map(lambda pair: PencilParameter(*pair, _K_EPS)),
+    st.sampled_from(hesse_data().triangle_parameters),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=_EPS_PARAMETER)
+def test_weierstrass_data_evaluates_the_coefficient_forms(t):
+    # weierstrass_data writes the forms out pointwise; both copies must agree
+    a, b = (convert_domain(f, _K_EPS).evaluate(t.pair()) for f in _quartic_sextic_forms())
+    disc = convert_domain(pencil_discriminant(), _K_EPS).evaluate(t.pair())
+    w = weierstrass_data(t)
+    assert (w.quartic, w.sextic, w.discriminant) == (a, b, disc)
+    assert w.singular == (disc == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,22 @@ def _first_contact_cubic_replaced(cubic):
     return mutant
 
 
+def _cuspidal_sextic_plus_x6():
+    # x^6 vanishes on x = 0, the tangent line at lambda = 0, but not on
+    # the tangent line at lambda = 1
+    data = _ellaw_hesse_data()
+    x, _, _ = MultiPoly.variables(3, data.domain)
+    sextic = data.invariants["cuspidal_sextic"] + x**6
+    return replace(data, invariants={**data.invariants, "cuspidal_sextic": sextic})
+
+
+def _first_polar_replaced_by_second():
+    # L_1 is the harmonic polar of p_1, not of the marked point p_0
+    data = _ellaw_hesse_data()
+    polars = data.harmonic_polars
+    return replace(data, harmonic_polars=(polars[1],) + polars[1:])
+
+
 def _gram_entry_moved(lattice, delta):
     # the (0, 1) entry and its mirror move together, so the Gram stays symmetric
     rows = [list(row) for row in lattice.gram]
@@ -228,6 +244,8 @@ MUTANTS = {
             lambda x, y, z: x * (2 * x**2 + y**2 + 3 * z**2 - x * z + y * z)
         ),
     ),
+    "torsion.prop62": (ellaw, "hesse_data", _cuspidal_sextic_plus_x6),
+    "torsion.two": (ellaw, "hesse_data", _first_polar_replaced_by_second),
     "lattice.k3sum.det": (lattice_mod, "direct_sum", _k3_sum_entry_moved),
     "lattice.a2m6.snf": (lattice_mod, "standard_lattice", _standard_entry_moved),
     "lattice.kummer": (lattice_mod, "kummer_fibration_gram", _kummer_entry_moved),
@@ -273,10 +291,17 @@ PINNED_WITNESS = {
         "lambda=1: triples hit base points (3, 6, 0, 0, 2, 1, 0, 6, 3), worst "
         "residual 0.99127, expected no origin and residuals within 1.0e-25"
     ),
+    "torsion.prop62": (
+        "lambda=1: 0 of 2 tangent-line points on the sextic, expected 2 of 2"
+    ),
     "torsion.table": "1 is False, expected True",
     "torsion.table/tangent": "1 is False, expected True",
     "torsion.translations": "scale is not a translation",
     "torsion.translations/chord": "cycle is not a translation",
+    "torsion.two": (
+        "lambda=1,line=0: 3 points on the polar, worst residual 0.86603, "
+        "expected 3 points within 1.0e-25"
+    ),
 }
 
 
