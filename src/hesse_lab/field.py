@@ -698,146 +698,15 @@ class FieldElement:
             return mp.mpc(ball.mid), mp.mpf(ball.rad)
 
 
-def _to_mpc(value, precision_bits: int):
-    """Complex value of an exact scalar: the midpoint of a field element's
-    embedding, or a rational or plain number at the working precision.
+def _to_mpc(value: FieldElement, precision_bits: int):
+    """Complex value of a field element: the midpoint of its embedding.
 
-    A field element's nested Horner form is evaluated on midpoints only;
-    the value equals `embed_complex(...)[0]` exactly, without the radius
-    that nothing here reads."""
-    if isinstance(value, FieldElement):
-        nested, levels, prec = value._nested(precision_bits)
-        with mp.workprec(prec):
-            return mp.mpc(value.tower._eval_nested_mid(nested, levels, prec))
-    if isinstance(value, Fraction):
-        return mp.mpc(value.numerator) / value.denominator
-    return mp.mpc(value)
-
-
-# ---------------------------------------------------------------------------
-# prime fields (coefficient domain for characteristic-p checks)
-# ---------------------------------------------------------------------------
-
-
-def _gf_lift(p: int, x):
-    """x (in F_p, an int, a Fraction or an element of Q) reduced mod p; None
-    for any other type."""
-    if isinstance(x, GFElement):
-        if x.p != p:
-            raise ValueError("mixed characteristic")
-        return x
-    if isinstance(x, FieldElement):
-        x = x.rational_value()
-    if isinstance(x, int):
-        return GFElement(p, x)
-    if isinstance(x, Fraction):
-        return GFElement(p, x.numerator) / GFElement(p, x.denominator)
-    return None
-
-
-class GFElement:
-    """Element of F_p with the usual operator protocol.  It equals the ints and
-    elements of Q reducing to it, which no hash can follow: never mix them as keys."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p: int, v: int):
-        self.p = p
-        self.v = v % p
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __add__(self, other):
-        o = _gf_lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        return GFElement(self.p, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GFElement(self.p, -self.v)
-
-    def __sub__(self, other):
-        o = _gf_lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        return GFElement(self.p, self.v - o.v)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GFElement(self.p, self.v * other)
-        o = _gf_lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        return GFElement(self.p, self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return GFElement(self.p, pow(self.v, -1, self.p))
-
-    def __truediv__(self, other):
-        o = _gf_lift(self.p, other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, n: int):
-        return GFElement(self.p, pow(self.v, n, self.p))
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement) and other.p != self.p:
-            return False
-        try:
-            o = _gf_lift(self.p, other)
-        except (TowerError, ZeroDivisionError):
-            return False  # an irrational element, or a denominator divisible by p
-        return NotImplemented if o is None else self.v == o.v
-
-    def __hash__(self):
-        return hash(("GF", self.p, self.v))
-
-    def __repr__(self):
-        return f"{self.v}"
-
-
-class PrimeField:
-    """Coefficient domain F_p; mirrors the small FieldTower domain surface."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
-        self.p = p
-
-    def zero(self):
-        return GFElement(self.p, 0)
-
-    def one(self):
-        return GFElement(self.p, 1)
-
-    def coerce(self, x):
-        y = _gf_lift(self.p, x)
-        if y is None:
-            raise ValueError(f"cannot coerce {x!r} into F_{self.p}")
-        return y
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+    The nested Horner form is evaluated on midpoints only; the value equals
+    `embed_complex(...)[0]` exactly, without the radius that nothing here
+    reads."""
+    nested, levels, prec = value._nested(precision_bits)
+    with mp.workprec(prec):
+        return mp.mpc(value.tower._eval_nested_mid(nested, levels, prec))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ check's `runtime_ms`.
 
 import fnmatch
 import json
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +57,6 @@ from . import groups as groups_mod
 from . import lattice as lattice_mod
 
 SCHEMA_VERSION = "1"
-_ENV_PRECISION = "HESSE_LAB_PRECISION"
 
 
 @dataclass(frozen=True)
@@ -75,10 +73,7 @@ class HarnessConfig:
 
 
 def default_config(**overrides) -> HarnessConfig:
-    """Config with the environment precision override applied."""
-    env = os.environ.get(_ENV_PRECISION)
-    if env and "precision_bits" not in overrides:
-        overrides["precision_bits"] = int(env)
+    """The default config with the given fields replaced."""
     return HarnessConfig(**overrides)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .field import FieldElement, PrimeField, tower_eps, tower_eps_i, tower_eps_i_cbrt2
+from .field import FieldElement, tower_eps, tower_eps_i, tower_eps_i_cbrt2
 from .multipoly import (
     MultiPoly,
     QQ,
@@ -31,6 +31,7 @@ from .multipoly import (
     poly_to_str,
     proportionality,
     rational_content,
+    reduce_mod,
     resultant_in_var,
     strip_monomial_content,
 )
@@ -689,14 +690,13 @@ def _identity_k() -> PropertyResult:
 
 
 def _identity_l() -> PropertyResult:
-    F3 = PrimeField(3)
-    x, y, z = MultiPoly.variables(3, F3)
+    x, y, z = MultiPoly.variables(3, QQ)
     big_x = x**2 * y + y**2 * z + z**2 * x
     big_y = x * y**2 + y * z**2 + z * x**2
     big_z = x**3 + y**3 + z**3
     big_w = x * y * z
     diff = big_x**3 + big_y**3 + big_z**2 * big_w - big_x * big_y * big_z
-    return _zero_result(diff)
+    return _zero_result(reduce_mod(diff, 3))
 
 
 def _relation_columns(sextic: MultiPoly, nonic_square: MultiPoly, flip_sign: bool):
@@ -1145,51 +1145,64 @@ def polar_factorization_check() -> PropertyResult:
     return PropertyResult(True, {"points": len(data.base_points)})
 
 
+# the 13 points of P^2(F_3), each as its canonical integer triple
+_F3_POINTS = (
+    [(1, a, b) for a in range(3) for b in range(3)]
+    + [(0, 1, a) for a in range(3)]
+    + [(0, 0, 1)]
+)
+
+
+def _residues_mod3(f: MultiPoly) -> list:
+    """The residue mod 3 of f at each point of _F3_POINTS, in integers."""
+    terms = [(int(c.rational_value()), e) for e, c in reduce_mod(f, 3).terms.items()]
+    return [
+        sum(c * x**a * y**b * z**d for c, (a, b, d) in terms) % 3
+        for x, y, z in _F3_POINTS
+    ]
+
+
 def char3_check() -> PropertyResult:
     """In characteristic three the pencil degenerates: the cubic-sum
     generator becomes a triple line, only two members are singular, and
-    the base locus is three points of multiplicity three."""
-    F3 = PrimeField(3)
-    x, y, z = MultiPoly.variables(3, F3)
+    the base locus is three points of multiplicity three.  Each fact is
+    checked on integer polynomials reduced mod 3."""
+    x, y, z = MultiPoly.variables(3, QQ)
     s = x**3 + y**3 + z**3
     t = x * y * z
-    if s != (x + y + z) ** 3:
+    if reduce_mod(s - (x + y + z) ** 3, 3):
         return PropertyResult(False, witness="cubic sum is not a triple line")
 
-    points = [
-        ProjPoint((1, a, b), F3) for a in range(3) for b in range(3)
-    ] + [ProjPoint((0, 1, a), F3) for a in range(3)] + [ProjPoint((0, 0, 1), F3)]
-
-    def singular_somewhere(form):
-        curve_grad = form.gradient((0, 1, 2))
-        for p in points:
-            if form.evaluate(p.coords) != 0:
-                continue
-            if all(g.evaluate(p.coords) == 0 for g in curve_grad):
-                return True
-        return False
-
-    expect = {0: True, 1: False, 2: False, "inf": True}
-    for lam, want in expect.items():
-        form = t if lam == "inf" else s + lam * t
-        if singular_somewhere(form) != want:
+    # value and gradient of s and of t mod 3 at each point; a member a*s + b*t
+    # is singular at p when all four entries of a*jet_s + b*jet_t vanish
+    jet_s = list(zip(*map(_residues_mod3, (s, *s.gradient((0, 1, 2))))))
+    jet_t = list(zip(*map(_residues_mod3, (t, *t.gradient((0, 1, 2))))))
+    # lambda: (a, b, whether the member is singular somewhere)
+    members = {0: (1, 0, True), 1: (1, 1, False), 2: (1, 2, False), "inf": (0, 1, True)}
+    for lam, (a, b, want) in members.items():
+        singular = any(
+            all((a * u + b * v) % 3 == 0 for u, v in zip(js, jt))
+            for js, jt in zip(jet_s, jet_t)
+        )
+        if singular != want:
             return PropertyResult(False, witness=f"member {lam} singularity is off")
 
-    base = [p for p in points if s.evaluate(p.coords) == 0 and t.evaluate(p.coords) == 0]
-    wanted = {
-        ProjPoint((1, 2, 0), F3),
-        ProjPoint((0, 1, 2), F3),
-        ProjPoint((1, 0, 2), F3),
-    }
-    if set(base) != wanted:
-        return PropertyResult(False, witness=f"base locus {base}")
+    base = [p for p, js, jt in zip(_F3_POINTS, jet_s, jet_t) if js[0] == jt[0] == 0]
+    if set(base) != {(1, 2, 0), (0, 1, 2), (1, 0, 2)}:
+        points = ", ".join("(%d : %d : %d)" % p for p in base)
+        return PropertyResult(False, witness=f"base locus [{points}]")
 
+    # Res_z(s, t) over Z reduces to the resultant over F_3, since the
+    # z-degrees 3 and 1 of s and t survive the reduction
     res = resultant_in_var(s, t, 2)
     expected = (x * y * (x + y)) ** 3
-    c, witness = proportionality(res, expected)
-    if c is None:
-        return PropertyResult(False, witness=f"monomial {witness}")
-    return PropertyResult(True, {"base_points": 3, "projection_scalar": c})
+    for c in (1, 2):
+        if not reduce_mod(res - c * expected, 3):
+            return PropertyResult(
+                True, {"base_points": 3, "projection_scalar": QQ.coerce(c)}
+            )
+    lead = reduce_mod(res - expected, 3).leading()[0]
+    return PropertyResult(False, witness=f"monomial {lead}")
 
 
 def cuspidal_sextic_check() -> PropertyResult:

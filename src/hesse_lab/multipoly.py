@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-Coefficients live in a "domain": a FieldTower (Q itself is the tower of
-degree one, `QQ`) or a PrimeField.  A domain exposes zero/one/coerce and
-every coefficient answers `.inverse()`; polynomial arithmetic never leaves
-the domain.
+Coefficients live in a "domain", which is a FieldTower; Q itself is the
+tower of degree one, `QQ`.  A domain exposes zero/one/coerce and every
+coefficient answers `.inverse()`; polynomial arithmetic never leaves the
+domain.  A statement over F_p is checked on integer polynomials over `QQ`
+through `reduce_mod`, since reduction mod p commutes with ring operations.
 Monomials are exponent tuples; the global order is graded lexicographic,
 which fixes canonical printing, the leading term used by exact division,
 and the witness monomial reported when two polynomials fail to be
@@ -365,6 +366,21 @@ class MultiPoly:
         }
 
 
+def reduce_mod(f: MultiPoly, p: int) -> MultiPoly:
+    """f over QQ with each coefficient replaced by its residue in 0..p-1 and
+    zero terms dropped, so f vanishes mod p exactly when the result is zero.
+    Raises ValueError when a coefficient's denominator is divisible by p."""
+    terms = {}
+    for exps, c in f.terms.items():
+        q = c.rational_value()
+        if q.denominator % p == 0:
+            raise ValueError(f"coefficient {q} has no residue mod {p}")
+        r = q.numerator * pow(q.denominator, -1, p) % p
+        if r:
+            terms[exps] = QQ.from_rational(r)
+    return MultiPoly(f.nvars, terms, QQ, _clean=True)
+
+
 def convert_domain(f: MultiPoly, domain) -> MultiPoly:
     """f with its coefficients coerced into domain; f itself when it is
     already over domain."""
@@ -551,7 +567,9 @@ def rational_content(f: MultiPoly) -> Fraction:
 def det_generic(rows):
     """Determinant over any commutative ring, by expansion along the first
     row with memoization on column subsets.  Entries may be MultiPolys,
-    FieldElements or Fractions; they only need +, -, * and truthiness."""
+    FieldElements or Fractions; they only need +, -, * and truthiness.
+    Only ring operations are used, so for integer entries the determinant
+    reduced mod p is the determinant of the residues."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")

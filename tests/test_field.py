@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hesse_lab.field import (
     ExtensionSpec,
-    PrimeField,
     TowerError,
     _to_mpc,
     element_to_str,
@@ -195,52 +194,6 @@ def test_text_grammar_round_trip():
     )
     assert element_to_str((1 - eps) / 3) == "1/3 - 1/3*eps"
     assert element_to_str(t.zero()) == "0"
-
-
-def test_prime_field():
-    f3 = PrimeField(3)
-    a = f3.coerce(2)
-    assert a + a == 1
-    assert a * a == 1
-    assert a.inverse() == 2
-    assert f3.coerce(Fraction(1, 2)) == 2
-    assert f3.coerce(QQ.coerce(Fraction(1, 2))) == 2
-    with pytest.raises(ZeroDivisionError):
-        f3.zero().inverse()
-
-
-def test_prime_field_arithmetic_takes_elements_of_q():
-    f3 = PrimeField(3)
-    half = QQ.coerce(Fraction(1, 2))  # 1/2 = 2 in F_3
-    for q in (half, Fraction(1, 2)):
-        assert f3.one() + q == 0 and q + f3.one() == 0
-        assert f3.one() * q == 2 and q * f3.one() == 2
-        assert f3.one() / q == 2
-    assert f3.one() + tower_eps().from_rational(Fraction(1, 2)) == 0
-    with pytest.raises(TowerError):
-        f3.one() + tower_eps().symbol_element("eps")
-    # foreign types are left to the other operand
-    assert f3.one().__add__("1") is NotImplemented
-    assert f3.one().__mul__(1.5) is NotImplemented
-    assert f3.one().__truediv__(None) is NotImplemented
-    with pytest.raises(TypeError):
-        f3.one() + 1.5
-
-
-def test_prime_field_equality_takes_elements_of_q():
-    f3 = PrimeField(3)
-    half = f3.coerce(Fraction(1, 2))
-    assert f3.one() == QQ.one() and QQ.one() == f3.one()
-    assert half == Fraction(1, 2) and Fraction(1, 2) == half
-    assert half == QQ.coerce(Fraction(1, 2)) and half == -1
-    assert f3.one() != QQ.coerce(Fraction(1, 2))
-    assert f3.one() != PrimeField(5).one()
-    # values with no image in F_3 are unequal to every element
-    assert f3.one() != Fraction(1, 3) and f3.zero() != Fraction(1, 3)
-    assert f3.one() != tower_eps().symbol_element("eps")
-    # foreign types are left to the other operand
-    assert f3.one().__eq__("1") is NotImplemented
-    assert f3.one() != 1.0
 
 
 _RAT = st.fractions(

@@ -56,12 +56,12 @@ def test_config_rejects_low_precision():
         harness.HarnessConfig(precision_bits=32)
 
 
-def test_config_env_override(monkeypatch):
-    monkeypatch.setenv("HESSE_LAB_PRECISION", "192")
-    assert harness.default_config().precision_bits == 192
-    assert harness.default_config(precision_bits=128).precision_bits == 128
-    monkeypatch.delenv("HESSE_LAB_PRECISION")
+def test_default_config_applies_overrides():
+    assert harness.default_config() == harness.HarnessConfig()
     assert harness.default_config().precision_bits == 128
+    config = harness.default_config(precision_bits=192, filters=["hesse.*"])
+    assert config.precision_bits == 192 and config.filters == ("hesse.*",)
+    assert config.lambdas == harness.HarnessConfig().lambdas
 
 
 def test_lattice_subset_passes():

@@ -411,6 +411,7 @@ def test_char3_degeneration():
     result = char3_check()
     assert result.holds
     assert result.details["base_points"] == 3
+    assert result.details["projection_scalar"] == 2
 
 
 def test_cuspidal_sextic_singularities():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hesse_lab.field import (
     FieldElement,
-    PrimeField,
     TowerError,
     tower_eps,
     tower_rationals,
@@ -30,6 +29,7 @@ from hesse_lab.multipoly import (
     poly_to_str,
     proportionality,
     rational_content,
+    reduce_mod,
     resultant_in_var,
     strip_monomial_content,
 )
@@ -307,12 +307,29 @@ def test_rationals_are_the_degree_one_tower():
         MultiPoly(1, {(1,): eps}, QQ)
 
 
-def test_prime_field_polynomials():
-    f3 = PrimeField(3)
-    x, y, z = MultiPoly.variables(3, f3)
-    s = x ** 3 + y ** 3 + z ** 3
-    cube = (x + y + z) ** 3
-    assert s == cube  # freshman's dream in characteristic 3
+def test_reduce_mod_freshmans_dream():
+    assert not reduce_mod(S - (X + Y + Z) ** 3, 3)
+    assert reduce_mod(S - (X + Y + Z) ** 3, 2)
+    assert reduce_mod((X + Y + Z) ** 3, 3) == S
+
+
+def test_reduce_mod_takes_residues_in_range():
+    f = -X ** 2 + Fraction(1, 2) * Y - 7 * Z + 3 * X * Y
+    assert reduce_mod(f, 3) == 2 * X ** 2 + 2 * Y + 2 * Z
+    assert reduce_mod(f, 5) == 4 * X ** 2 + 3 * Y + 3 * Z + 3 * X * Y
+    for p in (3, 5, 7, 11):
+        reduced = reduce_mod(f, p)
+        assert reduced.domain is QQ
+        residues = [c.rational_value() for c in reduced.terms.values()]
+        assert all(r.denominator == 1 and 0 < r < p for r in residues)
+
+
+def test_reduce_mod_rejects_a_denominator_divisible_by_p():
+    with pytest.raises(ValueError):
+        reduce_mod(X / 3 + Y, 3)
+    with pytest.raises(ValueError):
+        reduce_mod(Fraction(5, 6) * X, 2)
+    assert reduce_mod(X / 3 + Y, 2) == X + Y
 
 
 def test_parse_print_round_trip():

@@ -13,11 +13,11 @@ from dataclasses import replace
 
 import pytest
 
-from hesse_lab import ellaw, groups, harness
+from hesse_lab import ellaw, groups, harness, hesse
 from hesse_lab import lattice as lattice_mod
 from hesse_lab.groups import ProjTransform
 from hesse_lab.harness import HarnessConfig
-from hesse_lab.multipoly import MultiPoly
+from hesse_lab.multipoly import MultiPoly, reduce_mod
 
 _generators = groups.hessian_group_generators
 _unit_determinant_generators = groups.unit_determinant_generators
@@ -135,6 +135,15 @@ def _first_polar_replaced_by_second():
     return replace(data, harmonic_polars=(polars[1],) + polars[1:])
 
 
+def _reduced_mod(wrong):
+    # reduction mod another prime: x^3 + y^3 + z^3 is not (x + y + z)^3 mod 2
+    # or mod 5, and the identity-l difference is nonzero mod both
+    def mutant(f, p):
+        return reduce_mod(f, wrong)
+
+    return mutant
+
+
 def _gram_entry_moved(lattice, delta):
     # the (0, 1) entry and its mirror move together, so the Gram stays symmetric
     rows = [list(row) for row in lattice.gram]
@@ -246,6 +255,16 @@ MUTANTS = {
     ),
     "torsion.prop62": (ellaw, "hesse_data", _cuspidal_sextic_plus_x6),
     "torsion.two": (ellaw, "hesse_data", _first_polar_replaced_by_second),
+    "hesse.char3": (hesse, "reduce_mod", _reduced_mod(2)),
+    "hesse.char3/mod5": (hesse, "reduce_mod", _reduced_mod(5)),
+    # P^2(F_3) without the base point (0 : 1 : 2)
+    "hesse.char3/points": (
+        hesse,
+        "_F3_POINTS",
+        [p for p in hesse._F3_POINTS if p != (0, 1, 2)],
+    ),
+    "hesse.identity.l": (hesse, "reduce_mod", _reduced_mod(2)),
+    "hesse.identity.l/mod5": (hesse, "reduce_mod", _reduced_mod(5)),
     "lattice.k3sum.det": (lattice_mod, "direct_sum", _k3_sum_entry_moved),
     "lattice.a2m6.snf": (lattice_mod, "standard_lattice", _standard_entry_moved),
     "lattice.kummer": (lattice_mod, "kummer_fibration_gram", _kummer_entry_moved),
@@ -280,6 +299,11 @@ PINNED_WITNESS = {
     ),
     "groups.unit_determinant": "determinants_one is False, expected True",
     "groups.vertex_orbits": "orbit_sizes is [3, 9], expected [3, 3, 3, 3]",
+    "hesse.char3": "cubic sum is not a triple line",
+    "hesse.char3/mod5": "cubic sum is not a triple line",
+    "hesse.char3/points": "base locus [(1 : 0 : 2), (1 : 2 : 0)]",
+    "hesse.identity.l": "monomial (5, 2, 2)",
+    "hesse.identity.l/mod5": "monomial (5, 2, 2)",
     "lattice.a2m6.snf": "invariants is (1, 119), expected (6, 18)",
     "lattice.k3sum.det": "det is -12, expected -3",
     "lattice.kummer": "det is -1296, expected -972",
