@@ -216,7 +216,7 @@ def translation_compatibility_check(parameter) -> PropertyResult:
     data = hesse_data()
     pts = data.base_points
     index = {p: i for i, p in enumerate(pts)}
-    gens = hessian_group_generators(ctx.domain)
+    gens = hessian_group_generators()
     assignments = {}
     for name in ("cycle", "scale"):
         g = gens[name]

@@ -1,4 +1,4 @@
-"""Towers of number fields over Q with exact arithmetic and complex embeddings.
+"""Towers of number fields over Q with exact arithmetic.
 
 A tower Q = K0 < K1 < ... < Kn is built one simple extension at a time: each
 level adjoins a root of a monic polynomial whose coefficients live in the
@@ -16,12 +16,10 @@ multiplication matrix M_a by fraction-free (Bareiss) elimination.  This is
 the layout of Cohen, *A Course in Computational Algebraic Number Theory*,
 section 4.2.
 
-Each level carries a numeric hint that selects one complex root of its
-minimal polynomial; the induced embedding is evaluated in midpoint-radius
-ball arithmetic, so `FieldElement.embed_complex` returns a value together
-with an error radius that every arithmetic step widens.  The radius of each
-generator's root is the heuristic 2|f|/|f'| at its Newton-refined value, so
-the radius is an estimate, not a proved enclosure.
+A tower is exact data only: a level is a symbol and a minimal polynomial,
+and no complex root is chosen.  The one complex embedding the program takes
+is that of Q(eps) with eps = exp(2*pi*i/3), in closed form (`_to_mpc`), for
+the numeric torsion checks and the plot.
 
 Irreducibility of user-supplied minimal polynomials is *not* verified; the
 built-in towers (`tower_eps`, `tower_eps_i`, `tower_eps_i_cbrt2`,
@@ -43,72 +41,7 @@ RationalLike = Union[int, Fraction]
 
 
 class TowerError(ValueError):
-    """Raised for malformed towers, mixed-tower arithmetic and bad hints."""
-
-
-# ---------------------------------------------------------------------------
-# complex ball arithmetic
-# ---------------------------------------------------------------------------
-
-
-def _round_eps() -> mp.mpf:
-    # a few guard bits above the working-precision ulp
-    return mp.mpf(2) ** (4 - mp.mp.prec)
-
-
-def _rational_mid(q: Fraction) -> mp.mpf:
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
-
-
-class ComplexBall:
-    """Complex enclosure mid +- rad; every operation pads for rounding."""
-
-    __slots__ = ("mid", "rad")
-
-    def __init__(self, mid, rad=0):
-        self.mid = mp.mpc(mid)
-        self.rad = mp.mpf(rad)
-
-    @staticmethod
-    def from_rational(q: Fraction) -> "ComplexBall":
-        if q == 0:
-            return ComplexBall(0, 0)
-        mid = _rational_mid(q)
-        return ComplexBall(mid, abs(mid) * _round_eps())
-
-    def __add__(self, other: "ComplexBall") -> "ComplexBall":
-        mid = self.mid + other.mid
-        rad = self.rad + other.rad + abs(mid) * _round_eps()
-        return ComplexBall(mid, rad)
-
-    def __mul__(self, other: "ComplexBall") -> "ComplexBall":
-        mid = self.mid * other.mid
-        rad = (
-            abs(self.mid) * other.rad
-            + abs(other.mid) * self.rad
-            + self.rad * other.rad
-            + abs(mid) * _round_eps()
-        )
-        return ComplexBall(mid, rad)
-
-    def __repr__(self):
-        return f"ComplexBall({self.mid}, rad={self.rad})"
-
-
-def _nested_from_flat(coords: Sequence[Fraction], degrees: Sequence[int], lvl: int):
-    """Coordinates as nested coefficient lists, outermost the last generator.
-
-    flat index = e_1 + d_1*(e_2 + d_2*(...)): the first generator varies
-    fastest, so block e of the flat tuple is the coefficient of x_lvl^e.
-    """
-    if lvl == 0:
-        return coords[0]
-    d = degrees[lvl - 1]
-    block = len(coords) // d
-    return [
-        _nested_from_flat(coords[e * block : (e + 1) * block], degrees, lvl - 1)
-        for e in range(d)
-    ]
+    """Raised for malformed towers and mixed-tower arithmetic."""
 
 
 def _solve_fraction_free(rows: list) -> tuple:
@@ -145,15 +78,14 @@ def _solve_fraction_free(rows: list) -> tuple:
 
 
 class _Level:
-    """One extension step: symbol, degree, minpoly and embedding hint."""
+    """One extension step: symbol, degree and minpoly."""
 
-    __slots__ = ("symbol", "degree", "minpoly_coords", "hint")
+    __slots__ = ("symbol", "degree", "minpoly_coords")
 
-    def __init__(self, symbol, degree, minpoly_coords, hint):
+    def __init__(self, symbol, degree, minpoly_coords):
         self.symbol = symbol
         self.degree = degree
         self.minpoly_coords = minpoly_coords  # tuple of flat prefix coord tuples
-        self.hint = hint
 
 
 class ExtensionSpec:
@@ -163,12 +95,11 @@ class ExtensionSpec:
     or FieldElements of the tower built so far.
     """
 
-    __slots__ = ("symbol", "minpoly", "embedding_hint")
+    __slots__ = ("symbol", "minpoly")
 
-    def __init__(self, symbol: str, minpoly: Sequence, embedding_hint: complex):
+    def __init__(self, symbol: str, minpoly: Sequence):
         self.symbol = symbol
         self.minpoly = tuple(minpoly)
-        self.embedding_hint = complex(embedding_hint)
 
 
 class FieldTower:
@@ -181,10 +112,7 @@ class FieldTower:
         for d in self._degrees:
             self.total_degree *= d
         self._tail = (0,) * (self.total_degree - 1)
-        self._roots: dict = {}
-        self._fingerprint = hash(
-            tuple((l.symbol, l.degree, l.minpoly_coords, l.hint) for l in levels)
-        )
+        self._fingerprint = hash(self._key())
         self._table, self._scale = self._structure_constants()
 
     # -- identity ----------------------------------------------------------
@@ -197,14 +125,15 @@ class FieldTower:
     def symbols(self):
         return tuple(l.symbol for l in self._levels)
 
+    def _key(self) -> tuple:
+        return tuple((l.symbol, l.degree, l.minpoly_coords) for l in self._levels)
+
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, FieldTower):
             return NotImplemented
-        return [
-            (l.symbol, l.degree, l.minpoly_coords, l.hint) for l in self._levels
-        ] == [(l.symbol, l.degree, l.minpoly_coords, l.hint) for l in other._levels]
+        return self._key() == other._key()
 
     def __hash__(self):
         return self._fingerprint
@@ -367,82 +296,6 @@ class FieldTower:
         ]
         return table, scale
 
-    # -- embeddings ------------------------------------------------------------
-
-    def _root_ball(self, level: int, prec: int) -> ComplexBall:
-        key = (level, prec)
-        cached = self._roots.get(key)
-        if cached is not None:
-            return cached
-        lev = self._levels[level]
-        with mp.workprec(prec):
-            coeff_balls = [
-                self._eval_prefix_ball(c, level, prec) for c in lev.minpoly_coords
-            ]
-            centers = [b.mid for b in coeff_balls]
-            x = mp.mpc(lev.hint)
-            for _ in range(prec):
-                fx = _horner(centers, x)
-                dfx = _horner_derivative(centers, x)
-                if dfx == 0:
-                    raise TowerError(f"singular Newton step for {lev.symbol!r}")
-                step = fx / dfx
-                x = x - step
-                if abs(step) < mp.mpf(2) ** (8 - prec) * max(1, abs(x)):
-                    break
-            # residual-based radius for a simple root, padded by the
-            # coefficient enclosure widths
-            ball_res = ComplexBall(0, 0)
-            xb = ComplexBall(x, 0)
-            for b in reversed(coeff_balls):
-                ball_res = ball_res * xb + b
-            dfx = _horner_derivative(centers, x)
-            rad = 2 * (abs(ball_res.mid) + ball_res.rad) / abs(dfx)
-            ball = ComplexBall(x, rad)
-        self._roots[key] = ball
-        return ball
-
-    def _eval_prefix_ball(self, coords, level: int, prec: int) -> ComplexBall:
-        """Evaluate a flat prefix-tower coordinate tuple at the embedding."""
-        degrees = self._degrees[:level]
-        nested = _nested_from_flat(list(coords), degrees, level)
-        return self._eval_nested_ball(nested, level, prec)
-
-    def _eval_nested_ball(self, nested, lvl: int, prec: int) -> ComplexBall:
-        if lvl == 0:
-            return ComplexBall.from_rational(nested)
-        root = self._root_ball(lvl - 1, prec)
-        acc = ComplexBall(0, 0)
-        for c in reversed(nested):
-            acc = acc * root + self._eval_nested_ball(c, lvl - 1, prec)
-        return acc
-
-    def _eval_nested_mid(self, nested, lvl: int, prec: int):
-        """The `mid` of `_eval_nested_ball`, by the same mpc operations on
-        midpoints alone, so the two agree bit for bit."""
-        if lvl == 0:
-            return _rational_mid(nested)
-        root = self._root_ball(lvl - 1, prec).mid
-        acc = mp.mpc(0)
-        for c in reversed(nested):
-            acc = acc * root + self._eval_nested_mid(c, lvl - 1, prec)
-        return acc
-
-
-def _horner(coeffs, x):
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _horner_derivative(coeffs, x):
-    acc = mp.mpc(0)
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * x + k * coeffs[k]
-    return acc
-
-
 def _extend(tower: FieldTower, spec: ExtensionSpec) -> FieldTower:
     coeffs = [tower.coerce(c) for c in spec.minpoly]
     degree = len(coeffs) - 1
@@ -452,26 +305,12 @@ def _extend(tower: FieldTower, spec: ExtensionSpec) -> FieldTower:
         raise TowerError(f"minimal polynomial for {spec.symbol!r} is not monic")
     if spec.symbol in tower.symbols:
         raise TowerError(f"duplicate symbol {spec.symbol!r}")
-    # the hint must select exactly one root of the minimal polynomial
-    with mp.workprec(200):
-        centers = [
-            tower._eval_prefix_ball(c.coords, len(tower.levels), 200).mid
-            for c in coeffs
-        ]
-        roots = mp.polyroots(list(reversed(centers)), maxsteps=200, extraprec=120)
-        hint = mp.mpc(spec.embedding_hint)
-        close = [r for r in roots if abs(r - hint) < mp.mpf("1e-3")]
-    if len(close) == 0:
-        raise TowerError(f"embedding hint for {spec.symbol!r} is not near any root")
-    if len(close) > 1:
-        raise TowerError(f"embedding hint for {spec.symbol!r} is ambiguous")
-    minpoly_coords = tuple(c.coords for c in coeffs)
-    level = _Level(spec.symbol, degree, minpoly_coords, spec.embedding_hint)
+    level = _Level(spec.symbol, degree, tuple(c.coords for c in coeffs))
     return FieldTower(tower.levels + (level,))
 
 
 def tower_create(specs: Iterable[ExtensionSpec]) -> FieldTower:
-    """Build a tower from extension specs, validating shape and hints."""
+    """Build a tower from extension specs, validating their shape."""
     tower = FieldTower(())
     for spec in specs:
         tower = _extend(tower, spec)
@@ -637,14 +476,7 @@ class FieldElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.tower.one)
 
     # -- comparison -------------------------------------------------------------
 
@@ -676,37 +508,34 @@ class FieldElement:
     def __repr__(self):
         return element_to_str(self)
 
-    # -- embedding ------------------------------------------------------------
 
-    def _nested(self, precision_bits: int):
-        """The nested Horner form, its depth, and the working precision,
-        precision_bits plus 48 guard bits, at which to evaluate it."""
-        if precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
-        levels = len(self.tower.levels)
-        nested = _nested_from_flat(self.coords, self.tower._degrees, levels)
-        return nested, levels, precision_bits + 48
-
-    def embed_complex(self, precision_bits: int = 128):
-        """Complex value of the element plus an error radius.
-
-        The radius propagates the heuristic 2|f|/|f'| of each generator's
-        Newton-refined root; it is an estimate, not a proved enclosure."""
-        nested, levels, prec = self._nested(precision_bits)
-        with mp.workprec(prec):
-            ball = self.tower._eval_nested_ball(nested, levels, prec)
-            return mp.mpc(ball.mid), mp.mpf(ball.rad)
+def _power(x, n: int, one):
+    """x ** n for n >= 0 by left-to-right square-and-multiply: n = 2, 3 and
+    6 take one, two and three products; n = 0 returns one()."""
+    if not n:
+        return one()
+    result = x
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
 
 
 def _to_mpc(value: FieldElement, precision_bits: int):
-    """Complex value of a field element: the midpoint of its embedding.
+    """Complex value of an element of Q or Q(eps), with eps = exp(2*pi*i/3).
 
-    The nested Horner form is evaluated on midpoints only; the value equals
-    `embed_complex(...)[0]` exactly, without the radius that nothing here
-    reads."""
-    nested, levels, prec = value._nested(precision_bits)
-    with mp.workprec(prec):
-        return mp.mpc(value.tower._eval_nested_mid(nested, levels, prec))
+    a + b*eps is (a - b/2) + i*b*sqrt(3)/2, computed with 48 guard bits above
+    precision_bits.  No other tower has a complex embedding."""
+    if precision_bits < 64:
+        raise ValueError("precision_bits must be >= 64")
+    tower = value.tower
+    if tower.levels and tower != tower_eps():
+        raise TowerError(f"no complex embedding of {tower!r}")
+    a, b = (value.coords + (Fraction(0),))[:2]
+    with mp.workprec(precision_bits + 48):
+        re, im = (mp.mpf(q.numerator) / mp.mpf(q.denominator) for q in (a, b))
+        return mp.mpc(re - im / 2, im * mp.sqrt(3) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -776,44 +605,32 @@ def tower_rationals() -> FieldTower:
 
 @lru_cache(maxsize=None)
 def tower_eps() -> FieldTower:
-    """Q(eps) with eps^2 + eps + 1 = 0, eps = exp(2*pi*i/3)."""
-    return tower_create(
-        [ExtensionSpec("eps", [1, 1, 1], complex(-0.5, 0.8660254037844386))]
-    )
+    """Q(eps) with eps^2 + eps + 1 = 0, the one tower with a complex embedding:
+    `_to_mpc` takes eps to exp(2*pi*i/3)."""
+    return tower_create([ExtensionSpec("eps", [1, 1, 1])])
 
 
 @lru_cache(maxsize=None)
 def tower_eps_i() -> FieldTower:
-    """Q(eps, i) with i^2 + 1 = 0, i in the upper half plane."""
+    """Q(eps, i) with i^2 + 1 = 0."""
     return tower_create(
-        [
-            ExtensionSpec("eps", [1, 1, 1], complex(-0.5, 0.8660254037844386)),
-            ExtensionSpec("i", [1, 0, 1], complex(0.0, 1.0)),
-        ]
+        [ExtensionSpec("eps", [1, 1, 1]), ExtensionSpec("i", [1, 0, 1])]
     )
 
 
 @lru_cache(maxsize=None)
 def tower_eps_i_cbrt2() -> FieldTower:
-    """Q(eps, i, cbrt2): degree 12, cbrt2 the real cube root of 2."""
+    """Q(eps, i, cbrt2) of degree 12, with cbrt2^3 = 2."""
     return tower_create(
         [
-            ExtensionSpec("eps", [1, 1, 1], complex(-0.5, 0.8660254037844386)),
-            ExtensionSpec("i", [1, 0, 1], complex(0.0, 1.0)),
-            ExtensionSpec("cbrt2", [-2, 0, 0, 1], complex(1.2599210498948732, 0.0)),
+            ExtensionSpec("eps", [1, 1, 1]),
+            ExtensionSpec("i", [1, 0, 1]),
+            ExtensionSpec("cbrt2", [-2, 0, 0, 1]),
         ]
     )
 
 
 @lru_cache(maxsize=None)
 def tower_zeta9() -> FieldTower:
-    """Q(zeta9) with zeta9^6 + zeta9^3 + 1 = 0, zeta9 = exp(2*pi*i/9)."""
-    return tower_create(
-        [
-            ExtensionSpec(
-                "zeta9",
-                [1, 0, 0, 1, 0, 0, 1],
-                complex(0.766044443118978, 0.6427876096865393),
-            )
-        ]
-    )
+    """Q(zeta9) with zeta9^6 + zeta9^3 + 1 = 0, a primitive ninth root of unity."""
+    return tower_create([ExtensionSpec("zeta9", [1, 0, 0, 1, 0, 0, 1])])

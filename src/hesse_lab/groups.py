@@ -20,7 +20,7 @@ holomorphic 2-form of the double cover w^2 + (degree-six invariant) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .field import tower_eps, tower_zeta9
 from .hesse import hesse_data, pencil_forms
@@ -207,8 +207,9 @@ class ProjTransform:
         return f"ProjTransform({self.rows!r})"
 
 
-def hessian_group_generators(domain=None) -> dict:
-    """The five classical plane transformations preserving the pencil.
+def hessian_group_generators() -> dict:
+    """The five classical plane transformations preserving the pencil, over
+    Q(eps).
 
     swap:    (x, y, z) -> (x, z, y)
     cycle:   (x, y, z) -> (y, z, x)
@@ -217,7 +218,7 @@ def hessian_group_generators(domain=None) -> dict:
              1,e^2,e); its square is swap
     dilate:  diag(1, e, e)
     """
-    K = domain if domain is not None else tower_eps()
+    K = tower_eps()
     e = K.symbol_element("eps")
     e2 = e * e
     one, zero = K.one(), K.zero()
@@ -240,11 +241,10 @@ def hessian_group_generators(domain=None) -> dict:
     }
 
 
-def normalized_fourier(domain=None) -> ProjTransform:
+def normalized_fourier() -> ProjTransform:
     """The fourier generator scaled to determinant one by 1/(e - e^2)."""
-    K = domain if domain is not None else tower_eps()
-    e = K.symbol_element("eps")
-    g = hessian_group_generators(K)["fourier"]
+    e = tower_eps().symbol_element("eps")
+    g = hessian_group_generators()["fourier"]
     return g.scaled((e - e * e).inverse())
 
 
@@ -311,8 +311,8 @@ def _element_order(G: MatrixGroup, m: tuple) -> int:
     return k
 
 
-def group_facts(G: MatrixGroup, sub: Optional[MatrixGroup] = None) -> dict:
-    """Exact combinatorial facts: order, center, element orders, normality."""
+def group_facts(G: MatrixGroup) -> dict:
+    """Exact combinatorial facts: order, center, element orders, abelian."""
     abelian = all(G.mul(a, b) == G.mul(b, a) for a in G.gens for b in G.gens)
     center = [
         m for m in G.elements if all(G.mul(m, g) == G.mul(g, m) for g in G.gens)
@@ -321,21 +321,12 @@ def group_facts(G: MatrixGroup, sub: Optional[MatrixGroup] = None) -> dict:
     for m in G.elements:
         k = _element_order(G, m)
         histogram[k] = histogram.get(k, 0) + 1
-    facts = {
+    return {
         "order": G.order,
         "center_order": len(center),
         "order_histogram": dict(sorted(histogram.items())),
         "abelian": abelian,
     }
-    if sub is not None:
-        if not sub.elements <= G.elements:
-            raise ValueError("sub is not contained in G")
-        facts["is_normal_sub"] = all(
-            G.mul(G.mul(g, h), _mat_inv(g, G.domain)) in sub.elements
-            for g in G.gens
-            for h in sub.elements
-        )
-    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +493,8 @@ def cover_automorphisms() -> dict:
     K = tower_eps()
     e = K.symbol_element("eps")
     one, zero = K.one(), K.zero()
-    gens = hessian_group_generators(K)
-    nf = normalized_fourier(K)
+    gens = hessian_group_generators()
+    nf = normalized_fourier()
     twisted = gens["dilate"].compose(nf).compose(gens["dilate"].inverse())
     dilate_square = ProjTransform(
         ((one, zero, zero), (zero, e * e, zero), (zero, zero, e * e)), K

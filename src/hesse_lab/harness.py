@@ -323,7 +323,7 @@ def _invariance_sextic(_config):
         name: partial(factor, gens[name]) for name in ("cycle", "scale", "dilate")
     }
     measures["fourier_normalized"] = partial(
-        factor, groups_mod.normalized_fourier(K), use_lift=True
+        factor, groups_mod.normalized_fourier(), use_lift=True
     )
     return _measure(measures, dict.fromkeys(measures, K.one()))
 

@@ -52,13 +52,6 @@ class IntLattice:
             return tuple(tuple(-v for v in r) for r in self.gram)
         return self.gram
 
-    def norm(self, vector) -> int:
-        return sum(
-            vector[i] * self.gram[i][j] * vector[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, IntLattice):
             return NotImplemented
@@ -237,6 +230,12 @@ def discriminant_order(lattice: IntLattice) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _pairing(gram, u, v) -> int:
+    """u^T Gram v."""
+    rank = len(gram)
+    return sum(u[a] * gram[a][b] * v[b] for a in range(rank) for b in range(rank))
+
+
 def vectors_of_norm(lattice: IntLattice, n: int, coeff_bound: int = None) -> tuple:
     """Exhaustive list of vectors with |x Gram x| = |n| on a definite
     lattice; the default bound n*(G^-1)_ii covers every solution."""
@@ -263,9 +262,7 @@ def vectors_of_norm(lattice: IntLattice, n: int, coeff_bound: int = None) -> tup
         i = len(prefix)
         if i == rank:
             vec = tuple(prefix)
-            if any(vec) and sum(
-                vec[a] * gram[a][b] * vec[b] for a in range(rank) for b in range(rank)
-            ) == target:
+            if any(vec) and _pairing(gram, vec, vec) == target:
                 out.append(vec)
             return
         for v in range(-bounds[i], bounds[i] + 1):
@@ -293,15 +290,12 @@ def embeds_finite_index(sub: IntLattice, big: IntLattice):
     rank = sub.rank
     candidates = [vectors_of_norm(big, g_sub[j][j]) for j in range(rank)]
 
-    def pairing(u, v):
-        return sum(u[a] * g_big[a][b] * v[b] for a in range(rank) for b in range(rank))
-
     def extend(cols):
         j = len(cols)
         if j == rank:
             return list(cols)
         for v in candidates[j]:
-            if all(pairing(cols[i], v) == g_sub[i][j] for i in range(j)):
+            if all(_pairing(g_big, cols[i], v) == g_sub[i][j] for i in range(j)):
                 got = extend(cols + [v])
                 if got is not None:
                     return got

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .field import tower_rationals
+from .field import _power, tower_rationals
 
 QQ = tower_rationals()
 
@@ -210,14 +210,11 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = MultiPoly.constant(self.nvars, self.domain.one(), self.domain)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(
+            self,
+            n,
+            lambda: MultiPoly.constant(self.nvars, self.domain.one(), self.domain),
+        )
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):

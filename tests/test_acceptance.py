@@ -107,9 +107,7 @@ def test_criterion_05_invariant_factors_and_factorizations():
         for name in ("cycle", "scale", "dilate"):
             assert invariance_factor(quartic_invariant, gens[name]) == one
         assert (
-            invariance_factor(
-                quartic_invariant, normalized_fourier(data.domain), use_lift=True
-            )
+            invariance_factor(quartic_invariant, normalized_fourier(), use_lift=True)
             == one
         )
 

@@ -262,7 +262,7 @@ def _oracle_translations(table):
     """translation_compatibility_check's verdict, read off the full table."""
     labels = hesse_data().labels
     index = {p: i for i, p in enumerate(PTS)}
-    gens = hessian_group_generators(tower_eps())
+    gens = hessian_group_generators()
     assignments = {}
     for name in ("cycle", "scale"):
         perm = tuple(index[gens[name].apply(p)] for p in PTS)

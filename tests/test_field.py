@@ -1,4 +1,4 @@
-"""Field tower arithmetic, embeddings and printing."""
+"""Field tower arithmetic, the complex embedding of Q(eps), and printing."""
 
 import sys
 from fractions import Fraction
@@ -56,60 +56,43 @@ def test_eps_times_eps_squared_is_one():
     assert eps * eps ** 2 == 1
 
 
+def _value_at(x, generator_values):
+    """x with each generator of its tower replaced by the given complex value,
+    summed over the flat power basis at the current working precision."""
+    total = mp.mpc(0)
+    for idx, q in enumerate(x.coords):
+        term = mp.mpf(q.numerator) / q.denominator
+        for value, e in zip(generator_values, x.tower.basis_exponents(idx)):
+            term *= value ** e
+        total += term
+    return total
+
+
 def test_sqrt3_squares_to_three():
     t = tower_eps_i()
     eps = t.symbol_element("eps")
     i = t.symbol_element("i")
     sqrt3 = -i * (eps - eps ** 2)
     assert sqrt3 ** 2 == 3
-    # the chosen embeddings make this the positive square root
-    val, rad = sqrt3.embed_complex(96)
+    # at eps = exp(2*pi*i/3) and i = +i this is the positive square root
     with mp.workprec(128):
-        assert abs(val - mp.sqrt(3)) < mp.mpf(2) ** -80
+        val = _value_at(sqrt3, (mp.expjpi(mp.mpf(2) / 3), mp.j))
+        assert abs(val - mp.sqrt(3)) < mp.mpf(2) ** -120
 
 
 def test_embed_eps_128_bits():
     eps = tower_eps().symbol_element("eps")
-    val, rad = eps.embed_complex(128)
+    val = _to_mpc(eps, 128)
     with mp.workprec(160):
         ref = mp.mpc(mp.mpf(-1) / 2, mp.sqrt(3) / 2)
         assert abs(val - ref) < mp.mpf(2) ** -120
-    assert rad < mp.mpf(2) ** -120
-
-
-def test_embed_zero_is_exact():
-    t = tower_eps()
-    val, rad = t.zero().embed_complex(64)
-    assert val == 0 and rad == 0
 
 
 def test_embed_eps_difference_is_i_sqrt3():
     eps = tower_eps().symbol_element("eps")
-    val, _ = (eps - eps ** 2).embed_complex(96)
+    val = _to_mpc(eps - eps ** 2, 96)
     with mp.workprec(128):
         assert abs(val - mp.mpc(0, mp.sqrt(3))) < mp.mpf(2) ** -80
-
-
-def test_embedding_refines_with_precision():
-    x = tower_eps_i_cbrt2().symbol_element("cbrt2")
-    _, rad_lo = (x ** 2 + 5).embed_complex(64)
-    _, rad_hi = (x ** 2 + 5).embed_complex(256)
-    assert rad_hi < rad_lo
-
-
-def test_embedding_is_multiplicative_within_bounds():
-    t = tower_eps_i_cbrt2()
-    eps = t.symbol_element("eps")
-    i = t.symbol_element("i")
-    c = t.symbol_element("cbrt2")
-    a = eps * 3 - i * c + 7
-    b = c ** 2 - eps * i * Fraction(5, 3)
-    va, ra = a.embed_complex(128)
-    vb, rb = b.embed_complex(128)
-    vab, rab = (a * b).embed_complex(128)
-    with mp.workprec(192):
-        slack = ra * abs(vb) + rb * abs(va) + ra * rb + rab
-        assert abs(vab - va * vb) <= slack + mp.mpf(2) ** -100
 
 
 def test_zeta9_tower():
@@ -119,10 +102,15 @@ def test_zeta9_tower():
     assert z ** 9 == 1
     cube = z ** 3
     assert cube ** 2 + cube + 1 == 0
-    val, _ = z.embed_complex(96)
+    # zeta9 -> exp(2*pi*i/9) is a root of the minimal polynomial, so the
+    # substitution respects the products the tower reduces by it
+    a, b = z ** 5 + 2 * z, z ** 4 - Fraction(3, 7) * z ** 2
     with mp.workprec(128):
-        ref = mp.expjpi(mp.mpf(2) / 9)
-        assert abs(val - ref) < mp.mpf(2) ** -80
+        zeta = (mp.expjpi(mp.mpf(2) / 9),)
+        eps = mp.expjpi(mp.mpf(2) / 3)
+        assert abs(_value_at(z ** 3, zeta) - eps) < mp.mpf(2) ** -120
+        product = _value_at(a, zeta) * _value_at(b, zeta)
+        assert abs(_value_at(a * b, zeta) - product) < mp.mpf(2) ** -120
 
 
 def test_division_by_zero_raises():
@@ -140,15 +128,7 @@ def test_mixed_tower_arithmetic_raises():
 
 def test_non_monic_minpoly_rejected():
     with pytest.raises(TowerError):
-        tower_create([ExtensionSpec("a", [1, 1, 2], complex(0, 1))])
-
-
-def test_ambiguous_hint_rejected():
-    # x^2 - 10^-8 has two roots within 1e-3 of 0
-    with pytest.raises(TowerError):
-        tower_create(
-            [ExtensionSpec("a", [Fraction(-1, 10 ** 8), 0, 1], complex(0, 0))]
-        )
+        tower_create([ExtensionSpec("a", [1, 1, 2])])
 
 
 def test_equality_is_structural():
@@ -227,27 +207,13 @@ def test_field_axioms(data):
         assert a * a.inverse() == 1
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.data())
-def test_embedding_additive(data):
-    a = _elem(data.draw)
-    b = _elem(data.draw)
-    va, ra = a.embed_complex(96)
-    vb, rb = b.embed_complex(96)
-    vs, rs = (a + b).embed_complex(96)
-    with mp.workprec(160):
-        assert abs(vs - (va + vb)) <= ra + rb + rs + mp.mpf(2) ** -80
-
-
 # -- the integer-numerator layout: canonical form, hashing, inverses ----------
 
 
 @lru_cache(maxsize=None)
 def _tower_sqrt_half():
     """Q(s) with s^2 = 1/2: structure constants over D = 2."""
-    return tower_create(
-        [ExtensionSpec("s", [Fraction(-1, 2), 0, 1], complex(0.7071, 0))]
-    )
+    return tower_create([ExtensionSpec("s", [Fraction(-1, 2), 0, 1])])
 
 
 @lru_cache(maxsize=None)
@@ -256,10 +222,8 @@ def _tower_two_level_fractional():
     s = _tower_sqrt_half().symbol_element("s")
     return tower_create(
         [
-            ExtensionSpec("s", [Fraction(-1, 2), 0, 1], complex(0.7071, 0)),
-            ExtensionSpec(
-                "u", [-(s / 3 + Fraction(1, 5)), 0, 0, 1], complex(0.7583, 0)
-            ),
+            ExtensionSpec("s", [Fraction(-1, 2), 0, 1]),
+            ExtensionSpec("u", [-(s / 3 + Fraction(1, 5)), 0, 0, 1]),
         ]
     )
 
@@ -302,12 +266,81 @@ def _tower_and_elements(draw):
     return tower, elems
 
 
+@st.composite
+def _embeddable_elements(draw):
+    """Two elements of Q or of Q(eps) with coordinates of height up to 512 bits."""
+    tower = draw(st.sampled_from((tower_rationals, tower_eps)))()
+    bits = draw(st.sampled_from((4, 64, 128, 512)))
+    numerators = st.integers(min_value=-(2 ** bits), max_value=2 ** bits)
+    denominators = st.integers(min_value=1, max_value=2 ** bits)
+    return [
+        tower._from_coords(
+            [
+                Fraction(draw(numerators), draw(denominators))
+                for _ in range(tower.total_degree)
+            ]
+        )
+        for _ in range(2)
+    ]
+
+
+def _height(x):
+    """|a| + |b| for x = a + b*eps, as an mpf."""
+    return sum(abs(mp.mpf(q.numerator) / q.denominator) for q in x.coords)
+
+
+_EMBED_BITS = st.sampled_from((64, 128, 512))
+
+
 @settings(max_examples=30, deadline=None)
-@given(_tower_and_elements(), st.sampled_from((64, 128, 512)))
-def test_to_mpc_is_the_embedding_midpoint_bit_for_bit(drawn, bits):
-    _, elems = drawn
-    for x in elems:
-        assert _to_mpc(x, bits) == x.embed_complex(bits)[0]
+@given(_embeddable_elements(), _EMBED_BITS)
+def test_to_mpc_is_the_embedding_midpoint_bit_for_bit(elems, bits):
+    # the closed form (a - b/2) + i*b*sqrt(3)/2 against a + b*exp(2*pi*i/3),
+    # each within 2^-bits of the coordinate height
+    with mp.workprec(bits + 64):
+        eps = mp.expjpi(mp.mpf(2) / 3)
+        for z in elems + [elems[0] * elems[1]]:
+            a, b = (z.coords + (Fraction(0),))[:2]
+            ref = mp.mpf(a.numerator) / a.denominator
+            ref += mp.mpf(b.numerator) / b.denominator * eps
+            assert abs(_to_mpc(z, bits) - ref) <= _height(z) * mp.mpf(2) ** -bits
+    # where the value is exactly representable it comes out to the bit: a
+    # rational has imaginary part 0, and small dyadic a, b give a - b/2 exactly
+    assert _to_mpc(tower_rationals().from_rational(Fraction(1, 3)), bits).imag == 0
+    eps_elem = tower_eps().symbol_element("eps")
+    for a, b in ((0, 1), (Fraction(3, 4), -5), (-7, Fraction(1, 8))):
+        value = _to_mpc(eps_elem * b + a, bits)
+        exact = Fraction(a) - Fraction(b) / 2
+        assert value.real == mp.mpf(exact.numerator) / exact.denominator
+
+
+@settings(max_examples=20, deadline=None)
+@given(_embeddable_elements(), _EMBED_BITS)
+def test_embedding_additive(elems, bits):
+    x, y = elems
+    bound = 2 * (_height(x) + _height(y)) * mp.mpf(2) ** -bits
+    with mp.workprec(bits + 64):
+        assert abs(_to_mpc(x + y, bits) - (_to_mpc(x, bits) + _to_mpc(y, bits))) <= bound
+
+
+@settings(max_examples=20, deadline=None)
+@given(_embeddable_elements(), _EMBED_BITS)
+def test_embedding_is_multiplicative_within_bounds(elems, bits):
+    x, y = elems
+    bound = 4 * _height(x) * _height(y) * mp.mpf(2) ** -bits
+    with mp.workprec(bits + 64):
+        assert abs(_to_mpc(x * y, bits) - _to_mpc(x, bits) * _to_mpc(y, bits)) <= bound
+
+
+def test_to_mpc_embeds_only_q_and_q_eps_at_64_bits_or_more():
+    with pytest.raises(TowerError):
+        _to_mpc(tower_zeta9().symbol_element("zeta9"), 128)
+    with pytest.raises(TowerError):
+        _to_mpc(tower_eps_i().one(), 128)
+    eps = tower_eps().symbol_element("eps")
+    with pytest.raises(ValueError, match="precision_bits"):
+        _to_mpc(eps, 63)
+    assert _to_mpc(tower_rationals().from_rational(Fraction(-3, 4)), 64) == -0.75
 
 
 def test_fractional_minpolys_give_a_common_denominator():
@@ -340,7 +373,7 @@ def test_integer_layout_properties(drawn):
 
 
 def test_reducible_minpoly_zero_divisor_raises():
-    t = tower_create([ExtensionSpec("x", [-1, 0, 1], complex(1, 0))])
+    t = tower_create([ExtensionSpec("x", [-1, 0, 1])])
     x = t.symbol_element("x")
     assert (x - 1) * (x + 1) == 0
     with pytest.raises(ZeroDivisionError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpc, mpf
+from mpmath import cbrt, expjpi, mpc, mpf, workprec
 
 from hesse_lab.field import tower_eps
 from hesse_lab.multipoly import MultiPoly, convert_domain
@@ -288,9 +288,17 @@ def test_elkies_coefficients_numeric():
         mpc("-1.14963140481131986958712975345", "-0.663740001036663154992247515997"),
         mpc("-2.46585327297032402994355181108", "0.836259998963336845007752484003"),
     )
-    for value, target in zip(elkies_section_coefficients(), frozen):
-        mid, rad = value.embed_complex(precision_bits=96)
-        assert abs(mid - target) < mpf("1e-12")
+    # eps = exp(2*pi*i/3), i = +i and cbrt2 the real cube root of two
+    with workprec(96):
+        generators = (expjpi(mpf(2) / 3), mpc(0, 1), cbrt(2))
+        for value, target in zip(elkies_section_coefficients(), frozen):
+            total = mpc(0)
+            for idx, q in enumerate(value.coords):
+                term = mpf(q.numerator) / q.denominator
+                for g, e in zip(generators, value.tower.basis_exponents(idx)):
+                    term *= g ** e
+                total += term
+            assert abs(total - target) < mpf("1e-12")
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,6 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src").rglob("*.py"))
 SOURCES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 
-# definitions no library module reads, each with the reason it stays
-UNREAD_ALLOWED = {
-    # the reference oracle of test_to_mpc_is_the_embedding_midpoint_bit_for_bit,
-    # and the ball path that the certified enclosures of ROADMAP item 6 build on
-    "FieldElement.embed_complex",
-}
-
-
 def unused_imports(source: str) -> list:
     """Names bound by top-level imports that the module never reads."""
     tree = ast.parse(source)
@@ -47,8 +39,8 @@ def test_no_unused_module_level_imports():
 
 
 def definitions(tree) -> list:
-    """(line, qualified name) of every function, class and method; dunder
-    methods are left out, since the language calls them."""
+    """(line, qualified name, is_method) of every function, class and
+    method; dunder methods are left out, since the language calls them."""
     found = []
 
     def visit(node, prefix):
@@ -56,7 +48,8 @@ def definitions(tree) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = child.name
                 if not (name.startswith("__") and name.endswith("__")):
-                    found.append((child.lineno, prefix + name))
+                    is_method = isinstance(node, ast.ClassDef)
+                    found.append((child.lineno, prefix + name, is_method))
                 visit(child, prefix + name + ".")
             else:
                 visit(child, prefix)
@@ -65,28 +58,31 @@ def definitions(tree) -> list:
     return found
 
 
-def names_read(tree) -> set:
-    """Every name loaded, and every attribute read, in the tree; the names an
-    import binds are not reads."""
-    read = set()
+def names_read(tree) -> tuple:
+    """(names loaded, attributes loaded) in the tree; the names an import
+    binds are not reads."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-    return read
+            attributes.add(node.attr)
+    return names, attributes
 
 
 def unread_definitions(sources: dict) -> list:
     """`path:line: name` for each definition whose last name component no
-    module in `sources` (path -> source text) reads."""
+    module in `sources` (path -> source text) reads: a method counts as read
+    only through an attribute load, any other definition through either."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
-    read = set().union(*map(names_read, trees.values()))
+    reads = [names_read(tree) for tree in trees.values()]
+    attributes = set().union(*(a for _, a in reads))
+    anywhere = attributes.union(*(n for n, _ in reads))
     return [
         f"{path}:{line}: {name}"
         for path, tree in trees.items()
-        for line, name in definitions(tree)
-        if name.rsplit(".", 1)[-1] not in read and name not in UNREAD_ALLOWED
+        for line, name, is_method in definitions(tree)
+        if name.rsplit(".", 1)[-1] not in (attributes if is_method else anywhere)
     ]
 
 
@@ -97,13 +93,24 @@ def test_the_scan_flags_an_unread_definition():
             "    def used(self): return helper()\n"
             "    def unused(self): pass\n"
             "    def __len__(self): return 0\n"
+            "    def local(self): pass\n"
             "def helper(): pass\n"
             "def orphan(): pass\n"
         ),
-        # an import of orphan, and a store to a name like it, are not reads
-        "n.py": "from m import A, orphan\nunused = A().used()\n",
+        # an import of orphan, and a store to a name like it, are not reads;
+        # a local variable named like a method does not read the method
+        "n.py": (
+            "from m import A, orphan\n"
+            "unused = A().used()\n"
+            "local = 1\n"
+            "print(local)\n"
+        ),
     }
-    assert unread_definitions(library) == ["m.py:3: A.unused", "m.py:6: orphan"]
+    assert unread_definitions(library) == [
+        "m.py:3: A.unused",
+        "m.py:5: A.local",
+        "m.py:7: orphan",
+    ]
 
 
 def test_every_library_definition_is_read_in_the_library():

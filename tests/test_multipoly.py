@@ -51,6 +51,31 @@ def test_phi6_vs_square_of_sum_of_cubes():
     assert PHI6 + 12 * cross - S * S == 0
 
 
+def test_powers_take_one_product_per_bit_after_the_first(monkeypatch):
+    # left-to-right square-and-multiply: f**2, f**3 and f**6 take one, two and
+    # three products, with no squaring after the last bit
+    products = []
+    multiply = MultiPoly.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    f = X + 2 * Y - Z
+    expected = {0: 0, 1: 0, 2: 1, 3: 2, 6: 3}
+    for n, count in expected.items():
+        products.clear()
+        power = f ** n
+        assert len(products) == count, n
+        repeated = MultiPoly.constant(3, QQ.one(), QQ)
+        for _ in range(n):
+            repeated = multiply(repeated, f)
+        assert power == repeated
+    eps = tower_eps().symbol_element("eps")
+    assert eps ** 6 == 1 and eps ** 0 == 1 and eps ** -2 == eps
+
+
 def test_multiply_by_zero():
     assert S * MultiPoly.zero(3) == 0
 

@@ -42,8 +42,8 @@ def _scale_lift_negated():
     return {**gens, "scale": gens["scale"].scaled(-1)}
 
 
-def _scale_replaced_by_dilate(*domain):
-    gens = _generators(*domain)
+def _scale_replaced_by_dilate():
+    gens = _generators()
     return {**gens, "scale": gens["dilate"]}
 
 
@@ -86,9 +86,9 @@ def _dilate_lift_with_w_scalar_eps():
     return {**lifts, "dilate": (transform, transform.domain.symbol_element("eps"))}
 
 
-def _fourier_not_normalized(domain):
+def _fourier_not_normalized():
     # the bare fourier matrix multiplies the sextic by (eps - eps^2)^6 = -27
-    return _generators(domain)["fourier"]
+    return _generators()["fourier"]
 
 
 def _swap_replaced_by_cycle():
@@ -100,8 +100,8 @@ def _swap_replaced_by_cycle():
 def _replaced_by_shear(name):
     # (x, y, z) -> (x + y, y, z) lies outside the Hessian group, so it maps
     # no invariant to a multiple of itself and permutes no forms
-    def mutant(*domain):
-        gens = _generators(*domain)
+    def mutant():
+        gens = _generators()
         K = gens[name].domain
         one, zero = K.one(), K.zero()
         shear = ((one, one, zero), (zero, one, zero), (zero, zero, one))
