@@ -105,15 +105,16 @@ class ExtensionSpec:
 class FieldTower:
     """A tower of simple extensions of Q with exact coordinate arithmetic."""
 
-    def __init__(self, levels: tuple):
-        self._levels = levels
-        self._degrees = tuple(l.degree for l in levels)
+    def __init__(self, prefix: "FieldTower" = None, level: _Level = None):
+        """Q, or the tower `prefix` with `level` adjoined on top."""
+        self._levels = () if prefix is None else prefix._levels + (level,)
+        self._degrees = tuple(l.degree for l in self._levels)
         self.total_degree = 1
         for d in self._degrees:
             self.total_degree *= d
         self._tail = (0,) * (self.total_degree - 1)
         self._fingerprint = hash(self._key())
-        self._table, self._scale = self._structure_constants()
+        self._table, self._scale = self._structure_constants(prefix)
 
     # -- identity ----------------------------------------------------------
 
@@ -243,16 +244,16 @@ class FieldTower:
 
     # -- multiplication table -------------------------------------------------
 
-    def _structure_constants(self) -> tuple:
+    def _structure_constants(self, prefix: "FieldTower") -> tuple:
         """(table, D): table[i][j] lists the (k, c) with e_i * e_j = sum c e_k / D.
 
-        Built from the prefix tower K' below the last level: a basis element
-        is e_r * x^e with e_r in K', and x^(e+f) is reduced modulo the last
-        minimal polynomial once, as d coefficients in K'.
+        Built from the prefix tower K' below the last level, as built
+        already: a basis element is e_r * x^e with e_r in K', and x^(e+f) is
+        reduced modulo the last minimal polynomial once, as d coefficients
+        in K'.
         """
-        if not self._levels:
+        if prefix is None:
             return [[((0, 1),)]], 1
-        prefix = FieldTower(self._levels[:-1])
         b = prefix.total_degree
         d = self._levels[-1].degree
         minpoly = [prefix._from_coords(c) for c in self._levels[-1].minpoly_coords]
@@ -306,12 +307,12 @@ def _extend(tower: FieldTower, spec: ExtensionSpec) -> FieldTower:
     if spec.symbol in tower.symbols:
         raise TowerError(f"duplicate symbol {spec.symbol!r}")
     level = _Level(spec.symbol, degree, tuple(c.coords for c in coeffs))
-    return FieldTower(tower.levels + (level,))
+    return FieldTower(tower, level)
 
 
 def tower_create(specs: Iterable[ExtensionSpec]) -> FieldTower:
     """Build a tower from extension specs, validating their shape."""
-    tower = FieldTower(())
+    tower = FieldTower()
     for spec in specs:
         tower = _extend(tower, spec)
     return tower
@@ -600,7 +601,7 @@ def element_to_str(e: FieldElement) -> str:
 @lru_cache(maxsize=None)
 def tower_rationals() -> FieldTower:
     """The trivial tower Q."""
-    return FieldTower(())
+    return FieldTower()
 
 
 @lru_cache(maxsize=None)

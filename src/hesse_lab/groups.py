@@ -2,24 +2,25 @@
 
 Transformations are 3x3 matrices over a field tower, compared up to
 scalar via a canonical representative (first nonzero entry scaled to
-one) while keeping the exact linear lift that was supplied.  Matrix
-products are sums of products taken by the domain's fused ``dot``, one
-reduction per entry.  One closure routine builds every group here,
-whatever its elements: projective or linear matrices of any size (the
-3x3 groups and the 2x2 Moebius maps of the pencil parameter) and
-permutations.  It is Dimino's coset closure (G. Butler, *Fundamental
-Algorithms for Permutation Groups*, LNCS 559, 1991, ch. 7), which grows
-the group one generator at a time as a union of right cosets of the
-subgroup built so far, at about one product per element.  The action
-on a list of points is computed from the generators' images only and
-closed in permutation space.  The module also records how the groups
-act on polynomial forms, on the pencil parameter, and on the
-holomorphic 2-form of the double cover w^2 + (degree-six invariant) = 0.
+one) while keeping the exact linear lift that was supplied; products
+take the domain's fused ``dot``, one reduction per entry.  A projective
+group is closed as the permutations its generators induce on an
+invariant point set holding a frame (four points, no three collinear):
+a projective map fixing a frame is the identity, so the permutations are
+faithful.  A linear group is closed as the matrices of the lifts.  Both,
+and the 2x2 Moebius maps of the pencil parameter, go through Dimino's
+coset closure (G. Butler, *Fundamental Algorithms for Permutation
+Groups*, LNCS 559, 1991, ch. 7), at about one product per element.  The
+module also records how the groups act on polynomial forms, on the
+pencil parameter, and on the holomorphic 2-form of the double cover
+w^2 + (degree-six invariant) = 0.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .field import tower_eps, tower_zeta9
@@ -73,15 +74,9 @@ def _mat_canonical(m: tuple) -> tuple:
     return tuple(flat[i : i + n] for i in range(0, len(flat), n))
 
 
-def _mat_identity(domain) -> tuple:
-    one, zero = domain.one(), domain.zero()
-    return tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
-
-
-def _group_mul(a: tuple, b: tuple, domain, projective: bool) -> tuple:
-    """The product a b, scaled to canonical form when projective."""
-    m = _mat_mul(a, b, domain)
-    return _mat_canonical(m) if projective else m
+# every closure here is finite and far smaller; a generator of infinite
+# order raises instead of running on
+_CAP = 2000
 
 
 def _closure(gens: Sequence, mul: Callable, cap: int) -> set:
@@ -207,6 +202,21 @@ class ProjTransform:
         return f"ProjTransform({self.rows!r})"
 
 
+def _classical_generators(K, e) -> dict:
+    """The five classical transformations over K, for e a primitive cube
+    root of unity in K."""
+    e2 = e * e
+    one, zero = K.one(), K.zero()
+    rows = {
+        "swap": ((one, zero, zero), (zero, zero, one), (zero, one, zero)),
+        "cycle": ((zero, one, zero), (zero, zero, one), (one, zero, zero)),
+        "scale": ((one, zero, zero), (zero, e, zero), (zero, zero, e2)),
+        "fourier": ((one, one, one), (one, e, e2), (one, e2, e)),
+        "dilate": ((one, zero, zero), (zero, e, zero), (zero, zero, e)),
+    }
+    return {name: ProjTransform(m, K) for name, m in rows.items()}
+
+
 def hessian_group_generators() -> dict:
     """The five classical plane transformations preserving the pencil, over
     Q(eps).
@@ -219,26 +229,7 @@ def hessian_group_generators() -> dict:
     dilate:  diag(1, e, e)
     """
     K = tower_eps()
-    e = K.symbol_element("eps")
-    e2 = e * e
-    one, zero = K.one(), K.zero()
-    return {
-        "swap": ProjTransform(
-            ((one, zero, zero), (zero, zero, one), (zero, one, zero)), K
-        ),
-        "cycle": ProjTransform(
-            ((zero, one, zero), (zero, zero, one), (one, zero, zero)), K
-        ),
-        "scale": ProjTransform(
-            ((one, zero, zero), (zero, e, zero), (zero, zero, e2)), K
-        ),
-        "fourier": ProjTransform(
-            ((one, one, one), (one, e, e2), (one, e2, e)), K
-        ),
-        "dilate": ProjTransform(
-            ((one, zero, zero), (zero, e, zero), (zero, zero, e)), K
-        ),
-    }
+    return _classical_generators(K, K.symbol_element("eps"))
 
 
 def normalized_fourier() -> ProjTransform:
@@ -254,16 +245,14 @@ def unit_determinant_generators() -> dict:
     by 1/(e-e^2) and dilate scaled by zeta9."""
     K = tower_zeta9()
     z9 = K.symbol_element("zeta9")
-    e = z9 * z9 * z9
-    e2 = e * e
-    one, zero = K.one(), K.zero()
-    cycle = ProjTransform(((zero, one, zero), (zero, zero, one), (one, zero, zero)), K)
-    scale = ProjTransform(((one, zero, zero), (zero, e, zero), (zero, zero, e2)), K)
-    fourier = ProjTransform(((one, one, one), (one, e, e2), (one, e2, e)), K).scaled(
-        (e - e2).inverse()
-    )
-    dilate = ProjTransform(((one, zero, zero), (zero, e, zero), (zero, zero, e)), K).scaled(z9)
-    return {"cycle": cycle, "scale": scale, "fourier": fourier, "dilate": dilate}
+    e = z9**3
+    gens = _classical_generators(K, e)
+    return {
+        "cycle": gens["cycle"],
+        "scale": gens["scale"],
+        "fourier": gens["fourier"].scaled((e - e * e).inverse()),
+        "dilate": gens["dilate"].scaled(z9),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +262,10 @@ def unit_determinant_generators() -> dict:
 
 @dataclass(frozen=True)
 class MatrixGroup:
+    """A linear group: the closure of the generators' matrix lifts."""
+
     elements: frozenset  # matrices as row tuples
     gens: tuple
-    projective: bool
     domain: object
 
     @property
@@ -283,44 +273,38 @@ class MatrixGroup:
         return len(self.elements)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return _group_mul(a, b, self.domain, self.projective)
+        return _mat_mul(a, b, self.domain)
 
 
-def generate_closure(
-    gens: Sequence[ProjTransform], projective: bool = True, cap: int = 2000
-) -> MatrixGroup:
-    """The group the generators generate under multiplication, by the
-    coset closure of `_closure`."""
+def generate_closure(gens: Sequence[ProjTransform]) -> MatrixGroup:
+    """The linear group the generators' lifts generate under matrix
+    multiplication, by the coset closure of `_closure`."""
     if not gens:
         raise ValueError("need at least one generator")
     domain = gens[0].domain
-    base = tuple(g.rows if projective else g.lift for g in gens)
-    els = _closure(base, lambda a, b: _group_mul(a, b, domain, projective), cap)
-    return MatrixGroup(frozenset(els), base, projective, domain)
+    lifts = tuple(g.lift for g in gens)
+    els = _closure(lifts, lambda a, b: _mat_mul(a, b, domain), _CAP)
+    return MatrixGroup(frozenset(els), lifts, domain)
 
 
-def _element_order(G: MatrixGroup, m: tuple) -> int:
-    ident = _mat_identity(G.domain)
-    power = m
+def _element_order(G, m: tuple) -> int:
+    """The least k with m^(k+1) = m, which is the order of m in G."""
+    power = G.mul(m, m)
     k = 1
-    while power != ident:
+    while power != m:
         power = G.mul(power, m)
         k += 1
-        if k > 2 * G.order:
-            raise RuntimeError("order computation runaway")
     return k
 
 
-def group_facts(G: MatrixGroup) -> dict:
-    """Exact combinatorial facts: order, center, element orders, abelian."""
+def group_facts(G) -> dict:
+    """Exact combinatorial facts of a MatrixGroup or a PermImage, through
+    the group's own product: order, center, element orders, abelian."""
     abelian = all(G.mul(a, b) == G.mul(b, a) for a in G.gens for b in G.gens)
     center = [
         m for m in G.elements if all(G.mul(m, g) == G.mul(g, m) for g in G.gens)
     ]
-    histogram: dict = {}
-    for m in G.elements:
-        k = _element_order(G, m)
-        histogram[k] = histogram.get(k, 0) + 1
+    histogram = Counter(_element_order(G, m) for m in G.elements)
     return {
         "order": G.order,
         "center_order": len(center),
@@ -336,10 +320,24 @@ def group_facts(G: MatrixGroup) -> dict:
 
 @dataclass(frozen=True)
 class PermImage:
-    perms: tuple  # sorted permutation tuples
-    faithful: bool
+    """A projective group as the permutations it induces on a point list.
+
+    A permutation is the tuple of images of 0..n-1; a after b is a[b[i]].
+    """
+
+    gens: tuple  # the generators' permutations
+    elements: tuple  # sorted permutation tuples
+    faithful: bool  # the points hold a frame
     orbits: tuple  # orbits of point indices, each sorted
     two_transitive: bool
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @staticmethod
+    def mul(a: tuple, b: tuple) -> tuple:
+        return tuple(a[i] for i in b)
 
 
 def _orbits_under(perms: Sequence[tuple], n: int) -> tuple:
@@ -374,26 +372,40 @@ def _pair_transitive(perms: Sequence[tuple], n: int) -> bool:
     return len(_orbits_under(pair_perms, len(pairs))) == 1
 
 
-def action_on_points(G: MatrixGroup, pts: Sequence[ProjPoint]) -> PermImage:
-    """Permutation image of the group on a labeled point list.
+def _frame(pts: Sequence[ProjPoint]):
+    """Indices of four of the points no three of which are collinear (by
+    exact 3x3 determinants), or None when the points hold no such frame."""
 
-    Only the generators are applied to the points; their permutations
-    generate the image, so the action is faithful exactly when the image
-    is as large as G.
+    def collinear(triple) -> bool:
+        return _mat_det(tuple(pts[i].coords for i in triple), pts[0].domain) == 0
+
+    quads = combinations(range(len(pts)), 4)
+    return next((q for q in quads if not any(map(collinear, combinations(q, 3)))), None)
+
+
+def action_on_points(
+    gens: Sequence[ProjTransform], pts: Sequence[ProjPoint]
+) -> PermImage:
+    """The permutation group the transformations induce on a labeled
+    point list, closed from the generators' permutations alone.
+
+    The image is faithful, a copy of the projective group, when the
+    points hold a frame: an element acting trivially fixes the frame and
+    so is the identity.  Orbits and two-transitivity are read from the
+    generators.  Raises ValueError when a generator does not permute the
+    points.
     """
     lookup = {p: i for i, p in enumerate(pts)}
-    gens = []
-    for rows in G.gens:
-        g = ProjTransform(rows, G.domain)
+    perms = []
+    for g in gens:
         images = tuple(lookup.get(g.apply(p)) for p in pts)
         if None in images:
             raise ValueError("group element does not permute the points")
-        gens.append(images)
-    # a permutation is the tuple of images of 0..n-1; a after b is a[b[i]]
-    perms = tuple(sorted(_closure(gens, lambda a, b: tuple(a[i] for i in b), G.order)))
+        perms.append(images)
     return PermImage(
-        perms,
-        faithful=len(perms) == G.order,
+        tuple(perms),
+        tuple(sorted(_closure(perms, PermImage.mul, _CAP))),
+        faithful=_frame(pts) is not None,
         orbits=_orbits_under(perms, len(pts)),
         two_transitive=_pair_transitive(perms, len(pts)),
     )
@@ -452,12 +464,13 @@ def parameter_action(g: ProjTransform) -> tuple:
     return _mat_canonical(((a, c), (b, d)))
 
 
-def parameter_image_order(transforms: Sequence[ProjTransform], cap: int = 200) -> int:
+def parameter_image_order(transforms: Sequence[ProjTransform]) -> int:
     """Order of the subgroup of parameter Moebius maps the transformations
     generate."""
+    domain = transforms[0].domain
     gens = [parameter_action(g) for g in transforms]
     return len(
-        _closure(gens, lambda a, b: _group_mul(a, b, transforms[0].domain, True), cap)
+        _closure(gens, lambda a, b: _mat_canonical(_mat_mul(a, b, domain)), _CAP)
     )
 
 
@@ -490,15 +503,11 @@ def cover_automorphisms() -> dict:
     roots of unity.  `symplectic_ratio` checks each scalar against the
     sextic and returns the ratio as an element of Q(eps).
     """
-    K = tower_eps()
-    e = K.symbol_element("eps")
-    one, zero = K.one(), K.zero()
+    one = tower_eps().one()
     gens = hessian_group_generators()
     nf = normalized_fourier()
     twisted = gens["dilate"].compose(nf).compose(gens["dilate"].inverse())
-    dilate_square = ProjTransform(
-        ((one, zero, zero), (zero, e * e, zero), (zero, zero, e * e)), K
-    )
+    dilate_square = gens["dilate"].compose(gens["dilate"])
     return {
         "cycle": (gens["cycle"], one),
         "scale": (gens["scale"], one),

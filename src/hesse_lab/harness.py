@@ -210,22 +210,29 @@ def _dynamics(_config):
 # groups ---------------------------------------------------------------------
 
 
-def _group_orders(_config):
+# generator names of the projective groups that the group checks close
+_PROJECTIVE_GROUPS = {
+    "translations": ("cycle", "scale"),
+    "kernel": ("swap", "cycle", "scale"),
+    "full": ("cycle", "scale", "fourier", "dilate"),
+    "stabilizer": ("fourier", "dilate"),
+}
+
+
+def _projective_image(name, pts):
+    """The permutations that the named projective group induces on pts."""
     gens = groups_mod.hessian_group_generators()
-    translations = groups_mod.generate_closure([gens["cycle"], gens["scale"]])
-    kernel = groups_mod.generate_closure([gens["swap"], gens["cycle"], gens["scale"]])
-    full = groups_mod.generate_closure(
-        [gens["cycle"], gens["scale"], gens["fourier"], gens["dilate"]]
-    )
-    stab = groups_mod.generate_closure([gens["fourier"], gens["dilate"]])
-    stab_facts = groups_mod.group_facts(stab)
-    got = {
-        "translations": translations.order,
-        "kernel": kernel.order,
-        "full": full.order,
-        "stabilizer": stab.order,
-        "stabilizer_involutions": stab_facts["order_histogram"].get(2, 0),
-    }
+    return groups_mod.action_on_points([gens[g] for g in _PROJECTIVE_GROUPS[name]], pts)
+
+
+def _group_orders(_config):
+    base_points = hesse_data().base_points
+    images = {name: _projective_image(name, base_points) for name in _PROJECTIVE_GROUPS}
+    if not all(image.faithful for image in images.values()):
+        return PropertyResult(False, witness="the base points hold no frame")
+    got = {name: image.order for name, image in images.items()}
+    stab_facts = groups_mod.group_facts(images["stabilizer"])
+    got["stabilizer_involutions"] = stab_facts["order_histogram"].get(2, 0)
     return _expect(
         got,
         {
@@ -240,9 +247,7 @@ def _group_orders(_config):
 
 def _heisenberg(_config):
     gens = groups_mod.hessian_group_generators()
-    heis = groups_mod.generate_closure(
-        [gens["cycle"], gens["scale"]], projective=False
-    )
+    heis = groups_mod.generate_closure([gens["cycle"], gens["scale"]])
     facts = groups_mod.group_facts(heis)
     got = {
         "order": facts["order"],
@@ -255,23 +260,19 @@ def _heisenberg(_config):
 def _unit_determinant(_config):
     lifts = groups_mod.unit_determinant_generators()
     dets_one = all(t.det() == t.domain.one() for t in lifts.values())
-    closure = groups_mod.generate_closure(list(lifts.values()), projective=False)
+    closure = groups_mod.generate_closure(list(lifts.values()))
     got = {"order": closure.order, "determinants_one": dets_one}
     return _expect(got, {"order": 648, "determinants_one": True})
 
 
 def _perm_action(_config):
-    gens = groups_mod.hessian_group_generators()
-    full = groups_mod.generate_closure(
-        [gens["cycle"], gens["scale"], gens["fourier"], gens["dilate"]]
-    )
-    image = groups_mod.action_on_points(full, hesse_data().base_points)
+    image = _projective_image("full", hesse_data().base_points)
     got = {
-        "size": len(image.perms),
+        "size": image.order,
         "faithful": image.faithful,
         "two_transitive": image.two_transitive,
-        "has_triple_cycle": (3, 0, 6, 1, 7, 4, 8, 5, 2) in image.perms,
-        "has_double_cycle": (0, 4, 8, 3, 7, 2, 6, 1, 5) in image.perms,
+        "has_triple_cycle": (3, 0, 6, 1, 7, 4, 8, 5, 2) in image.elements,
+        "has_double_cycle": (0, 4, 8, 3, 7, 2, 6, 1, 5) in image.elements,
     }
     return _expect(
         got,
@@ -286,9 +287,7 @@ def _perm_action(_config):
 
 
 def _vertex_orbits(_config):
-    gens = groups_mod.hessian_group_generators()
-    translations = groups_mod.generate_closure([gens["cycle"], gens["scale"]])
-    image = groups_mod.action_on_points(translations, hesse_data().vertices)
+    image = _projective_image("translations", hesse_data().vertices)
     sizes = sorted(len(o) for o in image.orbits)
     return _expect({"orbit_sizes": sizes}, {"orbit_sizes": [3, 3, 3, 3]})
 

@@ -327,21 +327,11 @@ class MultiPoly:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
         vals = [self.domain.coerce(v) for v in values]
         acc = self.domain.zero()
-        powers = [{0: self.domain.one()} for _ in vals]
-
-        def power(v, k):
-            cache = powers[v]
-            got = cache.get(k)
-            if got is None:
-                got = power(v, k - 1) * vals[v]
-                cache[k] = got
-            return got
-
         for exps, c in self.terms.items():
             term = c
-            for v, k in enumerate(exps):
+            for v, k in zip(vals, exps):
                 if k:
-                    term = term * power(v, k)
+                    term = term * v**k
             acc = acc + term
         return acc
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hesse_lab.field import (
     ExtensionSpec,
+    FieldTower,
     TowerError,
     _to_mpc,
     element_to_str,
@@ -351,6 +352,29 @@ def test_fractional_minpolys_give_a_common_denominator():
     u = _tower_two_level_fractional().symbol_element("u")
     s2 = _tower_two_level_fractional().symbol_element("s")
     assert u ** 3 == s2 / 3 + Fraction(1, 5)
+
+
+def test_tower_build_makes_one_tower_per_level(monkeypatch):
+    # each level's table is built over the prefix tower already in hand,
+    # so no prefix is rebuilt: Q and one tower per level
+    built = []
+    init = FieldTower.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldTower, "__init__", counting_init)
+    tower = tower_create(
+        [
+            ExtensionSpec("eps", [1, 1, 1]),
+            ExtensionSpec("i", [1, 0, 1]),
+            ExtensionSpec("cbrt2", [-2, 0, 0, 1]),
+        ]
+    )
+    assert len(built) == 4
+    assert tower == tower_eps_i_cbrt2()
+    assert tower._table == tower_eps_i_cbrt2()._table
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,11 @@
-"""Matrix group closures, actions, invariance factors, cover ratios."""
+"""Group closures, actions, invariance factors, cover ratios.
+
+Projective groups are the permutation groups their generators induce on
+the nine base points; linear groups are matrix closures of the lifts.
+"""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +14,14 @@ from hypothesis import strategies as st
 from hesse_lab.field import tower_eps
 from hesse_lab.hesse import PencilParameter, hesse_data
 from hesse_lab.multipoly import QQ
+from hesse_lab.plane import ProjPoint
 from hesse_lab.groups import (
     ProjTransform,
     _closure,
-    _group_mul,
-    _mat_identity,
-    _mat_inv,
+    _frame,
+    _mat_canonical,
+    _mat_det,
+    _mat_mul,
     action_on_points,
     cover_automorphisms,
     form_permutation,
@@ -34,12 +41,12 @@ EPS = K.symbol_element("eps")
 GENS = hessian_group_generators()
 DATA = hesse_data()
 
-TRANSLATIONS = generate_closure([GENS["cycle"], GENS["scale"]])
-KERNEL = generate_closure([GENS["swap"], GENS["cycle"], GENS["scale"]])
-HESSIAN_GROUP = generate_closure(
-    [GENS["cycle"], GENS["scale"], GENS["fourier"], GENS["dilate"]]
-)
-STABILIZER = generate_closure([GENS["fourier"], GENS["dilate"]])
+TRANSLATION_GENS = [GENS["cycle"], GENS["scale"]]
+HESSIAN_GENS = [GENS["cycle"], GENS["scale"], GENS["fourier"], GENS["dilate"]]
+TRANSLATIONS = action_on_points(TRANSLATION_GENS, DATA.base_points)
+KERNEL = action_on_points([GENS["swap"], *TRANSLATION_GENS], DATA.base_points)
+HESSIAN_GROUP = action_on_points(HESSIAN_GENS, DATA.base_points)
+STABILIZER = action_on_points([GENS["fourier"], GENS["dilate"]], DATA.base_points)
 
 
 def test_transform_equality_up_to_scalar():
@@ -71,6 +78,8 @@ def test_singular_matrix_rejected():
 
 
 def test_projective_group_orders():
+    for G in (TRANSLATIONS, KERNEL, HESSIAN_GROUP, STABILIZER):
+        assert G.faithful
     assert TRANSLATIONS.order == 9
     assert KERNEL.order == 18
     assert HESSIAN_GROUP.order == 216
@@ -91,10 +100,18 @@ def test_stabilizer_is_binary_tetrahedral():
     assert facts["order_histogram"] == {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}
 
 
+def _perm_inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
 def _is_normal_subgroup(G, H) -> bool:
     """H lies in G, and each generator of G conjugates H into itself."""
-    return H.elements <= G.elements and all(
-        G.mul(G.mul(g, h), _mat_inv(g, G.domain)) in H.elements
+    members = set(H.elements)
+    return members <= set(G.elements) and all(
+        G.mul(G.mul(g, h), _perm_inverse(g)) in members
         for g in G.gens
         for h in H.elements
     )
@@ -108,14 +125,19 @@ def test_translations_normal_in_hessian_group():
     assert not _is_normal_subgroup(TRANSLATIONS, STABILIZER)
 
 
+def _canonical_mul(a, b):
+    """The projective product of canonical matrices over Q(eps)."""
+    return _mat_canonical(_mat_mul(a, b, K))
+
+
 def test_closure_cap():
-    with pytest.raises(ValueError, match="exceeded cap 100"):
-        generate_closure(list(GENS.values()), cap=100)
+    # the linear lift of fourier has infinite order (its square is 3 swap)
+    with pytest.raises(ValueError, match="exceeded cap 2000"):
+        generate_closure(list(GENS.values()))
     # the 2x2 parameter maps go through the same closure routine
+    gens = [parameter_action(g) for g in HESSIAN_GENS]
     with pytest.raises(ValueError, match="exceeded cap 5"):
-        parameter_image_order(
-            [GENS["cycle"], GENS["scale"], GENS["fourier"], GENS["dilate"]], cap=5
-        )
+        _closure(gens, _canonical_mul, 5)
 
 
 def test_closure_over_the_rationals():
@@ -123,10 +145,18 @@ def test_closure_over_the_rationals():
     swap = ProjTransform(((zero, one, zero), (one, zero, zero), (zero, zero, one)), QQ)
     cycle = ProjTransform(((zero, one, zero), (zero, zero, one), (one, zero, zero)), QQ)
     sign = ProjTransform(((-one, zero, zero), (zero, one, zero), (zero, zero, one)), QQ)
-    assert generate_closure([swap, cycle]).order == 6
+    # the coordinate points and (1 : +-1 : +-1), a frame among them
+    pts = [
+        ProjPoint(coords, QQ)
+        for coords in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        + tuple((1, s, t) for s in (1, -1) for t in (1, -1))
+    ]
+    assert action_on_points([swap, cycle], pts).order == 6
     # signed permutation matrices: 48 linear maps, 24 projective ones
-    assert generate_closure([swap, cycle, sign], projective=False).order == 48
-    assert generate_closure([swap, cycle, sign]).order == 24
+    assert generate_closure([swap, cycle, sign]).order == 48
+    image = action_on_points([swap, cycle, sign], pts)
+    assert image.faithful
+    assert image.order == 24
     assert sign.det() == -1
     assert sign.inverse().compose(sign).det() == 1
 
@@ -162,8 +192,14 @@ def _assert_matches_oracle(gens, mul, cap):
     assert _closure_outcome(_closure, gens, mul, cap) == expected
 
 
+IDENTITY_3X3 = tuple(
+    tuple(K.one() if i == j else K.zero() for j in range(3)) for i in range(3)
+)
+
+
 # the linear lift of fourier has infinite order (its square is 3 swap), so
-# linear generator sets holding it must exceed the cap in both routines
+# linear generator sets holding it must exceed the cap in both routines;
+# projectively each generator is its permutation of the base points
 @settings(max_examples=20, deadline=None)
 @given(
     names=st.lists(
@@ -172,12 +208,21 @@ def _assert_matches_oracle(gens, mul, cap):
     projective=st.booleans(),
 )
 def test_closure_matches_breadth_first_oracle(names, projective):
-    elements = {
-        name: g.rows if projective else g.lift for name, g in GENS.items()
-    }
-    elements["identity"] = _mat_identity(K)
-    gens = [elements[name] for name in names]
-    _assert_matches_oracle(gens, lambda a, b: _group_mul(a, b, K, projective), 300)
+    if projective:
+        elements = {
+            name: action_on_points([g], DATA.base_points).gens[0]
+            for name, g in GENS.items()
+        }
+        elements["identity"] = tuple(range(9))
+        mul = HESSIAN_GROUP.mul
+    else:
+        elements = {name: g.lift for name, g in GENS.items()}
+        elements["identity"] = IDENTITY_3X3
+
+        def mul(a, b):
+            return _mat_mul(a, b, K)
+
+    _assert_matches_oracle([elements[name] for name in names], mul, 300)
 
 
 def test_unit_determinant_closure_matches_oracle():
@@ -185,7 +230,7 @@ def test_unit_determinant_closure_matches_oracle():
     lifts = [g.lift for g in generators.values()]
 
     def mul(a, b):
-        return _group_mul(a, b, generators["cycle"].domain, False)
+        return _mat_mul(a, b, generators["cycle"].domain)
 
     expected = _bfs_closure(lifts, mul, 700)
     assert len(expected) == 648
@@ -215,7 +260,7 @@ def test_infinite_order_generator_exceeds_cap():
     ).lift
 
     def mul(a, b):
-        return _group_mul(a, b, QQ, False)
+        return _mat_mul(a, b, QQ)
 
     # first generator: the cyclic group never closes
     with pytest.raises(ValueError, match="exceeded cap 50"):
@@ -226,7 +271,7 @@ def test_infinite_order_generator_exceeds_cap():
 
 
 def test_heisenberg_lift():
-    heis = generate_closure([GENS["cycle"], GENS["scale"]], projective=False)
+    heis = generate_closure(TRANSLATION_GENS)
     facts = group_facts(heis)
     assert facts["order"] == 27
     assert not facts["abelian"]
@@ -238,13 +283,15 @@ def test_unit_determinant_closure():
     lifts = unit_determinant_generators()
     for t in lifts.values():
         assert t.det() == t.domain.one()
-    big = generate_closure(list(lifts.values()), projective=False)
+    big = generate_closure(list(lifts.values()))
     assert big.order == 648
 
 
 def test_seventy_two_normal_subgroup():
     twisted = GENS["dilate"].compose(GENS["fourier"]).compose(GENS["dilate"].inverse())
-    h72 = generate_closure([GENS["cycle"], GENS["scale"], GENS["fourier"], twisted])
+    h72 = action_on_points(
+        [*TRANSLATION_GENS, GENS["fourier"], twisted], DATA.base_points
+    )
     assert h72.order == 72
     assert _is_normal_subgroup(HESSIAN_GROUP, h72)
 
@@ -255,44 +302,78 @@ def test_seventy_two_normal_subgroup():
 
 
 def test_base_point_action_two_transitive():
-    image = action_on_points(HESSIAN_GROUP, DATA.base_points)
-    assert len(image.perms) == 216
+    image = HESSIAN_GROUP
+    assert image.order == 216
     assert image.faithful
     assert image.two_transitive
-    assert (3, 0, 6, 1, 7, 4, 8, 5, 2) in image.perms  # (031)(475)(682)
-    assert (0, 4, 8, 3, 7, 2, 6, 1, 5) in image.perms  # (147)(285)
+    assert (3, 0, 6, 1, 7, 4, 8, 5, 2) in image.elements  # (031)(475)(682)
+    assert (0, 4, 8, 3, 7, 2, 6, 1, 5) in image.elements  # (147)(285)
 
 
 def test_vertex_orbits_under_translations():
-    image = action_on_points(TRANSLATIONS, DATA.vertices)
+    image = action_on_points(TRANSLATION_GENS, DATA.vertices)
+    assert image.faithful
     assert sorted(len(o) for o in image.orbits) == [3, 3, 3, 3]
     assert not image.two_transitive
 
 
-def _action_by_every_element(G, pts):
-    """Reference permutation image: apply each element to each point."""
+def _action_by_every_element(gens, pts):
+    """Reference permutation image: close the canonical matrices breadth
+    first, then apply each element to each point."""
     lookup = {p: i for i, p in enumerate(pts)}
-    return tuple(
-        sorted(
-            {
-                tuple(lookup[ProjTransform(rows, G.domain).apply(p)] for p in pts)
-                for rows in G.elements
-            }
-        )
-    )
+    matrices = _bfs_closure([g.rows for g in gens], _canonical_mul, 300)
+    perms = {
+        tuple(lookup[ProjTransform(m, K).apply(p)] for p in pts) for m in matrices
+    }
+    return tuple(sorted(perms)), len(matrices)
 
 
 def test_action_from_generators_matches_every_element():
-    for G in (HESSIAN_GROUP, TRANSLATIONS):
+    for gens in (HESSIAN_GENS, TRANSLATION_GENS):
         for pts in (DATA.vertices, DATA.base_points):
-            image = action_on_points(G, pts)
-            assert image.perms == _action_by_every_element(G, pts)
-            assert image.faithful == (len(image.perms) == G.order)
+            image = action_on_points(gens, pts)
+            perms, order = _action_by_every_element(gens, pts)
+            assert image.elements == perms
+            assert image.faithful
+            assert image.order == order
 
 
 def test_action_requires_closed_point_set():
     with pytest.raises(ValueError):
-        action_on_points(TRANSLATIONS, DATA.base_points[:2])
+        action_on_points(TRANSLATION_GENS, DATA.base_points[:2])
+
+
+def _no_three_collinear(pts) -> bool:
+    return all(
+        _mat_det(tuple(p.coords for p in triple), K) != 0
+        for triple in combinations(pts, 3)
+    )
+
+
+def test_frame_among_base_points_and_vertices():
+    for pts in (DATA.base_points, DATA.vertices):
+        quad = _frame(pts)
+        assert quad is not None
+        assert len(set(quad)) == 4
+        assert _no_three_collinear([pts[i] for i in quad])
+
+
+def test_no_frame_is_not_certified_faithful():
+    # the translations permute the three coordinate vertices only cyclically,
+    # and three points hold no frame: the image has order 3, not 9
+    triangle = DATA.vertices[:3]
+    assert set(triangle) == {
+        ProjPoint(c, K) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    }
+    assert _frame(triangle) is None
+    image = action_on_points(TRANSLATION_GENS, triangle)
+    assert image.order == 3
+    assert not image.faithful
+    # a frame is four points, no three of them on a line
+    line_and_point = [
+        ProjPoint(c, K) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))
+    ]
+    assert _frame(line_and_point) is None
 
 
 def test_contact_cubic_permutations():
@@ -317,20 +398,13 @@ def apply(m, p):
     return PencilParameter(a * p.t0 + c * p.t1, b * p.t0 + d * p.t1, p.domain)
 
 
-def mobius_mul(a, b):
-    return _group_mul(a, b, K, True)
-
-
 def test_kernel_acts_trivially_on_parameters():
     for name in ("swap", "cycle", "scale"):
         assert parameter_action(GENS[name]) == IDENTITY_2X2, name
 
 
 def test_parameter_image_order_twelve():
-    order = parameter_image_order(
-        [GENS["cycle"], GENS["scale"], GENS["fourier"], GENS["dilate"]]
-    )
-    assert order == 12
+    assert parameter_image_order(HESSIAN_GENS) == 12
 
 
 def test_parameter_action_permutes_special_sets():
@@ -345,10 +419,10 @@ def test_parameter_action_permutes_special_sets():
 def test_parameter_action_orders():
     f = parameter_action(GENS["fourier"])
     assert f != IDENTITY_2X2
-    assert mobius_mul(f, f) == IDENTITY_2X2
+    assert _canonical_mul(f, f) == IDENTITY_2X2
     d = parameter_action(GENS["dilate"])
     assert d != IDENTITY_2X2
-    assert mobius_mul(mobius_mul(d, d), d) == IDENTITY_2X2
+    assert _canonical_mul(_canonical_mul(d, d), d) == IDENTITY_2X2
 
 
 def test_non_pencil_preserving_rejected():

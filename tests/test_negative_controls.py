@@ -36,6 +36,11 @@ def _dilate_dropped():
     return {**gens, "dilate": gens["swap"]}
 
 
+def _no_frame(_pts):
+    # without a frame among the base points no image is certified faithful
+    return None
+
+
 def _scale_lift_negated():
     # the same projective map, but -1 is not in the Heisenberg group
     gens = _generators()
@@ -167,6 +172,7 @@ def _kummer_entry_moved():
 
 MUTANTS = {
     "groups.orders": (groups, "hessian_group_generators", _dilate_dropped),
+    "groups.orders/no_frame": (groups, "_frame", _no_frame),
     "groups.heisenberg": (groups, "hessian_group_generators", _scale_lift_negated),
     "groups.unit_determinant": (
         groups,
@@ -291,6 +297,7 @@ PINNED_WITNESS = {
         "dilate: not a relative invariant; first mismatch at (9, 2, 1)"
     ),
     "groups.orders": "full is 36, expected 216",
+    "groups.orders/no_frame": "the base points hold no frame",
     "groups.parameter_image": "order is 2, expected 12",
     "groups.permutation": "has_triple_cycle is False, expected True",
     "groups.symplectic": (
