@@ -21,7 +21,8 @@ tolerance rule.  The order-nine points take one small eigen-solve: the
 resultant in y, a polynomial in x^3, deflates, and each y comes from the
 exact first subresultant, linear in y.  With a flex as origin,
 A + B + C = 0 exactly when A, B and C are collinear, so 3P is the third
-point of the line through -2P and -P: one chord per point.
+point of the line through -2P and -P: one chord per point.  The module
+ends with the registered torsion checks that sweep sample parameters.
 """
 
 import math
@@ -34,6 +35,7 @@ from .field import _to_mpc, tower_eps
 from .hesse import (
     PencilParameter,
     PropertyResult,
+    _expect,
     hesse_data,
     hessian_map,
     pencil_member,
@@ -676,3 +678,72 @@ def prop62_check(parameter) -> PropertyResult:
         for p in data.base_points
     )
     return PropertyResult(True, {"count": count, "off_base_points": off_base})
+
+
+# ---------------------------------------------------------------------------
+# registered checks
+# ---------------------------------------------------------------------------
+
+
+def torsion_table_sweep() -> PropertyResult:
+    """The base-point addition table realizes (Z/3)^2 at lambda = 1 and 2."""
+    tables = {
+        str(lam): three_torsion_table(lam).holds for lam in (Fraction(1), Fraction(2))
+    }
+    return _expect(tables, {"1": True, "2": True})
+
+
+def two_torsion_sweep(lambdas, precision_bits) -> PropertyResult:
+    """two_torsion_polar_check on the first harmonic polar, at each lambda
+    and at 0; a pass reports the worst residual of each."""
+    out = {"precision_bits": precision_bits}
+    for lam in (*lambdas, Fraction(0)):
+        rep = two_torsion_polar_check(lam, 0, precision_bits=precision_bits)
+        worst = max(
+            *(p.residual for p in rep.points),
+            *rep.tangent_residuals,
+            *rep.doubling_residuals,
+        )
+        key = f"lambda={lam},line=0"
+        if not rep.holds:
+            return PropertyResult(
+                False,
+                witness=f"{key}: {len(rep.points)} points on the polar, worst "
+                f"residual {mpmath.nstr(worst, 5)}, expected 3 points within "
+                f"{mpmath.nstr(rep.tolerance, 5)}",
+            )
+        out[key] = worst
+        out.setdefault("tolerance", rep.tolerance)
+    return PropertyResult(True, out)
+
+
+def nine_torsion_sweep(lambdas, precision_bits) -> PropertyResult:
+    """nine_torsion_check on the first contact cubic at each lambda; a pass
+    reports the worst residual of each."""
+    out = {"precision_bits": precision_bits}
+    for lam in lambdas:
+        rep = nine_torsion_check(lam, 1, precision_bits=precision_bits)
+        worst = max(
+            max(rep.triple_residuals), max(rep.nine_residuals), rep.chain_residual
+        )
+        if not rep.holds:
+            return PropertyResult(
+                False,
+                witness=f"lambda={lam}: triples hit base points {rep.triple_indices}, "
+                f"worst residual {mpmath.nstr(worst, 5)}, expected no origin and "
+                f"residuals within {mpmath.nstr(rep.tolerance, 5)}",
+            )
+        out[f"lambda={lam}"] = worst
+        out.setdefault("tolerance", rep.tolerance)
+    return PropertyResult(True, out)
+
+
+def prop62_sweep() -> PropertyResult:
+    """prop62_check at lambda = 0 and 1."""
+    out = {}
+    for lam in (Fraction(0), Fraction(1)):
+        res = prop62_check(lam)
+        if not res.holds:
+            return PropertyResult(False, witness=f"lambda={lam}: {res.witness}")
+        out[f"lambda={lam}"] = res.details
+    return PropertyResult(True, out)

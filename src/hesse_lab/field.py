@@ -48,8 +48,10 @@ def _solve_fraction_free(rows: list) -> tuple:
     """Solve the integer system [A | b] given as n augmented rows.
 
     Bareiss elimination keeps every entry an integer minor of A.  Returns
-    (x, p) with A x = p b, where p = +-det A is the last pivot, so x / p is
-    the solution.  Raises ZeroDivisionError when A is singular.
+    (x, p) with A x = p b, where p = det A is the last pivot, so x / p is
+    the solution.  A row swap negates one of the two rows, which keeps both
+    the solution and the determinant.  Raises ZeroDivisionError when A is
+    singular.
     """
     n = len(rows)
     prev = 1
@@ -59,7 +61,8 @@ def _solve_fraction_free(rows: list) -> tuple:
             raise ZeroDivisionError(
                 "non-invertible element (reducible minimal polynomial?)"
             )
-        rows[k], rows[piv] = rows[piv], rows[k]
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], [-v for v in rows[k]]
         top = rows[k]
         p = top[k]
         for row in rows[k + 1 :]:

@@ -13,18 +13,20 @@ coset closure (G. Butler, *Fundamental Algorithms for Permutation
 Groups*, LNCS 559, 1991, ch. 7), at about one product per element.  The
 module also records how the groups act on polynomial forms, on the
 pencil parameter, and on the holomorphic 2-form of the double cover
-w^2 + (degree-six invariant) = 0.
+w^2 + (degree-six invariant) = 0, and ends with the registered group
+checks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Sequence
 
 from .field import tower_eps, tower_zeta9
-from .hesse import hesse_data, pencil_forms
+from .hesse import PropertyResult, _expect, _measure, hesse_data, pencil_forms
 from .multipoly import MultiPoly, convert_domain, field_linsolve, proportionality
 from .plane import ProjPoint, normalize_projective
 
@@ -537,3 +539,182 @@ def symplectic_ratio(g: ProjTransform, w_scalar):
             f"to {factor} times itself, not {c * c}"
         )
     return g.det() / c
+
+
+# ---------------------------------------------------------------------------
+# registered checks
+# ---------------------------------------------------------------------------
+
+
+# generator names of the projective groups that the group checks close
+_PROJECTIVE_GROUPS = {
+    "translations": ("cycle", "scale"),
+    "kernel": ("swap", "cycle", "scale"),
+    "full": ("cycle", "scale", "fourier", "dilate"),
+    "stabilizer": ("fourier", "dilate"),
+}
+
+
+def _projective_image(name, pts):
+    """The permutations that the named projective group induces on pts."""
+    gens = hessian_group_generators()
+    return action_on_points([gens[g] for g in _PROJECTIVE_GROUPS[name]], pts)
+
+
+def orders_check() -> PropertyResult:
+    """Orders of the translation, kernel, full and stabilizer groups, and
+    the one involution of the stabilizer."""
+    base_points = hesse_data().base_points
+    images = {name: _projective_image(name, base_points) for name in _PROJECTIVE_GROUPS}
+    if not all(image.faithful for image in images.values()):
+        return PropertyResult(False, witness="the base points hold no frame")
+    got = {name: image.order for name, image in images.items()}
+    stab_facts = group_facts(images["stabilizer"])
+    got["stabilizer_involutions"] = stab_facts["order_histogram"].get(2, 0)
+    return _expect(
+        got,
+        {
+            "translations": 9,
+            "kernel": 18,
+            "full": 216,
+            "stabilizer": 24,
+            "stabilizer_involutions": 1,
+        },
+    )
+
+
+def heisenberg_check() -> PropertyResult:
+    """The linear closure of the translations is nonabelian of order 27
+    with a center of order 3."""
+    gens = hessian_group_generators()
+    facts = group_facts(generate_closure([gens["cycle"], gens["scale"]]))
+    got = {
+        "order": facts["order"],
+        "abelian": facts["abelian"],
+        "center": facts["center_order"],
+    }
+    return _expect(got, {"order": 27, "abelian": False, "center": 3})
+
+
+def unit_determinant_check() -> PropertyResult:
+    """The determinant-one lifts generate a linear group of order 648."""
+    lifts = unit_determinant_generators()
+    dets_one = all(t.det() == t.domain.one() for t in lifts.values())
+    closure = generate_closure(list(lifts.values()))
+    got = {"order": closure.order, "determinants_one": dets_one}
+    return _expect(got, {"order": 648, "determinants_one": True})
+
+
+def permutation_check() -> PropertyResult:
+    """The full group acts on the base points faithfully and 2-transitively,
+    with order 216, and contains two named permutations."""
+    image = _projective_image("full", hesse_data().base_points)
+    got = {
+        "size": image.order,
+        "faithful": image.faithful,
+        "two_transitive": image.two_transitive,
+        "has_triple_cycle": (3, 0, 6, 1, 7, 4, 8, 5, 2) in image.elements,
+        "has_double_cycle": (0, 4, 8, 3, 7, 2, 6, 1, 5) in image.elements,
+    }
+    return _expect(
+        got,
+        {
+            "size": 216,
+            "faithful": True,
+            "two_transitive": True,
+            "has_triple_cycle": True,
+            "has_double_cycle": True,
+        },
+    )
+
+
+def vertex_orbits_check() -> PropertyResult:
+    """The translations split the twelve vertices into four orbits of three."""
+    image = _projective_image("translations", hesse_data().vertices)
+    sizes = sorted(len(o) for o in image.orbits)
+    return _expect({"orbit_sizes": sizes}, {"orbit_sizes": [3, 3, 3, 3]})
+
+
+def parameter_image_check() -> PropertyResult:
+    """The full group acts on the parameter line through a group of order 12."""
+    gens = hessian_group_generators()
+    order = parameter_image_order(
+        [gens["cycle"], gens["scale"], gens["fourier"], gens["dilate"]]
+    )
+    return _expect({"order": order}, {"order": 12})
+
+
+def contact_permutations_check() -> PropertyResult:
+    """How the two stabilizer generators permute the eight contact cubics."""
+    gens = hessian_group_generators()
+    cubics = hesse_data().halphen_cubics
+    return _measure(
+        {
+            name: partial(form_permutation, gens[name], cubics)
+            for name in ("fourier", "dilate")
+        },
+        {"fourier": (1, 4, 7, 2, 5, 0, 3, 6), "dilate": (0, 3, 1, 2, 4, 7, 5, 6)},
+        lambda got: {name: perm for name, (perm, _) in got.items()},
+    )
+
+
+def sextic_invariance_check() -> PropertyResult:
+    """The fundamental sextic is an absolute invariant of the lifted group."""
+    gens = hessian_group_generators()
+    data = hesse_data()
+    factor = partial(invariance_factor, data.invariants["sextic"])
+    measures = {
+        name: partial(factor, gens[name]) for name in ("cycle", "scale", "dilate")
+    }
+    measures["fourier_normalized"] = partial(
+        factor, normalized_fourier(), use_lift=True
+    )
+    return _measure(measures, dict.fromkeys(measures, data.domain.one()))
+
+
+def nonic_invariance_check() -> PropertyResult:
+    """The polar-product nonic changes sign under the swap, multiplicatively."""
+    gens = hessian_group_generators()
+    data = hesse_data()
+    factor = partial(invariance_factor, data.invariants["polar_product"])
+    swap, cycle = gens["swap"], gens["cycle"]
+    return _measure(
+        {
+            "swap": partial(factor, swap),
+            "cycle": partial(factor, cycle),
+            "swap*cycle": partial(factor, swap.compose(cycle)),
+        },
+        {"swap": -data.domain.one(), "multiplicative": True},
+        lambda f: {
+            "swap": f["swap"],
+            "multiplicative": f["swap*cycle"] == f["swap"] * f["cycle"],
+        },
+    )
+
+
+def twelve_lines_invariance_check() -> PropertyResult:
+    """The product of the twelve inflection lines is a strictly relative
+    invariant under the diagonal generator."""
+    gens = hessian_group_generators()
+    data = hesse_data()
+    factor = partial(invariance_factor, data.invariants["inflection_line_product"])
+    return _measure(
+        {name: partial(factor, gens[name]) for name in ("dilate", "scale")},
+        {"dilate": data.eps * data.eps, "scale": data.domain.one()},
+    )
+
+
+def symplectic_check() -> PropertyResult:
+    """The 2-form ratios of the cover lifts are 1 and the primitive cube
+    roots of unity."""
+    data = hesse_data()
+    e = data.eps
+    one = data.domain.one()
+    want = dict.fromkeys(("cycle", "scale", "fourier", "twisted_fourier"), one)
+    return _measure(
+        {
+            name: partial(symplectic_ratio, transform, w_scalar)
+            for name, (transform, w_scalar) in cover_automorphisms().items()
+        },
+        {**want, "dilate": e * e, "dilate_square": e},
+    )

@@ -4,7 +4,8 @@ Holds the exact configuration data (base points, the twelve inflection
 lines grouped into four triangles, vertices, harmonic polars, the eight
 Halphen cubics, the classical invariants) together with the rational
 self-maps of the parameter line and a suite of symbolic identity checks
-tying everything together.  All arithmetic is exact: rationals or
+tying everything together, `IDENTITIES`.  `PropertyResult` is the result
+every registered check returns.  All arithmetic is exact: rationals or
 explicit number-field towers.
 """
 
@@ -492,6 +493,31 @@ class PropertyResult:
             raise ValueError("a failed check must give a reason")
 
 
+def _expect(got: dict, want: dict) -> PropertyResult:
+    """Pass with `got` as details when it agrees with `want` on every key
+    of `want`; otherwise fail naming the first key that differs."""
+    for key, value in want.items():
+        if got.get(key) != value:
+            return PropertyResult(
+                False, witness=f"{key} is {got.get(key)}, expected {value}"
+            )
+    return PropertyResult(True, got)
+
+
+def _measure(measures: dict, want: dict, derive=None) -> PropertyResult:
+    """_expect on {key: measure()}, passed through derive when given.  Each
+    measure maps forms through the map named by its key and raises
+    ValueError when that map lies outside the Hessian group; the first to
+    raise fails with a reason naming it."""
+    got = {}
+    for key, measure in measures.items():
+        try:
+            got[key] = measure()
+        except ValueError as exc:
+            return PropertyResult(False, witness=f"{key}: {exc}")
+    return _expect(derive(got) if derive else got, want)
+
+
 def _zero_result(diff: MultiPoly, details: dict = None) -> PropertyResult:
     if not diff:
         return PropertyResult(True, details or {})
@@ -768,7 +794,8 @@ def _identity_n() -> PropertyResult:
     return _zero_result(diff, {"combo_coefficient": lam, "last_coefficient": mu})
 
 
-_IDENTITY_CHECKS = {
+# the identities of the verification suite, by name, in run order
+IDENTITIES = {
     "a": _identity_a,
     "b": _identity_b,
     "c": _identity_c,
@@ -784,17 +811,6 @@ _IDENTITY_CHECKS = {
     "m": _identity_m,
     "n": _identity_n,
 }
-
-IDENTITY_NAMES = tuple(sorted(_IDENTITY_CHECKS))
-
-
-def identity_suite(name: str) -> PropertyResult:
-    """Run one named symbolic identity check; see _IDENTITY_CHECKS."""
-    try:
-        check = _IDENTITY_CHECKS[name]
-    except KeyError:
-        raise ValueError(f"unknown identity {name!r}") from None
-    return check()
 
 
 # ---------------------------------------------------------------------------
@@ -980,6 +996,30 @@ def dynamics_report(rmap: RationalSelfMap, candidates=()) -> DynamicsReport:
     return DynamicsReport(candidates, mults, values, complete, w.degree())
 
 
+def dynamics_check() -> PropertyResult:
+    """The Hessian map's critical values lie among the triangle parameters,
+    and the Cayleyan map's critical values are exactly those parameters."""
+    data = hesse_data()
+    triangle = set(data.triangle_parameters)
+    rep_h = dynamics_report(hessian_map(), data.equianharmonic_parameters)
+    rep_c = dynamics_report(cayleyan_map(), data.triangle_parameters)
+    if rep_h.wronskian_degree != 4:
+        reason = f"Hessian map Wronskian degree {rep_h.wronskian_degree}, expected 4"
+    elif not (rep_h.complete and rep_c.complete):
+        reason = "a critical-point count is incomplete"
+    elif not set(rep_h.critical_values) <= triangle:
+        reason = "a Hessian map critical value is not a triangle parameter"
+    elif set(rep_c.critical_values) != triangle:
+        reason = "Cayleyan map critical values differ from the triangle parameters"
+    else:
+        witness = {
+            "hessian_multiplicities": rep_h.multiplicities,
+            "cayleyan_multiplicities": rep_c.multiplicities,
+        }
+        return PropertyResult(True, witness)
+    return PropertyResult(False, witness=reason)
+
+
 # ---------------------------------------------------------------------------
 # the degree-nine self-map built from the contact cubics
 # ---------------------------------------------------------------------------
@@ -1033,6 +1073,25 @@ def halphen_map_check() -> PropertyResult:
 # ---------------------------------------------------------------------------
 # configuration properties
 # ---------------------------------------------------------------------------
+
+
+def incidence_check() -> PropertyResult:
+    """The nine base points and twelve inflection lines form a (9_4, 12_3)
+    configuration: four lines through each point, three points on each line."""
+    data = hesse_data()
+    table = incidence_table(data.base_points, data.inflection_lines)
+    lines_per_point, points_per_line = table.counts_multiset()
+    if lines_per_point != [4] * 9 or points_per_line != [3] * 12:
+        return PropertyResult(
+            False,
+            witness=f"lines per point {lines_per_point} and points per line "
+            f"{points_per_line}, expected nine 4s and twelve 3s",
+        )
+    got = {
+        "lines_per_point": sorted(set(lines_per_point)),
+        "points_per_line": sorted(set(points_per_line)),
+    }
+    return PropertyResult(True, got)
 
 
 def base_point_membership_check() -> PropertyResult:
@@ -1228,3 +1287,41 @@ def hessian_duality_check() -> PropertyResult:
         return PropertyResult(False, witness="maps differ")
     literal = composed == cayleyan_map()
     return PropertyResult(True, {"cross_scalar": scalar, "literal": literal})
+
+
+# ---------------------------------------------------------------------------
+# the j-invariant and the discriminant
+# ---------------------------------------------------------------------------
+
+
+def j_values_check() -> PropertyResult:
+    """j vanishes at the four equianharmonic members, and j - 1728 is a
+    square multiple of the sextic coefficient form."""
+    data = hesse_data()
+    for t in data.equianharmonic_parameters:
+        w = weierstrass_data(t.to_domain(data.domain))
+        if w.singular or w.j != 0:
+            return PropertyResult(False, witness=f"j({t!r}) = {w.j!r}")
+    # j - 1728 is a square multiple of the sextic coefficient form, so
+    # the harmonic members are exactly the zeros of that form
+    a, b = _quartic_sextic_forms()
+    lhs = 6912 * a**3 - 1728 * (4 * a**3 + 27 * b**2)
+    diff = lhs + 46656 * b**2
+    if diff:
+        return PropertyResult(False, witness="square-multiple identity failed")
+    return PropertyResult(True, {"equianharmonic_j": 0, "square_multiple": -46656})
+
+
+def singular_parameters_check() -> PropertyResult:
+    """The discriminant vanishes at the four triangle parameters and at no
+    sampled smooth member."""
+    data = hesse_data()
+    for t in data.triangle_parameters:
+        if not weierstrass_data(t).singular:
+            return PropertyResult(
+                False, witness="discriminant nonzero at a triangle parameter"
+            )
+    for lam in (Fraction(0), Fraction(1), Fraction(-6)):
+        if weierstrass_data(PencilParameter.from_affine(lam)).singular:
+            return PropertyResult(False, witness=f"unexpected singular member at {lam}")
+    return PropertyResult(True, {"singular_parameters": 4})

@@ -4,11 +4,15 @@ norm enumeration, finite-index embeddings, and fibration rank counting.
 Grams are stored with their true sign (a lattice twisted by a negative
 integer has a negative-definite Gram); the positive side is available
 through `abs_gram` for enumeration, so printed positive forms and the
-geometric sign never get mixed up silently.
+geometric sign never get mixed up silently.  The module ends with the
+registered lattice checks, each described by its row in the harness table.
 """
 
 import math
 from dataclasses import dataclass
+
+from .field import _solve_fraction_free
+from .hesse import PropertyResult, _expect
 
 
 def _is_symmetric(rows) -> bool:
@@ -65,25 +69,12 @@ class IntLattice:
 
 
 def _int_det(rows) -> int:
-    """Fraction-free Gaussian determinant (Bareiss) of an integer matrix."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    """Determinant of an integer matrix: the last pivot of the fraction-free
+    elimination of [A | 0], or 0 when A is singular."""
+    try:
+        return _solve_fraction_free([list(row) + [0] for row in rows])[1]
+    except ZeroDivisionError:
+        return 0
 
 
 def determinant(lattice: IntLattice) -> int:
@@ -416,3 +407,67 @@ def kummer_fibration_gram() -> IntLattice:
     supply their own incidences through fibration_lattice_gram.
     """
     return fibration_lattice_gram((6, 6, 6, 3), (3, 3, 3, 0), 1)
+
+
+# ---------------------------------------------------------------------------
+# registered checks
+# ---------------------------------------------------------------------------
+
+
+def k3_sum_det_check() -> PropertyResult:
+    big = direct_sum(
+        standard_lattice("U"),
+        standard_lattice("E8", -1),
+        standard_lattice("E8", -1),
+        standard_lattice("A2", -1),
+    )
+    return _expect({"det": determinant(big)}, {"det": -3})
+
+
+def a2m6_snf_check() -> PropertyResult:
+    snf = smith_normal_form(standard_lattice("A2", -6))
+    return _expect({"invariants": snf}, {"invariants": (6, 18)})
+
+
+def a2m3_norm12_check() -> PropertyResult:
+    vecs = vectors_of_norm(standard_lattice("A2", -3), 12)
+    return _expect({"vectors": list(vecs)}, {"vectors": []})
+
+
+def a2m2_norm12_check() -> PropertyResult:
+    vecs = vectors_of_norm(standard_lattice("A2", -2), 12)
+    if (1, 1) not in vecs:
+        return PropertyResult(False, witness="(1, 1) is not a vector of norm twelve")
+    return PropertyResult(True, {"count": len(vecs)})
+
+
+def embed_a2m6_a2m2_check() -> PropertyResult:
+    emb = embeds_finite_index(standard_lattice("A2", -6), standard_lattice("A2", -2))
+    if emb is None:
+        return PropertyResult(False, witness="no embedding found")
+    matrix, index = emb
+    return _expect({"index": index, "matrix": matrix}, {"index": 3})
+
+
+def embed_a2m6_a2m3_check() -> PropertyResult:
+    emb = embeds_finite_index(standard_lattice("A2", -6), standard_lattice("A2", -3))
+    return _expect({"embedding": emb}, {"embedding": None})
+
+
+def shioda_check() -> PropertyResult:
+    first = shioda_tate_rank(FibrationCombinatorics(("II*", "II*", "IV"), 0))
+    second = shioda_tate_rank(FibrationCombinatorics(("I6", "I6", "I6", "I3"), 1))
+    got = {"extreme_fibers": first, "cyclic_fibers": second}
+    return _expect(got, {"extreme_fibers": 20, "cyclic_fibers": 20})
+
+
+def kummer_check() -> PropertyResult:
+    lat = kummer_fibration_gram()
+    got = {
+        "det": determinant(lat),
+        "discriminant_invariants": discriminant_group(lat),
+        "order": discriminant_order(lat),
+    }
+    return _expect(
+        got, {"det": -972, "order": 972, "discriminant_invariants": (3, 3, 3, 6, 6)}
+    )

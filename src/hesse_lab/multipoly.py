@@ -591,19 +591,6 @@ def det_generic(rows):
     return minor(0, tuple(range(n)))
 
 
-def binary_coeff_list(f: MultiPoly):
-    """Descending coefficient list of a homogeneous binary form: index k
-    holds the coefficient of x^(d-k) y^k."""
-    if f.nvars != 2:
-        raise ValueError("binary form must have 2 variables")
-    if not f:
-        raise ValueError("zero binary form")
-    if not f.is_homogeneous():
-        raise ValueError("binary form must be homogeneous")
-    d = f.degree()
-    return [f.coefficient((d - k, k)) for k in range(d + 1)]
-
-
 def sylvester_matrix(fc: list, gc: list, zero, index: int = 0):
     """Sylvester matrix from descending coefficient lists, f rows on top.
 
@@ -628,47 +615,22 @@ def sylvester_matrix(fc: list, gc: list, zero, index: int = 0):
     return rows
 
 
-def _strip_leading_zeros(coeffs: list) -> list:
-    i = 0
-    while i < len(coeffs) and coeffs[i] == 0:
-        i += 1
-    return coeffs[i:]
-
-
-def _list_mod(a: list, b: list, domain) -> list:
-    """Remainder of descending univariate coefficient lists (b[0] != 0)."""
-    a = list(a)
-    inv = b[0].inverse()
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return _strip_leading_zeros(a)
-    for shift in range(da - db + 1):
-        c = a[shift] * inv
-        if c == 0:
-            continue
-        for j, bj in enumerate(b):
-            a[shift + j] = a[shift + j] - c * bj
-    return _strip_leading_zeros(a[da - db + 1 :])
-
-
 def binary_form_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd of two nonzero homogeneous binary forms over a field."""
-    ef, f1 = strip_monomial_content(f)
-    eg, g1 = strip_monomial_content(g)
+    """Monic gcd of two nonzero homogeneous binary forms over a field.
+
+    Euclid runs on the forms with their monomial content stripped: such a
+    form has nonzero x^d and y^d terms, so x and y are prime to it and the
+    monomial content of each remainder may be stripped too.  Dividing by a
+    form of x-degree d leaves only terms of x-degree below d, so each
+    remainder has lower degree once that content is gone."""
+    ef, f = strip_monomial_content(f)
+    eg, g = strip_monomial_content(g)
+    while g:
+        f, g = g, strip_monomial_content(poly_remainder(f, g))[1]
     common = tuple(map(min, ef, eg))
-    # the stripped forms have nonzero ends, so degree in x equals form degree
-    fa = binary_coeff_list(f1)
-    fb = binary_coeff_list(g1)
-    while fb:
-        fa, fb = fb, _list_mod(fa, fb, f.domain)
-    inv = fa[0].inverse()
-    d = len(fa) - 1
-    terms = {
-        (common[0] + d - k, common[1] + k): c * inv
-        for k, c in enumerate(fa)
-        if c != 0
-    }
-    return MultiPoly(2, terms, f.domain, _clean=True)
+    inv = f.leading()[1].inverse()
+    terms = {tuple(a + b for a, b in zip(e, common)): c * inv for e, c in f.terms.items()}
+    return MultiPoly(f.nvars, terms, f.domain, _clean=True)
 
 
 def resultant_in_var(f: MultiPoly, g: MultiPoly, var: int, index: int = 0) -> MultiPoly:

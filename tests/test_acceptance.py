@@ -26,7 +26,7 @@ from hesse_lab.groups import (
     normalized_fourier,
     symplectic_ratio,
 )
-from hesse_lab.hesse import hesse_data, identity_suite, derive_cuspidal_nonic
+from hesse_lab.hesse import IDENTITIES, derive_cuspidal_nonic, hesse_data
 
 TIMINGS = {}
 TOL = mpmath.mpf("1e-25")
@@ -57,7 +57,7 @@ def test_criterion_01_configuration_incidence():
 def test_criterion_02_hessian_proportionality_and_duality():
     with budget(2, 5.0):
         _run_ids("hesse.identity.a", "hesse.duality")
-        assert identity_suite("a").details["ratio"] == -2
+        assert IDENTITIES["a"]().details["ratio"] == -2
 
 
 def test_criterion_03_discriminant_and_j_special_values():
@@ -143,7 +143,7 @@ def test_criterion_07_cuspidal_sextic():
 def test_criterion_08_relation_fits_and_square():
     with budget(8, 60.0):
         _run_ids("hesse.identity.m", "hesse.nonic_fit")
-        fit = identity_suite("m")
+        fit = IDENTITIES["m"]()
         normalized = fit.details["coefficient_vector"]
         assert normalized[1] == 1 and len(normalized) == 7
         nonic = derive_cuspidal_nonic()

@@ -1,5 +1,6 @@
 """Harness and CLI tests: registry integrity, filtering, reports, exit codes."""
 
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -9,7 +10,6 @@ import pytest
 from hesse_lab import harness, hesse
 from hesse_lab.cli import main
 from hesse_lab.field import tower_eps
-from hesse_lab.hesse import PencilParameter
 
 
 def test_registry_ids_unique_and_well_formed():
@@ -20,6 +20,20 @@ def test_registry_ids_unique_and_well_formed():
         assert re.fullmatch(r"[a-z0-9_]+(\.[a-z0-9_]+)+", check_id)
     for check in harness.registry():
         assert check.reference.strip()
+
+
+def test_every_runner_takes_no_argument():
+    for check in harness.registry():
+        inspect.signature(check.runner).bind()
+
+
+def test_registry_binds_the_config_into_the_numeric_rows():
+    config = harness.HarnessConfig(precision_bits=192, lambdas=(Fraction(5, 3),))
+    (row,) = [c for c in harness.registry(config) if c.check_id == "torsion.two"]
+    result = row.runner()
+    assert result.holds
+    assert result.details["precision_bits"] == 192
+    assert "lambda=5/3,line=0" in result.details
 
 
 def test_namespaces_present():
@@ -37,7 +51,8 @@ def test_select_preserves_registry_order():
 
 
 def test_select_empty_filter_keeps_everything():
-    assert harness.select_checks(()) == harness.registry()
+    ids = tuple(c.check_id for c in harness.select_checks(()))
+    assert ids == harness.check_ids()
 
 
 def test_select_overlapping_filters_do_not_duplicate():
@@ -97,11 +112,11 @@ def test_reports_deterministic_up_to_timing():
 
 
 def test_failing_runner_is_caught(monkeypatch):
-    def boom(_config):
+    def boom():
         raise ZeroDivisionError("synthetic")
 
     fake = (harness.RegisteredCheck("fake.boom", "always explodes", boom),)
-    monkeypatch.setattr(harness, "_REGISTRY", fake)
+    monkeypatch.setattr(harness, "registry", lambda config=None: fake)
     report = harness.run(harness.HarnessConfig())
     (result,) = report.results
     assert result.status == "fail"
@@ -131,8 +146,6 @@ def test_jsonify_grammar():
     assert harness._jsonify(eps) == "eps"
     assert harness._jsonify((1, (2, 3))) == [1, [2, 3]]
     assert harness._jsonify({"k": None}) == {"k": None}
-    assert harness._jsonify(PencilParameter.infinity()) == "inf"
-    assert harness._jsonify(PencilParameter.from_affine(Fraction(3, 2))) == "3/2"
 
 
 # CLI ------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from mpmath import cbrt, expjpi, mpc, mpf, workprec
 from hesse_lab.field import tower_eps
 from hesse_lab.multipoly import MultiPoly, convert_domain
 from hesse_lab.hesse import (
-    IDENTITY_NAMES,
+    IDENTITIES,
     PencilParameter,
     RationalSelfMap,
     base_point_membership_check,
@@ -27,7 +27,6 @@ from hesse_lab.hesse import (
     hesse_data,
     hessian_duality_check,
     hessian_map,
-    identity_suite,
     parameter_flip,
     pencil_discriminant,
     pencil_member,
@@ -250,24 +249,22 @@ def test_halphen_cubics_avoid_base_points():
 
 
 def test_identity_names_complete():
-    assert IDENTITY_NAMES == tuple("abcdefghijklmn")
-    with pytest.raises(ValueError):
-        identity_suite("z")
+    assert tuple(IDENTITIES) == tuple("abcdefghijklmn")
 
 
-@pytest.mark.parametrize("name", IDENTITY_NAMES)
+@pytest.mark.parametrize("name", IDENTITIES)
 def test_identity_holds(name):
-    result = identity_suite(name)
+    result = IDENTITIES[name]()
     assert result.holds, result.witness
 
 
 def test_identity_frozen_scalars():
-    assert identity_suite("a").details["ratio"] == Fraction(-2)
-    e = identity_suite("e")
+    assert IDENTITIES["a"]().details["ratio"] == Fraction(-2)
+    e = IDENTITIES["e"]()
     assert e.details["ratio"] == Fraction(-16)
     assert e.details["stripped"] == (0, 6, 0, 0, 0)
-    assert identity_suite("h").details["conic_determinant"] == Fraction(-324)
-    m = identity_suite("m")
+    assert IDENTITIES["h"]().details["conic_determinant"] == Fraction(-324)
+    m = IDENTITIES["m"]()
     assert m.details["coefficient_vector"] == (
         Fraction(432),
         Fraction(1),
@@ -277,7 +274,7 @@ def test_identity_frozen_scalars():
         Fraction(27),
         Fraction(-1, 8),
     )
-    n = identity_suite("n")
+    n = IDENTITIES["n"]()
     assert n.details["combo_coefficient"] == -3
     assert n.details["last_coefficient"] == 1
 

@@ -239,6 +239,33 @@ def test_binary_form_gcd():
     assert coprime.degree() == 0
 
 
+def _binary_form(data, tower, max_degree):
+    """A nonzero binary form of degree at most max_degree times a monomial,
+    with coefficients a + b*eps over Q(eps) and integers over Q."""
+    eps = tower.symbol_element("eps") if tower.symbols else tower.zero()
+    degree = data.draw(st.integers(0, max_degree))
+    coeffs = {
+        (degree - k, k): data.draw(_SMALL) + data.draw(_SMALL) * eps
+        for k in range(degree + 1)
+    }
+    form = MultiPoly(2, coeffs, tower)
+    if not form:
+        form = MultiPoly.constant(2, 1, tower)
+    U, V = MultiPoly.variables(2, tower)
+    return form * U ** data.draw(st.integers(0, 2)) * V ** data.draw(st.integers(0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), tower=st.sampled_from((QQ, tower_eps())))
+def test_binary_form_gcd_of_multiples_is_a_monic_common_divisor(data, tower):
+    a, b, c = (_binary_form(data, tower, 3) for _ in range(3))
+    g = binary_form_gcd(a * c, b * c)
+    assert g.leading()[1] == 1
+    divide_exact(a * c, g)
+    divide_exact(b * c, g)
+    divide_exact(g, c)
+
+
 def test_poly_sqrt():
     g = X ** 2 - 3 * Y * Z + Fraction(1, 4) * Z ** 2
     assert poly_sqrt(g * g) == g

@@ -21,7 +21,7 @@ from hesse_lab.multipoly import MultiPoly, reduce_mod
 
 _generators = groups.hessian_group_generators
 _unit_determinant_generators = groups.unit_determinant_generators
-_hesse_data = harness.hesse_data
+_groups_hesse_data = groups.hesse_data
 _ellaw_hesse_data = ellaw.hesse_data
 _third_intersection = ellaw.third_intersection
 _cover_automorphisms = groups.cover_automorphisms
@@ -60,7 +60,7 @@ def _dilate_lift_scaled_by_zeta9_squared():
 
 
 def _base_points_relabelled():
-    data = _hesse_data()
+    data = _groups_hesse_data()
     p = data.base_points
     return replace(data, base_points=(p[1], p[0]) + p[2:])
 
@@ -179,7 +179,7 @@ MUTANTS = {
         "unit_determinant_generators",
         _dilate_lift_scaled_by_zeta9_squared,
     ),
-    "groups.permutation": (harness, "hesse_data", _base_points_relabelled),
+    "groups.permutation": (groups, "hesse_data", _base_points_relabelled),
     "groups.vertex_orbits": (
         groups,
         "hessian_group_generators",
