@@ -10,11 +10,12 @@ equal exactly when their (num, den) pairs are identical.
 Each tower holds one table of integer structure constants: e_i * e_j is
 sum_k c_ijk e_k / D, where D is the lcm of the denominators of the rational
 constants (D = 1 when every minimal polynomial has integer coefficients, as
-in the built-in towers).  A product runs through that table in integers and
-is reduced by a single gcd; an inverse solves M_a x = e_0 on the integer
-multiplication matrix M_a by fraction-free (Bareiss) elimination.  This is
-the layout of Cohen, *A Course in Computational Algebraic Number Theory*,
-section 4.2.
+in the built-in towers).  A new level's table is computed in the arithmetic
+of the tower below it, whose elements' integer numerators fill it.  A
+product runs through that table in integers and is reduced by a single gcd;
+an inverse solves M_a x = e_0 on the integer multiplication matrix M_a by
+fraction-free (Bareiss) elimination.  This is the layout of Cohen, *A Course
+in Computational Algebraic Number Theory*, section 4.2.
 
 A tower is exact data only: a level is a symbol and a minimal polynomial,
 and no complex root is chosen.  The one complex embedding the program takes
@@ -83,12 +84,12 @@ def _solve_fraction_free(rows: list) -> tuple:
 class _Level:
     """One extension step: symbol, degree and minpoly."""
 
-    __slots__ = ("symbol", "degree", "minpoly_coords")
+    __slots__ = ("symbol", "degree", "minpoly")
 
-    def __init__(self, symbol, degree, minpoly_coords):
+    def __init__(self, symbol, degree, minpoly):
         self.symbol = symbol
         self.degree = degree
-        self.minpoly_coords = minpoly_coords  # tuple of flat prefix coord tuples
+        self.minpoly = minpoly  # ascending coefficients, elements of the prefix
 
 
 class ExtensionSpec:
@@ -130,7 +131,7 @@ class FieldTower:
         return tuple(l.symbol for l in self._levels)
 
     def _key(self) -> tuple:
-        return tuple((l.symbol, l.degree, l.minpoly_coords) for l in self._levels)
+        return tuple((l.symbol, l.degree, l.minpoly) for l in self._levels)
 
     def __eq__(self, other):
         if self is other:
@@ -189,12 +190,6 @@ class FieldTower:
             return self.from_rational(x)
         raise TowerError(f"cannot coerce {x!r} into {self!r}")
 
-    def _from_coords(self, coords: Sequence[Fraction]) -> "FieldElement":
-        """The element with the given rational coordinates."""
-        den = lcm(*(q.denominator for q in coords))
-        num = tuple(q.numerator * (den // q.denominator) for q in coords)
-        return FieldElement(self, num, den)
-
     def dot(self, xs: Sequence["FieldElement"], ys: Sequence["FieldElement"]):
         """sum(x * y for x, y in zip(xs, ys)) with a single reduction.
 
@@ -250,55 +245,45 @@ class FieldTower:
     def _structure_constants(self, prefix: "FieldTower") -> tuple:
         """(table, D): table[i][j] lists the (k, c) with e_i * e_j = sum c e_k / D.
 
-        Built from the prefix tower K' below the last level, as built
-        already: a basis element is e_r * x^e with e_r in K', and x^(e+f) is
-        reduced modulo the last minimal polynomial once, as d coefficients
-        in K'.
+        Built in the arithmetic of the prefix tower K' below the last level,
+        as built already: a basis element is e_r * x^e with e_r in K', and
+        x^(e+f) is reduced modulo the last minimal polynomial once, so each
+        product is d elements of K'; D is the lcm of their denominators.
         """
         if prefix is None:
             return [[((0, 1),)]], 1
         b = prefix.total_degree
         d = self._levels[-1].degree
-        minpoly = [prefix._from_coords(c) for c in self._levels[-1].minpoly_coords]
+        minpoly = self._levels[-1].minpoly
+        zero = prefix.zero()
         # x^e for e <= 2d - 2 as d coefficients in K', using
         # x * sum c_k x^k = sum c_(k-1) x^k - c_(d-1) * minpoly(x)
-        powers = [[prefix.one()] + [prefix.zero()] * (d - 1)]
+        powers = [[prefix.one()] + [zero] * (d - 1)]
         for _ in range(2 * d - 2):
             last = powers[-1]
-            shifted = [prefix.zero()] + last[:-1]
             powers.append(
-                [
-                    prefix._from_coords(
-                        [u - v for u, v in zip(s.coords, last[-1]._times(m).coords)]
-                    )
-                    for s, m in zip(shifted, minpoly)
-                ]
+                [s - last[-1] * m for s, m in zip([zero] + last[:-1], minpoly)]
             )
         units = [
             FieldElement(prefix, tuple(int(k == r) for k in range(b)), 1)
             for r in range(b)
         ]
         n = self.total_degree
-        products = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                base = units[i % b]._times(units[j % b])
-                products[i][j] = [
-                    q for c in powers[i // b + j // b] for q in base._times(c).coords
-                ]
-        scale = lcm(*(q.denominator for row in products for p in row for q in p))
-        table = [
+        products = [
             [
-                tuple(
-                    (k, q.numerator * (scale // q.denominator))
-                    for k, q in enumerate(p)
-                    if q
-                )
-                for p in row
+                [units[i % b] * units[j % b] * c for c in powers[i // b + j // b]]
+                for j in range(n)
             ]
-            for row in products
+            for i in range(n)
         ]
-        return table, scale
+        scale = lcm(*(c.den for row in products for p in row for c in p))
+
+        def entries(p):
+            flat = [a * (scale // c.den) for c in p for a in c.num]
+            return tuple((k, a) for k, a in enumerate(flat) if a)
+
+        return [[entries(p) for p in row] for row in products], scale
+
 
 def _extend(tower: FieldTower, spec: ExtensionSpec) -> FieldTower:
     coeffs = [tower.coerce(c) for c in spec.minpoly]
@@ -309,7 +294,7 @@ def _extend(tower: FieldTower, spec: ExtensionSpec) -> FieldTower:
         raise TowerError(f"minimal polynomial for {spec.symbol!r} is not monic")
     if spec.symbol in tower.symbols:
         raise TowerError(f"duplicate symbol {spec.symbol!r}")
-    level = _Level(spec.symbol, degree, tuple(c.coords for c in coeffs))
+    level = _Level(spec.symbol, degree, tuple(coeffs))
     return FieldTower(tower, level)
 
 
@@ -436,9 +421,6 @@ class FieldElement:
         return NotImplemented
 
     __rmul__ = __mul__
-    # a new tower builds its table through this alias, so that code wrapping
-    # the operator names (perfbench/tracer.py) counts only callers' products
-    _times = __mul__
 
     def inverse(self) -> "FieldElement":
         t, num = self.tower, self.num

@@ -1,9 +1,9 @@
 """Plane projective transformations and the finite groups they generate.
 
-Transformations are 3x3 matrices over a field tower, compared up to
-scalar via a canonical representative (first nonzero entry scaled to
-one) while keeping the exact linear lift that was supplied; products
-take the domain's fused ``dot``, one reduction per entry.  A projective
+A transformation is its linear lift, a 3x3 matrix over a field tower
+exactly as supplied; it acts on points, forms and other transformations
+through that matrix, and products take the domain's fused ``dot``, one
+reduction per entry.  A projective
 group is closed as the permutations its generators induce on an
 invariant point set holding a frame (four points, no three collinear):
 a projective map fixing a frame is the identity, so the permutations are
@@ -81,7 +81,7 @@ def _mat_canonical(m: tuple) -> tuple:
 _CAP = 2000
 
 
-def _closure(gens: Sequence, mul: Callable, cap: int) -> set:
+def _closure(gens: Sequence, mul: Callable) -> set:
     """The group the generators generate under mul, by Dimino's coset
     closure (G. Butler, *Fundamental Algorithms for Permutation Groups*,
     LNCS 559, 1991, ch. 7).
@@ -93,9 +93,9 @@ def _closure(gens: Sequence, mul: Callable, cap: int) -> set:
     to a union of right cosets H r: the closure tests r s for every coset
     representative r and every generator s used so far, and adds the
     coset H (r s) when r s is new.  That costs about one product per
-    element plus one per representative and generator.  The cap is
-    checked while the cyclic group grows and after every coset, so a
-    generator of infinite order raises ValueError.
+    element plus one per representative and generator.  The size is
+    checked against _CAP while the cyclic group grows and after every
+    coset, so a generator of infinite order raises ValueError.
     """
     g0 = gens[0]
     powers = [g0]
@@ -104,8 +104,8 @@ def _closure(gens: Sequence, mul: Callable, cap: int) -> set:
         if x == g0:
             break
         powers.append(x)
-        if len(powers) > cap:
-            raise ValueError(f"group closure exceeded cap {cap}")
+        if len(powers) > _CAP:
+            raise ValueError(f"group closure exceeded cap {_CAP}")
     # the last power is the identity; listing it first makes each coset
     # begin with its representative
     elements = [powers[-1]] + powers[:-1]
@@ -116,8 +116,8 @@ def _closure(gens: Sequence, mul: Callable, cap: int) -> set:
         coset = [r] + [mul(h, r) for h in sub[1:]]
         elements.extend(coset)
         members.update(coset)
-        if len(elements) > cap:
-            raise ValueError(f"group closure exceeded cap {cap}")
+        if len(elements) > _CAP:
+            raise ValueError(f"group closure exceeded cap {_CAP}")
 
     for g in gens[1:]:
         if g in members:
@@ -142,21 +142,20 @@ def _closure(gens: Sequence, mul: Callable, cap: int) -> set:
 
 
 class ProjTransform:
-    """An invertible map of the projective plane.
+    """An invertible map of the projective plane, given by its linear lift.
 
-    ``rows`` is the canonical scalar representative used for equality
-    and hashing; ``lift`` is the matrix exactly as supplied, so scaled
-    copies of one projective map carry distinct linear data.
+    ``lift`` is the matrix exactly as supplied, and every action goes
+    through it, so scaled copies of one projective map carry distinct
+    linear data.
     """
 
-    __slots__ = ("rows", "lift", "domain")
+    __slots__ = ("lift", "domain")
 
     def __init__(self, rows, domain):
         lift = _mat_coerce(rows, domain)
         if _mat_det(lift, domain) == 0:
             raise ValueError("transformation must be invertible")
         object.__setattr__(self, "lift", lift)
-        object.__setattr__(self, "rows", _mat_canonical(lift))
         object.__setattr__(self, "domain", domain)
 
     def __setattr__(self, name, value):
@@ -182,26 +181,17 @@ class ProjTransform:
     def apply(self, p: ProjPoint) -> ProjPoint:
         K = self.domain
         coords = tuple(map(K.coerce, p.coords))
-        return ProjPoint(tuple(K.dot(row, coords) for row in self.rows), K)
+        return ProjPoint(tuple(K.dot(row, coords) for row in self.lift), K)
 
-    def pullback(self, f: MultiPoly, use_lift: bool = False) -> MultiPoly:
-        """f composed with the map, i.e. substitute the linear images."""
+    def pullback(self, f: MultiPoly) -> MultiPoly:
+        """f composed with the lift, i.e. substitute the linear images."""
         f = convert_domain(f, self.domain)
-        m = self.lift if use_lift else self.rows
         x, y, z = MultiPoly.variables(3, self.domain)
-        images = [m[i][0] * x + m[i][1] * y + m[i][2] * z for i in range(3)]
+        images = [row[0] * x + row[1] * y + row[2] * z for row in self.lift]
         return f.substitute(images)
 
-    def __eq__(self, other):
-        if not isinstance(other, ProjTransform):
-            return NotImplemented
-        return self.domain == other.domain and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((ProjTransform, self.rows))
-
     def __repr__(self):
-        return f"ProjTransform({self.rows!r})"
+        return f"ProjTransform({self.lift!r})"
 
 
 def _classical_generators(K, e) -> dict:
@@ -285,7 +275,7 @@ def generate_closure(gens: Sequence[ProjTransform]) -> MatrixGroup:
         raise ValueError("need at least one generator")
     domain = gens[0].domain
     lifts = tuple(g.lift for g in gens)
-    els = _closure(lifts, lambda a, b: _mat_mul(a, b, domain), _CAP)
+    els = _closure(lifts, lambda a, b: _mat_mul(a, b, domain))
     return MatrixGroup(frozenset(els), lifts, domain)
 
 
@@ -406,7 +396,7 @@ def action_on_points(
         perms.append(images)
     return PermImage(
         tuple(perms),
-        tuple(sorted(_closure(perms, PermImage.mul, _CAP))),
+        tuple(sorted(_closure(perms, PermImage.mul))),
         faithful=_frame(pts) is not None,
         orbits=_orbits_under(perms, len(pts)),
         two_transitive=_pair_transitive(perms, len(pts)),
@@ -471,15 +461,13 @@ def parameter_image_order(transforms: Sequence[ProjTransform]) -> int:
     generate."""
     domain = transforms[0].domain
     gens = [parameter_action(g) for g in transforms]
-    return len(
-        _closure(gens, lambda a, b: _mat_canonical(_mat_mul(a, b, domain)), _CAP)
-    )
+    return len(_closure(gens, lambda a, b: _mat_canonical(_mat_mul(a, b, domain))))
 
 
-def invariance_factor(f: MultiPoly, g: ProjTransform, use_lift: bool = False):
-    """Scalar c with (f composed with g) = c*f; raises when f is not a
-    relative invariant of g."""
-    pull = g.pullback(f, use_lift=use_lift)
+def invariance_factor(f: MultiPoly, g: ProjTransform):
+    """Scalar c with (f composed with the lift of g) = c*f; raises when f
+    is not a relative invariant of g."""
+    pull = g.pullback(f)
     c, witness = proportionality(pull, f)
     if c is None:
         raise ValueError(f"not a relative invariant; first mismatch at {witness}")
@@ -532,7 +520,7 @@ def symplectic_ratio(g: ProjTransform, w_scalar):
     back to c w/z'^3, so the ratio is det(A)/c, an element of the domain.
     """
     c = g.domain.coerce(w_scalar)
-    factor = invariance_factor(hesse_data().invariants["sextic"], g, use_lift=True)
+    factor = invariance_factor(hesse_data().invariants["sextic"], g)
     if factor != c * c:
         raise ValueError(
             f"w scalar {c} does not preserve the cover: the sextic pulls back "
@@ -666,9 +654,7 @@ def sextic_invariance_check() -> PropertyResult:
     measures = {
         name: partial(factor, gens[name]) for name in ("cycle", "scale", "dilate")
     }
-    measures["fourier_normalized"] = partial(
-        factor, normalized_fourier(), use_lift=True
-    )
+    measures["fourier_normalized"] = partial(factor, normalized_fourier())
     return _measure(measures, dict.fromkeys(measures, data.domain.one()))
 
 

@@ -165,9 +165,6 @@ class RationalSelfMap:
         lead = den.leading()[1]
         return num / lead, den / lead
 
-    def degree(self) -> int:
-        return self.num.degree()
-
     def apply(self, t: PencilParameter) -> PencilParameter:
         num, den = convert_domain(self.num, t.domain), convert_domain(self.den, t.domain)
         point = t.pair()

@@ -418,27 +418,36 @@ def _divmod(f: MultiPoly, g: MultiPoly, *, stop_early=False):
     """(quotient, remainder) of f by g: each leading term of what is left goes
     into the quotient when g's leading monomial divides it, else the remainder.
     With stop_early the division ends at the first remainder term, which is
-    then the whole remainder returned."""
+    then the whole remainder returned.
+
+    What is left is one term dict: its leading term is popped, and a
+    quotient term c*x^e subtracts c*gc at x^e times each other monomial of
+    g (the leading one cancels by construction)."""
     f._check_compatible(g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     nvars, domain = f.nvars, f.domain
     glead, gcoef = g.leading()
     ginv = gcoef.inverse()
+    gtail = [(e, gc) for e, gc in g.terms.items() if e != glead]
     quot, rem = {}, {}
-    r = f
+    r = dict(f.terms)
     while r:
-        rlead, rcoef = r.leading()
+        rlead = max(r, key=_grlex_key)
+        rcoef = r.pop(rlead)
         exps = tuple(a - b for a, b in zip(rlead, glead))
         if min(exps) >= 0:
             c = rcoef * ginv
             quot[exps] = c
-            r = r - MultiPoly(nvars, {exps: c}, domain, _clean=True) * g
+            for e, gc in gtail:
+                m = tuple(a + b for a, b in zip(e, exps))
+                v = r.pop(m, domain.zero()) - c * gc
+                if v:
+                    r[m] = v
         else:
             rem[rlead] = rcoef
             if stop_early:
                 break
-            r = r - MultiPoly(nvars, {rlead: rcoef}, domain)
     return (
         MultiPoly(nvars, quot, domain, _clean=True),
         MultiPoly(nvars, rem, domain, _clean=True),

@@ -106,10 +106,7 @@ def test_criterion_05_invariant_factors_and_factorizations():
         quartic_invariant = data.invariants["equianharmonic_product"]
         for name in ("cycle", "scale", "dilate"):
             assert invariance_factor(quartic_invariant, gens[name]) == one
-        assert (
-            invariance_factor(quartic_invariant, normalized_fourier(), use_lift=True)
-            == one
-        )
+        assert invariance_factor(quartic_invariant, normalized_fourier()) == one
 
 
 def test_criterion_06_contact_cubic_suite():

@@ -3,7 +3,7 @@
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import mpmath as mp
 import pytest
@@ -14,6 +14,7 @@ from hesse_lab.field import (
     ExtensionSpec,
     FieldTower,
     TowerError,
+    _reduced,
     _to_mpc,
     element_to_str,
     tower_create,
@@ -23,7 +24,14 @@ from hesse_lab.field import (
     tower_rationals,
     tower_zeta9,
 )
-from hesse_lab.multipoly import QQ
+from hesse_lab.hesse import PencilParameter, hesse_data, pencil_member
+from hesse_lab.multipoly import QQ, MultiPoly, resultant_in_var
+
+
+def _from_coords(tower, coords):
+    """The element of the tower with the given rational coordinates."""
+    den = lcm(*(q.denominator for q in coords))
+    return _reduced(tower, [q.numerator * (den // q.denominator) for q in coords], den)
 
 
 def test_minpoly_reduction_kills_eps_relation():
@@ -229,6 +237,34 @@ def _tower_two_level_fractional():
     )
 
 
+def _contact_resultant(lam):
+    """The monic R(x) = Res_y(member, contact cubic 1) in the chart z = 1,
+    for the member at the affine parameter lam, as coefficients in Q(eps)."""
+    K = tower_eps()
+    member = pencil_member(PencilParameter.from_affine(lam, K)).equation
+    x, y = MultiPoly.variables(2, K)
+    chart = [x, y, MultiPoly.constant(2, K.one(), K)]
+    res = resultant_in_var(
+        member.substitute(chart), hesse_data().halphen_cubics[0].substitute(chart), 1
+    )
+    degree = max(e[0] for e in res.terms)
+    lead = res.coefficient((degree, 0)).inverse()
+    return [res.coefficient((k, 0)) * lead for k in range(degree + 1)]
+
+
+@lru_cache(maxsize=None)
+def _tower_contact_resultant():
+    """Q(eps)[xi]/(R) of degree 18 for the member at lambda = -211/163: the
+    minimal polynomial's coefficients are elements of Q(eps) with
+    denominators.  R need not be irreducible, so no inverse is taken."""
+    return tower_create(
+        [
+            ExtensionSpec("eps", [1, 1, 1]),
+            ExtensionSpec("xi", _contact_resultant(Fraction(-211, 163))),
+        ]
+    )
+
+
 _TOWERS = (
     tower_eps,
     tower_eps_i,
@@ -275,11 +311,12 @@ def _embeddable_elements(draw):
     numerators = st.integers(min_value=-(2 ** bits), max_value=2 ** bits)
     denominators = st.integers(min_value=1, max_value=2 ** bits)
     return [
-        tower._from_coords(
+        _from_coords(
+            tower,
             [
                 Fraction(draw(numerators), draw(denominators))
                 for _ in range(tower.total_degree)
-            ]
+            ],
         )
         for _ in range(2)
     ]
@@ -383,7 +420,7 @@ def test_integer_layout_properties(drawn):
     tower, (a, b) = drawn
     for x in (a, b, a + b, a - b, a * b, -a, a * Fraction(-3, 4)):
         _assert_canonical(x)
-    same = tower._from_coords(a.coords)
+    same = _from_coords(tower, a.coords)
     assert same == a and hash(same) == hash(a)
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
     negative_rational = tower.from_rational(Fraction(-abs(a.num[0]) - 1, a.den))
@@ -394,6 +431,42 @@ def test_integer_layout_properties(drawn):
             assert x * inv == 1
     if b:
         assert (a / b) * b == a
+
+
+def test_contact_resultant_tower_has_its_generator_as_a_root():
+    tower = _tower_contact_resultant()
+    assert tower.total_degree == 18 and tower._scale > 1
+    eps, xi = tower.symbol_element("eps"), tower.symbol_element("xi")
+    coeffs = _contact_resultant(Fraction(-211, 163))
+    assert any(c.den > 1 for c in coeffs)
+    value = tower.zero()
+    for k, c in enumerate(coeffs):
+        a, b = c.coords
+        value = value + (eps * b + a) * xi**k
+    assert value == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_contact_resultant_tower_ring_axioms(data):
+    tower = _tower_contact_resultant()
+    bits = data.draw(st.sampled_from((4, 64)))
+    numerators = st.integers(min_value=-(2 ** bits), max_value=2 ** bits)
+    denominators = st.integers(min_value=1, max_value=2 ** bits)
+    a, b, c = (
+        _from_coords(
+            tower,
+            [
+                Fraction(data.draw(numerators), data.draw(denominators))
+                for _ in range(tower.total_degree)
+            ],
+        )
+        for _ in range(3)
+    )
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    _assert_canonical(a * b)
 
 
 def test_reducible_minpoly_zero_divisor_raises():
@@ -411,6 +484,7 @@ _DOT_DOMAINS = (
     tower_eps_i_cbrt2,
     tower_zeta9,
     _tower_sqrt_half,
+    _tower_contact_resultant,
     lambda: QQ,
 )
 
@@ -432,7 +506,7 @@ def _domain_and_vectors(draw):
             Fraction(draw(numerators), draw(st.integers(min_value=1, max_value=top)))
             for _ in range(domain.total_degree)
         ]
-        return domain._from_coords(coords)
+        return _from_coords(domain, coords)
 
     size = draw(st.integers(min_value=0, max_value=4))
     return domain, [entry() for _ in range(size)], [entry() for _ in range(size)]
@@ -457,8 +531,8 @@ def test_text_round_trip_past_the_int_str_digit_limit():
     # the inverse of a 128-bit element of Q(eps, i, cbrt2) has numerators of
     # about 17,900 bits, past Python's default 4300-digit int <-> str limit
     K = tower_eps_i_cbrt2()
-    x = K._from_coords(
-        [Fraction(2 ** 127 + 3 * k + 1, 2 ** 128 - 5 * k - 1) for k in range(12)]
+    x = _from_coords(
+        K, [Fraction(2 ** 127 + 3 * k + 1, 2 ** 128 - 5 * k - 1) for k in range(12)]
     )
     y = x.inverse()
     assert max(abs(a) for a in y.num).bit_length() > 4300 * 10 // 3

@@ -83,7 +83,7 @@ def test_pencil_member_contains_base_points():
 
 def test_self_map_reduction_and_rejection():
     m = RationalSelfMap(T0 * T1, T0 * T0)
-    assert m.degree() == 1
+    assert m.num.degree() == 1
     with pytest.raises(ValueError):
         RationalSelfMap(3 * T0, T0)  # constant after reduction
     with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ def test_self_map_reduction_and_rejection():
 
 def test_hessian_map_values():
     h = hessian_map()
-    assert h.degree() == 3
+    assert h.num.degree() == 3
     assert h.apply(PencilParameter.from_affine(Fraction(1))).affine() == Fraction(-109, 3)
     assert h.apply(PencilParameter.from_affine(Fraction(0))).is_infinite
     assert h.apply(PencilParameter.infinity()).is_infinite

@@ -219,6 +219,35 @@ def test_divide_exact_by_a_term_matches_long_division(quotient, extra, monomial,
         assert q * g == f
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    f_parts=st.tuples(_TERMS, _TERMS),
+    g_parts=st.tuples(_TERMS, _TERMS),
+    tower=st.sampled_from((QQ, tower_eps())),
+)
+def test_long_division_identity(f_parts, g_parts, tower):
+    # f = q*g + r with no term of r divisible by the leading monomial of g;
+    # the second part of each polynomial carries eps over Q(eps)
+    c = tower.symbol_element("eps") if tower.symbols else Fraction(3, 7)
+    f, g = (
+        MultiPoly(3, a, tower) + c * MultiPoly(3, b, tower)
+        for a, b in (f_parts, g_parts)
+    )
+    if not g:
+        return
+    glead = g.leading()[0]
+    q, r = _divmod(f, g)
+    assert q * g + r == f
+    assert not any(all(a >= b for a, b in zip(e, glead)) for e in r.terms)
+    # stop_early ends at the leading term of the full remainder
+    q1, r1 = _divmod(f, g, stop_early=True)
+    if r:
+        assert r1.terms == dict([r.leading()])
+        assert (f - q1 * g).leading() == r.leading()
+    else:
+        assert (q1, r1) == (q, r)
+
+
 def test_poly_remainder():
     f = S ** 2 + X * Y * S + 7 * T
     r = poly_remainder(f, S)
