@@ -3,18 +3,20 @@
 A transformation is its linear lift, a 3x3 matrix over a field tower
 exactly as supplied; it acts on points, forms and other transformations
 through that matrix, and products take the domain's fused ``dot``, one
-reduction per entry.  A projective
-group is closed as the permutations its generators induce on an
-invariant point set holding a frame (four points, no three collinear):
-a projective map fixing a frame is the identity, so the permutations are
-faithful.  A linear group is closed as the matrices of the lifts.  Both,
-and the 2x2 Moebius maps of the pencil parameter, go through Dimino's
-coset closure (G. Butler, *Fundamental Algorithms for Permutation
-Groups*, LNCS 559, 1991, ch. 7), at about one product per element.  The
-module also records how the groups act on polynomial forms, on the
-pencil parameter, and on the holomorphic 2-form of the double cover
-w^2 + (degree-six invariant) = 0, and ends with the registered group
-checks.
+reduction per entry.  Every finite group here is the permutation group
+its generators induce on a finite set, grown as an orbit and faithful
+for a reason that each caller gives: a projective group permutes an
+invariant point set holding a frame (four points, no three collinear),
+and a projective map fixing a frame is the identity; a linear group
+permutes the orbit of the standard basis, and a linear map is fixed by
+where it sends a basis; the Moebius maps of the pencil parameter permute
+the four triangle parameters, and a Moebius map fixing three points is
+the identity.  The permutations are closed by Dimino's coset closure
+(G. Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
+1991, ch. 7), at about one product per element.  The module also records
+how the groups act on polynomial forms, on the pencil parameter, and on
+the holomorphic 2-form of the double cover w^2 + (degree-six invariant)
+= 0, and ends with the registered group checks.
 """
 
 from __future__ import annotations
@@ -26,9 +28,16 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .field import tower_eps, tower_zeta9
-from .hesse import PropertyResult, _expect, _measure, hesse_data, pencil_forms
+from .hesse import (
+    PencilParameter,
+    PropertyResult,
+    _expect,
+    _measure,
+    hesse_data,
+    pencil_forms,
+)
 from .multipoly import MultiPoly, convert_domain, field_linsolve, proportionality
-from .plane import ProjPoint, normalize_projective
+from .plane import ProjPoint
 
 
 # ---------------------------------------------------------------------------
@@ -69,48 +78,78 @@ def _mat_inv(m: tuple, domain) -> tuple:
     return tuple(tuple(cof[j][i] * inv for j in range(3)) for i in range(3))
 
 
-def _mat_canonical(m: tuple) -> tuple:
-    """The scalar multiple of m whose first nonzero entry is one."""
-    n = len(m[0])
-    flat = normalize_projective(v for row in m for v in row)
-    return tuple(flat[i : i + n] for i in range(0, len(flat), n))
+# ---------------------------------------------------------------------------
+# permutation groups
+# ---------------------------------------------------------------------------
 
 
-# every closure here is finite and far smaller; a generator of infinite
-# order raises instead of running on
+# every group and orbit here is finite and far smaller; a generator of
+# infinite order raises instead of running on
 _CAP = 2000
 
 
-def _closure(gens: Sequence, mul: Callable) -> set:
-    """The group the generators generate under mul, by Dimino's coset
-    closure (G. Butler, *Fundamental Algorithms for Permutation Groups*,
-    LNCS 559, 1991, ch. 7).
+@dataclass(frozen=True)
+class PermImage:
+    """A finite group as the permutations its generators induce on a
+    finite set, numbered 0..n-1.
 
-    Elements are hashable canonical forms that mul returns (matrices of
-    any size, or permutations).  The cyclic group of the first generator
-    comes first; its identity is the power x with mul(x, g0) == g0.  Each
-    further generator not yet present extends the group H built so far
-    to a union of right cosets H r: the closure tests r s for every coset
-    representative r and every generator s used so far, and adds the
-    coset H (r s) when r s is new.  That costs about one product per
-    element plus one per representative and generator.  The size is
-    checked against _CAP while the cyclic group grows and after every
-    coset, so a generator of infinite order raises ValueError.
+    A permutation is the tuple of images of 0..n-1; a after b is a[b[i]].
     """
-    g0 = gens[0]
-    powers = [g0]
-    while True:
-        x = mul(powers[-1], g0)
-        if x == g0:
-            break
-        powers.append(x)
-        if len(powers) > _CAP:
-            raise ValueError(f"group closure exceeded cap {_CAP}")
-    # the last power is the identity; listing it first makes each coset
-    # begin with its representative
-    elements = [powers[-1]] + powers[:-1]
+
+    gens: tuple  # the generators' permutations
+    elements: tuple  # sorted permutation tuples
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @staticmethod
+    def mul(a: tuple, b: tuple) -> tuple:
+        return tuple(map(a.__getitem__, b))
+
+
+def _induced_permutations(act: Callable, gens: Sequence, seeds: Sequence) -> tuple:
+    """The orbit of the seeds under the generators and the permutation
+    each generator induces on it, as (orbit, permutations).
+
+    act(g, x) is the image of x under g, and x must be hashable.  The
+    orbit lists the distinct seeds in order and then each new image in
+    the order it is found.  Raises ValueError once the orbit passes _CAP
+    elements, so an orbit that never closes, as that of a basis under a
+    linear map of infinite order, ends.
+    """
+    orbit = list(dict.fromkeys(seeds))
+    index = {x: i for i, x in enumerate(orbit)}
+    images = [[] for _ in gens]
+    for x in orbit:  # the orbit grows while it is read
+        for g, perm in zip(gens, images):
+            y = act(g, x)
+            i = index.get(y)
+            if i is None:
+                if len(orbit) == _CAP:
+                    raise ValueError(f"group closure exceeded cap {_CAP}")
+                i = index[y] = len(orbit)
+                orbit.append(y)
+            perm.append(i)
+    return orbit, [tuple(perm) for perm in images]
+
+
+def _closure(gens: Sequence[tuple]) -> set:
+    """The group the permutations generate, by Dimino's coset closure
+    (G. Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
+    1991, ch. 7).
+
+    From the trivial group {tuple(range(n))}, each generator not yet
+    present extends the group H built so far to a union of right cosets
+    H r: the closure tests r s for every coset representative r and every
+    generator s used so far, and adds the coset H (r s) when r s is new.
+    That costs about one product per element plus one per representative
+    and generator.  The size is checked against _CAP after every coset.
+    """
+    mul = PermImage.mul
+    elements = [tuple(range(len(gens[0])))]
     members = set(elements)
-    used = [g0]
+    used = []
 
     def add_coset(sub: list, r) -> None:
         coset = [r] + [mul(h, r) for h in sub[1:]]
@@ -119,7 +158,7 @@ def _closure(gens: Sequence, mul: Callable) -> set:
         if len(elements) > _CAP:
             raise ValueError(f"group closure exceeded cap {_CAP}")
 
-    for g in gens[1:]:
+    for g in gens:
         if g in members:
             continue
         used.append(g)
@@ -252,31 +291,19 @@ def unit_determinant_generators() -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixGroup:
-    """A linear group: the closure of the generators' matrix lifts."""
-
-    elements: frozenset  # matrices as row tuples
-    gens: tuple
-    domain: object
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        return _mat_mul(a, b, self.domain)
-
-
-def generate_closure(gens: Sequence[ProjTransform]) -> MatrixGroup:
-    """The linear group the generators' lifts generate under matrix
-    multiplication, by the coset closure of `_closure`."""
+def generate_closure(gens: Sequence[ProjTransform]) -> PermImage:
+    """The linear group the generators' lifts generate, as the
+    permutations they induce on the orbit of the standard basis e1, e2,
+    e3.  A linear map is fixed by where it sends a basis, so the image is
+    faithful, and the orbit is finite exactly when the group is."""
     if not gens:
         raise ValueError("need at least one generator")
-    domain = gens[0].domain
-    lifts = tuple(g.lift for g in gens)
-    els = _closure(lifts, lambda a, b: _mat_mul(a, b, domain))
-    return MatrixGroup(frozenset(els), lifts, domain)
+    K = gens[0].domain
+    basis = [tuple(K.one() if i == j else K.zero() for j in range(3)) for i in range(3)]
+    _, perms = _induced_permutations(
+        lambda g, v: tuple(K.dot(row, v) for row in g.lift), gens, basis
+    )
+    return PermImage(tuple(perms), tuple(sorted(_closure(perms))))
 
 
 def _element_order(G, m: tuple) -> int:
@@ -289,9 +316,9 @@ def _element_order(G, m: tuple) -> int:
     return k
 
 
-def group_facts(G) -> dict:
-    """Exact combinatorial facts of a MatrixGroup or a PermImage, through
-    the group's own product: order, center, element orders, abelian."""
+def group_facts(G: PermImage) -> dict:
+    """Exact combinatorial facts of a permutation group: order, center,
+    element orders, abelian."""
     abelian = all(G.mul(a, b) == G.mul(b, a) for a in G.gens for b in G.gens)
     center = [
         m for m in G.elements if all(G.mul(m, g) == G.mul(g, m) for g in G.gens)
@@ -310,58 +337,24 @@ def group_facts(G) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PermImage:
-    """A projective group as the permutations it induces on a point list.
-
-    A permutation is the tuple of images of 0..n-1; a after b is a[b[i]].
-    """
-
-    gens: tuple  # the generators' permutations
-    elements: tuple  # sorted permutation tuples
-    faithful: bool  # the points hold a frame
-    orbits: tuple  # orbits of point indices, each sorted
-    two_transitive: bool
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @staticmethod
-    def mul(a: tuple, b: tuple) -> tuple:
-        return tuple(a[i] for i in b)
-
-
-def _orbits_under(perms: Sequence[tuple], n: int) -> tuple:
-    seen = [False] * n
+def _orbits(gens: Sequence[ProjTransform], pts: Sequence[ProjPoint]) -> list:
+    """The orbits of the points under the transformations, each listed
+    from its first point in pts."""
     orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for p in perms:
-                j = p[i]
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(j)
-        for i in orbit:
-            seen[i] = True
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+    for p in pts:
+        if not any(p in orbit for orbit in orbits):
+            orbits.append(_induced_permutations(ProjTransform.apply, gens, [p])[0])
+    return orbits
 
 
-def _pair_transitive(perms: Sequence[tuple], n: int) -> bool:
-    if n < 2:
-        return False
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    index = {p: k for k, p in enumerate(pairs)}
-    pair_perms = [
-        tuple(index[(p[i], p[j])] for (i, j) in pairs) for p in perms
-    ]
-    return len(_orbits_under(pair_perms, len(pairs))) == 1
+def _two_transitive(image: PermImage) -> bool:
+    """Whether the group moves the ordered pair (0, 1) to every ordered
+    pair of distinct points."""
+    n = len(image.gens[0])
+    pairs, _ = _induced_permutations(
+        lambda g, pair: (g[pair[0]], g[pair[1]]), image.gens, [(0, 1)]
+    )
+    return len(pairs) == n * (n - 1)
 
 
 def _frame(pts: Sequence[ProjPoint]):
@@ -381,26 +374,15 @@ def action_on_points(
     """The permutation group the transformations induce on a labeled
     point list, closed from the generators' permutations alone.
 
-    The image is faithful, a copy of the projective group, when the
-    points hold a frame: an element acting trivially fixes the frame and
-    so is the identity.  Orbits and two-transitivity are read from the
-    generators.  Raises ValueError when a generator does not permute the
-    points.
+    The image is a copy of the projective group when the points hold a
+    frame (`_frame`): an element acting trivially fixes the frame and so
+    is the identity.  Raises ValueError when the orbit of the points is
+    larger than the list, that is when a generator does not permute them.
     """
-    lookup = {p: i for i, p in enumerate(pts)}
-    perms = []
-    for g in gens:
-        images = tuple(lookup.get(g.apply(p)) for p in pts)
-        if None in images:
-            raise ValueError("group element does not permute the points")
-        perms.append(images)
-    return PermImage(
-        tuple(perms),
-        tuple(sorted(_closure(perms, PermImage.mul))),
-        faithful=_frame(pts) is not None,
-        orbits=_orbits_under(perms, len(pts)),
-        two_transitive=_pair_transitive(perms, len(pts)),
-    )
+    orbit, perms = _induced_permutations(ProjTransform.apply, gens, pts)
+    if len(orbit) != len(pts):
+        raise ValueError("group element does not permute the points")
+    return PermImage(tuple(perms), tuple(sorted(_closure(perms))))
 
 
 def form_permutation(
@@ -441,9 +423,9 @@ def _pencil_coordinates(f: MultiPoly, s: MultiPoly, t: MultiPoly, domain):
 
 def parameter_action(g: ProjTransform) -> tuple:
     """The Moebius map induced on the pencil parameter by pushing members
-    forward through the transformation, as the canonical 2x2 matrix
-    ((a, c), (b, d)) sending (t0 : t1) to (a*t0 + c*t1 : b*t0 + d*t1).
-    Raises ValueError when g does not preserve the pencil."""
+    forward through the lift, as the 2x2 matrix ((a, c), (b, d)) sending
+    (t0 : t1) to (a*t0 + c*t1 : b*t0 + d*t1).  A scaled lift scales the
+    matrix.  Raises ValueError when g does not preserve the pencil."""
     domain = g.domain
     s, t = pencil_forms(domain)
     h = g.inverse()
@@ -453,15 +435,21 @@ def parameter_action(g: ProjTransform) -> tuple:
         raise ValueError("not pencil-preserving")
     a, b = fit_s
     c, d = fit_t
-    return _mat_canonical(((a, c), (b, d)))
+    return ((a, c), (b, d))
+
+
+def _moebius_image(m: tuple, p: PencilParameter) -> PencilParameter:
+    (a, c), (b, d) = m
+    return PencilParameter(a * p.t0 + c * p.t1, b * p.t0 + d * p.t1, p.domain)
 
 
 def parameter_image_order(transforms: Sequence[ProjTransform]) -> int:
-    """Order of the subgroup of parameter Moebius maps the transformations
-    generate."""
-    domain = transforms[0].domain
+    """Order of the group of Moebius maps the transformations induce on the
+    parameter line, as the permutations of the orbit of the four triangle
+    parameters; a Moebius map fixing three points is the identity."""
     gens = [parameter_action(g) for g in transforms]
-    return len(_closure(gens, lambda a, b: _mat_canonical(_mat_mul(a, b, domain))))
+    seeds = hesse_data().triangle_parameters
+    return len(_closure(_induced_permutations(_moebius_image, gens, seeds)[1]))
 
 
 def invariance_factor(f: MultiPoly, g: ProjTransform):
@@ -553,9 +541,9 @@ def orders_check() -> PropertyResult:
     """Orders of the translation, kernel, full and stabilizer groups, and
     the one involution of the stabilizer."""
     base_points = hesse_data().base_points
-    images = {name: _projective_image(name, base_points) for name in _PROJECTIVE_GROUPS}
-    if not all(image.faithful for image in images.values()):
+    if _frame(base_points) is None:
         return PropertyResult(False, witness="the base points hold no frame")
+    images = {name: _projective_image(name, base_points) for name in _PROJECTIVE_GROUPS}
     got = {name: image.order for name, image in images.items()}
     stab_facts = group_facts(images["stabilizer"])
     got["stabilizer_involutions"] = stab_facts["order_histogram"].get(2, 0)
@@ -596,11 +584,12 @@ def unit_determinant_check() -> PropertyResult:
 def permutation_check() -> PropertyResult:
     """The full group acts on the base points faithfully and 2-transitively,
     with order 216, and contains two named permutations."""
-    image = _projective_image("full", hesse_data().base_points)
+    base_points = hesse_data().base_points
+    image = _projective_image("full", base_points)
     got = {
         "size": image.order,
-        "faithful": image.faithful,
-        "two_transitive": image.two_transitive,
+        "faithful": _frame(base_points) is not None,
+        "two_transitive": _two_transitive(image),
         "has_triple_cycle": (3, 0, 6, 1, 7, 4, 8, 5, 2) in image.elements,
         "has_double_cycle": (0, 4, 8, 3, 7, 2, 6, 1, 5) in image.elements,
     }
@@ -618,8 +607,9 @@ def permutation_check() -> PropertyResult:
 
 def vertex_orbits_check() -> PropertyResult:
     """The translations split the twelve vertices into four orbits of three."""
-    image = _projective_image("translations", hesse_data().vertices)
-    sizes = sorted(len(o) for o in image.orbits)
+    gens = hessian_group_generators()
+    translations = [gens[g] for g in _PROJECTIVE_GROUPS["translations"]]
+    sizes = sorted(len(o) for o in _orbits(translations, hesse_data().vertices))
     return _expect({"orbit_sizes": sizes}, {"orbit_sizes": [3, 3, 3, 3]})
 
 

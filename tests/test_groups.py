@@ -1,28 +1,35 @@
 """Group closures, actions, invariance factors, cover ratios.
 
-Projective groups are the permutation groups their generators induce on
-the nine base points; linear groups are matrix closures of the lifts.
+Every group is the permutation group its generators induce on a finite
+set: projective groups on the nine base points, linear groups on the orbit
+of the standard basis, parameter maps on the four triangle parameters.
+Test-local breadth-first closures of matrices are the reference.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesse_lab.field import tower_eps
-from hesse_lab.hesse import PencilParameter, hesse_data
+from hesse_lab.hesse import hesse_data
 from hesse_lab.multipoly import QQ
-from hesse_lab.plane import ProjPoint
+from hesse_lab.plane import ProjPoint, normalize_projective
 from hesse_lab.groups import (
+    PermImage,
     ProjTransform,
     _CAP,
     _closure,
     _frame,
-    _mat_canonical,
     _mat_det,
     _mat_mul,
+    _moebius_image,
+    _orbits,
+    _two_transitive,
     action_on_points,
     cover_automorphisms,
     form_permutation,
@@ -77,8 +84,7 @@ def test_singular_matrix_rejected():
 
 
 def test_projective_group_orders():
-    for G in (TRANSLATIONS, KERNEL, HESSIAN_GROUP, STABILIZER):
-        assert G.faithful
+    assert _frame(DATA.base_points) is not None
     assert TRANSLATIONS.order == 9
     assert KERNEL.order == 18
     assert HESSIAN_GROUP.order == 216
@@ -124,18 +130,24 @@ def test_translations_normal_in_hessian_group():
     assert not _is_normal_subgroup(TRANSLATIONS, STABILIZER)
 
 
+def _canonical(m):
+    """The scalar multiple of a matrix whose first nonzero entry is one."""
+    n = len(m[0])
+    flat = normalize_projective(v for row in m for v in row)
+    return tuple(flat[i : i + n] for i in range(0, len(flat), n))
+
+
 def _canonical_mul(a, b):
     """The projective product of canonical matrices over Q(eps)."""
-    return _mat_canonical(_mat_mul(a, b, K))
+    return _canonical(_mat_mul(a, b, K))
 
 
 def test_closure_cap():
-    # the linear lift of fourier has infinite order (its square is 3 swap)
-    with pytest.raises(ValueError, match="exceeded cap 2000"):
-        generate_closure(list(GENS.values()))
-    # the 2x2 parameter maps go through the same closure routine
-    gens = [parameter_action(g) for g in HESSIAN_GENS]
-    assert len(_closure(gens, _canonical_mul)) == 12
+    # the linear lift of fourier has infinite order (its square is 3 swap),
+    # as the first generator and as a later one
+    for gens in ([GENS["fourier"]], [GENS["cycle"], GENS["fourier"]]):
+        with pytest.raises(ValueError, match="exceeded cap 2000"):
+            generate_closure(gens)
 
 
 def test_closure_over_the_rationals():
@@ -152,8 +164,9 @@ def test_closure_over_the_rationals():
     assert action_on_points([swap, cycle], pts).order == 6
     # signed permutation matrices: 48 linear maps, 24 projective ones
     assert generate_closure([swap, cycle, sign]).order == 48
+    _assert_linear_matches_oracle([swap, cycle, sign])
     image = action_on_points([swap, cycle, sign], pts)
-    assert image.faithful
+    assert _frame(pts) is not None
     assert image.order == 24
     assert sign.det() == -1
     assert sign.inverse().compose(sign).det() == 1
@@ -185,9 +198,49 @@ def _closure_outcome(closure, *args):
         return str(err)
 
 
-def _assert_matches_oracle(gens, mul):
-    expected = _closure_outcome(_bfs_closure, gens, mul, _CAP)
-    assert _closure_outcome(_closure, gens, mul) == expected
+def _assert_matches_oracle(perms):
+    expected = _closure_outcome(_bfs_closure, perms, PermImage.mul, _CAP)
+    assert _closure_outcome(_closure, perms) == expected
+
+
+def _matrix_facts(transforms):
+    """Order, center, element orders and commutativity of the linear group
+    the lifts generate, from the breadth-first closure of the matrices."""
+    domain = transforms[0].domain
+    lifts = [g.lift for g in transforms]
+
+    def mul(a, b):
+        return _mat_mul(a, b, domain)
+
+    elements = _bfs_closure(lifts, mul, _CAP)
+    identity = tuple(
+        tuple(domain.one() if i == j else domain.zero() for j in range(3))
+        for i in range(3)
+    )
+    # m^k has order n / gcd(n, k) when m has order n
+    orders = {}
+    for m in elements:
+        if m not in orders:
+            powers = [m]
+            while powers[-1] != identity:
+                powers.append(mul(powers[-1], m))
+            n = len(powers)
+            for k, power in enumerate(powers, 1):
+                orders.setdefault(power, n // gcd(n, k))
+    return {
+        "order": len(elements),
+        "center_order": sum(
+            all(mul(m, g) == mul(g, m) for g in lifts) for m in elements
+        ),
+        "order_histogram": dict(sorted(Counter(orders.values()).items())),
+        "abelian": all(mul(a, b) == mul(b, a) for a in lifts for b in lifts),
+    }
+
+
+def _assert_linear_matches_oracle(transforms):
+    expected = _closure_outcome(_matrix_facts, transforms)
+    got = _closure_outcome(lambda gens: group_facts(generate_closure(gens)), transforms)
+    assert got == expected
 
 
 IDENTITY_3X3 = tuple(
@@ -212,28 +265,18 @@ def test_closure_matches_breadth_first_oracle(names, projective):
             for name, g in GENS.items()
         }
         elements["identity"] = tuple(range(9))
-        mul = HESSIAN_GROUP.mul
+        _assert_matches_oracle([elements[name] for name in names])
     else:
-        elements = {name: g.lift for name, g in GENS.items()}
-        elements["identity"] = IDENTITY_3X3
-
-        def mul(a, b):
-            return _mat_mul(a, b, K)
-
-    _assert_matches_oracle([elements[name] for name in names], mul)
+        elements = {**GENS, "identity": ProjTransform(IDENTITY_3X3, K)}
+        _assert_linear_matches_oracle([elements[name] for name in names])
 
 
 def test_unit_determinant_closure_matches_oracle():
-    generators = unit_determinant_generators()
-    lifts = [g.lift for g in generators.values()]
-
-    def mul(a, b):
-        return _mat_mul(a, b, generators["cycle"].domain)
-
-    expected = _bfs_closure(lifts, mul, 700)
-    assert len(expected) == 648
-    assert _closure(lifts, mul) == expected
-    assert _closure(lifts[::-1], mul) == expected
+    lifts = list(unit_determinant_generators().values())
+    expected = _matrix_facts(lifts)
+    assert expected["order"] == 648
+    assert group_facts(generate_closure(lifts)) == expected
+    assert group_facts(generate_closure(lifts[::-1])) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -245,27 +288,21 @@ def test_unit_determinant_closure_matches_oracle():
     )
 )
 def test_permutation_closure_matches_oracle(perms):
-    _assert_matches_oracle(perms, lambda a, b: tuple(a[i] for i in b))
+    _assert_matches_oracle(perms)
 
 
 def test_infinite_order_generator_exceeds_cap():
     one, zero = Fraction(1), Fraction(0)
     stretch = ProjTransform(
         ((2 * one, zero, zero), (zero, one, zero), (zero, zero, one)), QQ
-    ).lift
+    )
     cycle = ProjTransform(
         ((zero, one, zero), (zero, zero, one), (one, zero, zero)), QQ
-    ).lift
-
-    def mul(a, b):
-        return _mat_mul(a, b, QQ)
-
-    # first generator: the cyclic group never closes
-    with pytest.raises(ValueError, match="exceeded cap 2000"):
-        _closure([stretch, cycle], mul)
-    # later generator: the cosets never close
-    with pytest.raises(ValueError, match="exceeded cap 2000"):
-        _closure([cycle, stretch], mul)
+    )
+    # the orbit of the basis never closes, whichever generator comes first
+    for gens in ([stretch, cycle], [cycle, stretch]):
+        with pytest.raises(ValueError, match="exceeded cap 2000"):
+            generate_closure(gens)
 
 
 def test_heisenberg_lift():
@@ -275,6 +312,7 @@ def test_heisenberg_lift():
     assert not facts["abelian"]
     assert facts["center_order"] == 3
     assert facts["order_histogram"] == {1: 1, 3: 26}
+    _assert_linear_matches_oracle(TRANSLATION_GENS)
 
 
 def test_unit_determinant_closure():
@@ -302,17 +340,16 @@ def test_seventy_two_normal_subgroup():
 def test_base_point_action_two_transitive():
     image = HESSIAN_GROUP
     assert image.order == 216
-    assert image.faithful
-    assert image.two_transitive
+    assert _frame(DATA.base_points) is not None
+    assert _two_transitive(image)
     assert (3, 0, 6, 1, 7, 4, 8, 5, 2) in image.elements  # (031)(475)(682)
     assert (0, 4, 8, 3, 7, 2, 6, 1, 5) in image.elements  # (147)(285)
 
 
 def test_vertex_orbits_under_translations():
-    image = action_on_points(TRANSLATION_GENS, DATA.vertices)
-    assert image.faithful
-    assert sorted(len(o) for o in image.orbits) == [3, 3, 3, 3]
-    assert not image.two_transitive
+    assert _frame(DATA.vertices) is not None
+    assert sorted(len(o) for o in _orbits(TRANSLATION_GENS, DATA.vertices)) == [3] * 4
+    assert not _two_transitive(action_on_points(TRANSLATION_GENS, DATA.vertices))
 
 
 def _action_by_every_element(gens, pts):
@@ -333,7 +370,7 @@ def test_action_from_generators_matches_every_element():
             image = action_on_points(gens, pts)
             perms, order = _action_by_every_element(gens, pts)
             assert image.elements == perms
-            assert image.faithful
+            assert _frame(pts) is not None
             assert image.order == order
 
 
@@ -367,7 +404,6 @@ def test_no_frame_is_not_certified_faithful():
     assert _frame(triangle) is None
     image = action_on_points(TRANSLATION_GENS, triangle)
     assert image.order == 3
-    assert not image.faithful
     # a frame is four points, no three of them on a line
     line_and_point = [
         ProjPoint(c, K) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))
@@ -392,11 +428,6 @@ def test_contact_cubic_permutations():
 IDENTITY_2X2 = ((K.one(), K.zero()), (K.zero(), K.one()))
 
 
-def apply(m, p):
-    (a, c), (b, d) = m
-    return PencilParameter(a * p.t0 + c * p.t1, b * p.t0 + d * p.t1, p.domain)
-
-
 def test_kernel_acts_trivially_on_parameters():
     for name in ("swap", "cycle", "scale"):
         assert parameter_action(GENS[name]) == IDENTITY_2X2, name
@@ -404,6 +435,9 @@ def test_kernel_acts_trivially_on_parameters():
 
 def test_parameter_image_order_twelve():
     assert parameter_image_order(HESSIAN_GENS) == 12
+    # the canonical 2x2 matrices close to the same order
+    gens = [_canonical(parameter_action(g)) for g in HESSIAN_GENS]
+    assert len(_bfs_closure(gens, _canonical_mul, _CAP)) == 12
 
 
 def test_parameter_action_permutes_special_sets():
@@ -411,8 +445,8 @@ def test_parameter_action_permutes_special_sets():
     equi = set(DATA.equianharmonic_parameters)
     for name in ("fourier", "dilate"):
         act = parameter_action(GENS[name])
-        assert {apply(act, p) for p in triangle} == triangle
-        assert {apply(act, p) for p in equi} == equi
+        assert {_moebius_image(act, p) for p in triangle} == triangle
+        assert {_moebius_image(act, p) for p in equi} == equi
 
 
 def test_parameter_action_orders():

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab.field import tower_eps
-from hesse_lab.groups import _mat_canonical
 from hesse_lab.hesse import PencilParameter
 from hesse_lab.multipoly import MultiPoly, det_generic
 from hesse_lab.plane import (
@@ -51,11 +50,10 @@ def test_normalize_projective():
     assert normalize_projective([K.one(), two]) == (1, 2)
     with pytest.raises(ValueError):
         normalize_projective((K.zero(), K.zero(), K.zero()))
-    # points, lines, pencil parameters and matrices share the one normaliser
+    # points, lines and pencil parameters share the one normaliser
     assert ProjPoint(values[:3], K).coords == out[:3]
     assert ProjLine(values[:3], K).coeffs == out[:3]
     assert PencilParameter(values[1], values[2], K).pair() == out[1:3]
-    assert _mat_canonical((values[:2], values[2:])) == (out[:2], out[2:])
 
 
 def test_line_contains_and_meet():
