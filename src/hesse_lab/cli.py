@@ -37,15 +37,12 @@ def _plot_lambda(text: str):
 
 
 def _parse_window(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("window must be four numbers: xmin,xmax,ymin,ymax")
     try:
-        a, b, c, d = (float(p) for p in parts)
+        a, b, c, d = map(float, text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad window: {text!r}") from exc
-    if not (a < b and c < d):
-        raise argparse.ArgumentTypeError("window bounds must satisfy xmin<xmax and ymin<ymax")
+        raise argparse.ArgumentTypeError(
+            f"window must be four numbers xmin,xmax,ymin,ymax: {text!r}"
+        ) from exc
     return (a, b, c, d)
 
 
@@ -102,7 +99,11 @@ def _run_plot(args) -> int:
     kwargs = {}
     if args.window is not None:
         kwargs["window"] = args.window
-    path = plot_pencil(args.lambdas, args.out, **kwargs)
+    try:
+        path = plot_pencil(args.lambdas, args.out, **kwargs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(path)
     return 0
 

@@ -38,8 +38,8 @@ from .hesse import (
     _expect,
     hesse_data,
     hessian_map,
+    member_is_singular,
     pencil_member,
-    weierstrass_data,
 )
 from .multipoly import (
     MultiPoly,
@@ -49,7 +49,6 @@ from .multipoly import (
     resultant_in_var,
 )
 from .plane import (
-    PlaneCurve,
     ProjLine,
     ProjPoint,
     _cross,
@@ -72,7 +71,7 @@ class CurveContext:
 
     parameter: PencilParameter
     origin_index: int
-    member: object
+    member: MultiPoly  # the cubic form of the member
     domain: object
 
     @property
@@ -93,7 +92,7 @@ def curve_context(parameter, origin_index: int = 0) -> CurveContext:
         parameter = parameter.to_domain(K)
     if not 0 <= origin_index < 9:
         raise ValueError("origin must be one of the nine base points")
-    if weierstrass_data(parameter).singular:
+    if member_is_singular(parameter):
         raise ValueError("singular member has no group law")
     return CurveContext(parameter, origin_index, pencil_member(parameter), K)
 
@@ -528,11 +527,10 @@ def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsio
     ctx = curve_context(parameter, origin_index=0)
     data = hesse_data()
     contact = data.halphen_cubics[cubic_index - 1]
-    member_eq = ctx.member.equation
     with mpmath.workprec(precision_bits + 48):
         tol = _tolerance(precision_bits)
         law = _NumericLaw(ctx.parameter, 0, precision_bits)
-        points = _transverse_intersection(member_eq, contact, precision_bits, tol)
+        points = _transverse_intersection(ctx.member, contact, precision_bits, tol)
         base_embed = [_embed_point(p, precision_bits) for p in data.base_points]
         base_norm2 = [_norm2(b) for b in base_embed]
         contact_terms = _embed_poly(contact, precision_bits)
@@ -668,7 +666,7 @@ def prop62_check(parameter) -> PropertyResult:
     s, t = MultiPoly.variables(2, ctx.domain)
     s0, t0 = line_parameter(tangent, p0)
     quadratic = divide_exact(restrict_to_line(ctx.member, tangent), t0 * s - s0 * t)
-    sextic = restrict_to_line(PlaneCurve(data.invariants["cuspidal_sextic"]), tangent)
+    sextic = restrict_to_line(data.invariants["cuspidal_sextic"], tangent)
     count = binary_form_gcd(quadratic, sextic).degree()
     if count != 2:
         reason = f"{count} of 2 tangent-line points on the sextic, expected 2 of 2"

@@ -19,8 +19,8 @@ in Computational Algebraic Number Theory*, section 4.2.
 
 A tower is exact data only: a level is a symbol and a minimal polynomial,
 and no complex root is chosen.  The one complex embedding the program takes
-is that of Q(eps) with eps = exp(2*pi*i/3), in closed form (`_to_mpc`), for
-the numeric torsion checks and the plot.
+is that of Q(eps) with eps = exp(2*pi*i/3), in closed form (`_to_mpc`), and
+it serves the numeric torsion checks only.
 
 Irreducibility of user-supplied minimal polynomials is *not* verified; the
 built-in towers (`tower_eps`, `tower_eps_i`, `tower_eps_i_cbrt2`,

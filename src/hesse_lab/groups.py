@@ -36,12 +36,20 @@ from .hesse import (
     hesse_data,
     pencil_forms,
 )
-from .multipoly import MultiPoly, convert_domain, field_linsolve, proportionality
+from .multipoly import (
+    MultiPoly,
+    convert_domain,
+    det_generic,
+    field_linsolve,
+    field_rref,
+    proportionality,
+)
 from .plane import ProjPoint
 
 
 # ---------------------------------------------------------------------------
-# bare matrix arithmetic over a scalar domain
+# bare matrix arithmetic over a scalar domain; determinants and inverses
+# are multipoly's det_generic and field_rref
 # ---------------------------------------------------------------------------
 
 
@@ -55,27 +63,6 @@ def _mat_coerce(rows, domain) -> tuple:
 def _mat_mul(a: tuple, b: tuple, domain) -> tuple:
     cols = tuple(zip(*b))
     return tuple(tuple(domain.dot(row, col) for col in cols) for row in a)
-
-
-def _cofactor(m: tuple, i: int, j: int, domain):
-    """The (i, j) cofactor of a 3x3 matrix."""
-    r, s = m[(i + 1) % 3], m[(i + 2) % 3]
-    return domain.dot(
-        (r[(j + 1) % 3], -r[(j + 2) % 3]), (s[(j + 2) % 3], s[(j + 1) % 3])
-    )
-
-
-def _mat_det(m: tuple, domain):
-    return domain.dot(m[0], [_cofactor(m, 0, j, domain) for j in range(3)])
-
-
-def _mat_inv(m: tuple, domain) -> tuple:
-    cof = [[_cofactor(m, i, j, domain) for j in range(3)] for i in range(3)]
-    det = domain.dot(m[0], cof[0])
-    if det == 0:
-        raise ValueError("singular matrix")
-    inv = det.inverse()
-    return tuple(tuple(cof[j][i] * inv for j in range(3)) for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +179,7 @@ class ProjTransform:
 
     def __init__(self, rows, domain):
         lift = _mat_coerce(rows, domain)
-        if _mat_det(lift, domain) == 0:
+        if not det_generic(lift):
             raise ValueError("transformation must be invertible")
         object.__setattr__(self, "lift", lift)
         object.__setattr__(self, "domain", domain)
@@ -212,10 +199,13 @@ class ProjTransform:
         return ProjTransform(_mat_mul(self.lift, other.lift, self.domain), self.domain)
 
     def inverse(self) -> "ProjTransform":
-        return ProjTransform(_mat_inv(self.lift, self.domain), self.domain)
+        K = self.domain
+        unit = [[K.one() if i == j else K.zero() for j in range(3)] for i in range(3)]
+        rows, _ = field_rref([list(row) + e for row, e in zip(self.lift, unit)])
+        return ProjTransform([row[3:] for row in rows], K)
 
     def det(self):
-        return _mat_det(self.lift, self.domain)
+        return det_generic(self.lift)
 
     def apply(self, p: ProjPoint) -> ProjPoint:
         K = self.domain
@@ -362,7 +352,7 @@ def _frame(pts: Sequence[ProjPoint]):
     exact 3x3 determinants), or None when the points hold no such frame."""
 
     def collinear(triple) -> bool:
-        return _mat_det(tuple(pts[i].coords for i in triple), pts[0].domain) == 0
+        return not det_generic([pts[i].coords for i in triple])
 
     quads = combinations(range(len(pts)), 4)
     return next((q for q in quads if not any(map(collinear, combinations(q, 3)))), None)

@@ -37,7 +37,6 @@ from .multipoly import (
     strip_monomial_content,
 )
 from .plane import (
-    PlaneCurve,
     ProjLine,
     ProjPoint,
     SingularityClass,
@@ -208,9 +207,10 @@ def pencil_forms(domain=QQ) -> tuple:
     return x**3 + y**3 + z**3, x * y * z
 
 
-def pencil_member(t: PencilParameter) -> PlaneCurve:
+def pencil_member(t: PencilParameter) -> MultiPoly:
+    """The cubic form t0*(x^3+y^3+z^3) + t1*xyz of the member at t."""
     s, prod = pencil_forms(t.domain)
-    return PlaneCurve(t.t0 * s + t.t1 * prod)
+    return t.t0 * s + t.t1 * prod
 
 
 def hessian_map() -> RationalSelfMap:
@@ -241,31 +241,19 @@ def _quartic_sextic_forms() -> tuple:
     return a, b
 
 
+@lru_cache(maxsize=None)
 def pencil_discriminant() -> MultiPoly:
+    """The discriminant form 4A^3 + 27B^2 of the short Weierstrass model,
+    in the pencil coordinates (t0, t1); it vanishes exactly at the four
+    triangle parameters."""
     a, b = _quartic_sextic_forms()
     return 4 * a**3 + 27 * b**2
 
 
-@dataclass(frozen=True)
-class WeierstrassData:
-    quartic: object  # A with y^2 = x^3 + A x + B
-    sextic: object  # B
-    discriminant: object  # 4A^3 + 27B^2
-    j: object  # 1728*4A^3 / discriminant, None when singular
-    singular: bool
-
-
-def weierstrass_data(t: PencilParameter) -> WeierstrassData:
-    """`_quartic_sextic_forms` at t, written out pointwise for speed."""
-    dom = t.domain
-    sixth = dom.coerce(Fraction(1, 6))
-    u0, u1 = t.t0, t.t1 * sixth
-    a = 12 * u1 * (u0**3 - u1**3)
-    b = 2 * (u0**6 - 20 * u0**3 * u1**3 - 8 * u1**6)
-    disc = 4 * a**3 + 27 * b**2
-    singular = disc == 0
-    j = None if singular else (6912 * a**3) / disc
-    return WeierstrassData(a, b, disc, j, singular)
+def member_is_singular(t: PencilParameter) -> bool:
+    """Whether the member at t is singular: the discriminant form vanishes
+    at t."""
+    return not convert_domain(pencil_discriminant(), t.domain).evaluate(t.pair())
 
 
 # ---------------------------------------------------------------------------
@@ -917,9 +905,7 @@ def dual_curve_check(m: PencilParameter) -> PropertyResult:
     if m.domain != QQ:
         raise ValueError("dual-curve elimination runs over the rationals")
     m0, m1 = m.t0, m.t1
-    member_parameter = PencilParameter(m0, 6 * m1)
-    disc = pencil_discriminant().evaluate(member_parameter.pair())
-    if disc == 0:
+    if member_is_singular(PencilParameter(m0, 6 * m1)):
         raise ValueError("singular member: the dual is not a sextic")
 
     s, t, x0, x1, x2 = MultiPoly.variables(5, QQ)
@@ -964,7 +950,6 @@ def dual_curve_check(m: PencilParameter) -> PropertyResult:
 
 @dataclass(frozen=True)
 class DynamicsReport:
-    critical_points: tuple
     multiplicities: tuple
     critical_values: tuple
     complete: bool
@@ -981,7 +966,7 @@ def dynamics_report(rmap: RationalSelfMap, candidates=()) -> DynamicsReport:
     w = rmap.wronskian()
     candidates = tuple(candidates)
     if w.degree() == 0:
-        return DynamicsReport((), (), (), not candidates, 0)
+        return DynamicsReport((), (), not candidates, 0)
     wd = convert_domain(w, candidates[0].domain) if candidates else w
     mults = tuple(root_multiplicity(wd, c.t0, c.t1) for c in candidates)
     complete = (
@@ -990,7 +975,7 @@ def dynamics_report(rmap: RationalSelfMap, candidates=()) -> DynamicsReport:
         and len(set(candidates)) == len(candidates)
     )
     values = tuple(rmap.apply(c) for c in candidates)
-    return DynamicsReport(candidates, mults, values, complete, w.degree())
+    return DynamicsReport(mults, values, complete, w.degree())
 
 
 def dynamics_check() -> PropertyResult:
@@ -1150,7 +1135,7 @@ def vertex_singularity_check() -> PropertyResult:
     data = hesse_data()
     found = []
     for tri in data.triangles:
-        cubic = PlaneCurve(tri[0].equation() * tri[1].equation() * tri[2].equation())
+        cubic = tri[0].equation() * tri[1].equation() * tri[2].equation()
         for a in range(3):
             pt = lines_meet(tri[a], tri[(a + 1) % 3])
             if classify_point(cubic, pt) is not SingularityClass.NODE:
@@ -1265,8 +1250,8 @@ def cuspidal_sextic_check() -> PropertyResult:
     """The cuspidal sextic has a cusp at each of the eight base points
     away from p0, and p0 itself lies off the curve."""
     data = hesse_data()
-    curve = PlaneCurve(data.invariants["cuspidal_sextic"])
-    if curve.contains(data.base_points[0]):
+    curve = data.invariants["cuspidal_sextic"]
+    if not curve.evaluate(data.base_points[0].coords):
         return PropertyResult(False, witness="p0 lies on the cuspidal sextic")
     for idx in range(1, 9):
         kind = classify_point(curve, data.base_points[idx])
@@ -1294,14 +1279,13 @@ def hessian_duality_check() -> PropertyResult:
 def j_values_check() -> PropertyResult:
     """j vanishes at the four equianharmonic members, and j - 1728 is a
     square multiple of the sextic coefficient form."""
-    data = hesse_data()
-    for t in data.equianharmonic_parameters:
-        w = weierstrass_data(t.to_domain(data.domain))
-        if w.singular or w.j != 0:
-            return PropertyResult(False, witness=f"j({t!r}) = {w.j!r}")
+    a, b = _quartic_sextic_forms()
+    # j = 6912 A^3 / discriminant, so j = 0 where A vanishes on a smooth member
+    for t in hesse_data().equianharmonic_parameters:
+        if member_is_singular(t) or convert_domain(a, t.domain).evaluate(t.pair()):
+            return PropertyResult(False, witness=f"j({t!r}) is not 0")
     # j - 1728 is a square multiple of the sextic coefficient form, so
     # the harmonic members are exactly the zeros of that form
-    a, b = _quartic_sextic_forms()
     lhs = 6912 * a**3 - 1728 * (4 * a**3 + 27 * b**2)
     diff = lhs + 46656 * b**2
     if diff:
@@ -1314,11 +1298,11 @@ def singular_parameters_check() -> PropertyResult:
     sampled smooth member."""
     data = hesse_data()
     for t in data.triangle_parameters:
-        if not weierstrass_data(t).singular:
+        if not member_is_singular(t):
             return PropertyResult(
                 False, witness="discriminant nonzero at a triangle parameter"
             )
     for lam in (Fraction(0), Fraction(1), Fraction(-6)):
-        if weierstrass_data(PencilParameter.from_affine(lam)).singular:
+        if member_is_singular(PencilParameter.from_affine(lam)):
             return PropertyResult(False, witness=f"unexpected singular member at {lam}")
     return PropertyResult(True, {"singular_parameters": 4})

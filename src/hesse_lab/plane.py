@@ -2,9 +2,12 @@
 
 Points and lines are canonicalized by scaling the first nonzero coordinate
 to 1, so equality and incidence reduce to exact coordinate comparisons.
-Singularities are classified from the local expansion in the affine chart
-of the point's first nonzero coordinate; the class is a projective notion,
-so any chart gives the same answer.
+A curve is its homogeneous form in x, y, z: `tangent_line`,
+`classify_point` and `restrict_to_line` take the `MultiPoly` itself, and a
+point lies on the curve where the form evaluates to zero.  Singularities
+are classified from the local expansion in the affine chart of the point's
+first nonzero coordinate; the class is a projective notion, so any chart
+gives the same answer.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .multipoly import MultiPoly, QQ, divide_exact
+from .multipoly import MultiPoly, QQ, divide_exact, field_linsolve
 
 
 class SingularityClass(enum.Enum):
@@ -145,60 +148,31 @@ def lines_meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     return ProjPoint(coords, l1.domain)
 
 
-class PlaneCurve:
-    """Projective plane curve defined by a homogeneous equation."""
-
-    __slots__ = ("equation", "degree")
-
-    def __init__(self, equation: MultiPoly):
-        if equation.nvars != 3:
-            raise ValueError("plane curves live in 3 homogeneous variables")
-        if not equation:
-            raise ValueError("zero equation does not define a curve")
-        if not equation.is_homogeneous():
-            raise ValueError("curve equation must be homogeneous")
-        self.equation = equation
-        self.degree = equation.degree()
-
-    @property
-    def domain(self):
-        return self.equation.domain
-
-    def contains(self, p: ProjPoint) -> bool:
-        return not self.equation.evaluate(p.coords)
-
-    def gradient_at(self, p: ProjPoint):
-        return tuple(
-            self.equation.derivative(v).evaluate(p.coords) for v in range(3)
-        )
-
-    def __repr__(self):
-        return f"PlaneCurve({self.equation!r})"
-
-
-def tangent_line(curve: PlaneCurve, p: ProjPoint) -> ProjLine:
-    """Tangent at a smooth point: coefficients are the gradient at p."""
-    if not curve.contains(p):
+def tangent_line(form: MultiPoly, p: ProjPoint) -> ProjLine:
+    """Tangent at a smooth point of the curve form = 0: coefficients are
+    the gradient at p."""
+    if form.evaluate(p.coords):
         raise ValueError(f"{p!r} is not on the curve")
-    grad = curve.gradient_at(p)
+    grad = tuple(d.evaluate(p.coords) for d in form.gradient((0, 1, 2)))
     if not any(grad):
         raise ValueError(f"{p!r} is a singular point; no unique tangent")
-    return ProjLine(grad, curve.domain)
+    return ProjLine(grad, form.domain)
 
 
-def classify_point(curve: PlaneCurve, p: ProjPoint) -> SingularityClass:
-    """Local type of a curve point: smooth, node, cusp or worse.
+def classify_point(form: MultiPoly, p: ProjPoint) -> SingularityClass:
+    """Local type of a point of the curve form = 0: smooth, node, cusp or
+    worse.
 
     A singular point is expanded in the affine chart of its first nonzero
     coordinate with p at the origin.  The quadratic jet decides: two distinct
     tangent directions give a node; a repeated direction gives a cusp exactly
     when the cubic jet is not divisible by the repeated factor.
     """
-    if not curve.contains(p):
+    if form.evaluate(p.coords):
         raise ValueError(f"{p!r} is not on the curve")
-    if any(curve.gradient_at(p)):
+    if any(d.evaluate(p.coords) for d in form.gradient((0, 1, 2))):
         return SingularityClass.SMOOTH
-    domain = curve.domain
+    domain = form.domain
     chart = next(i for i, c in enumerate(p.coords) if c)
     u, v = MultiPoly.variables(2, domain)
     images = []
@@ -208,7 +182,7 @@ def classify_point(curve: PlaneCurve, p: ProjPoint) -> SingularityClass:
             images.append(MultiPoly.constant(2, domain.one(), domain))
         else:
             images.append(locals_.pop(0) + MultiPoly.constant(2, c, domain))
-    local = curve.equation.substitute(images)
+    local = form.substitute(images)
     jets: dict = {}
     for exps, coef in local.terms.items():
         jets.setdefault(sum(exps), {})[exps] = coef
@@ -253,22 +227,22 @@ def incidence_table(points: Sequence[ProjPoint], lines: Sequence[ProjLine]) -> I
     return IncidenceTable(matrix, point_counts, line_counts)
 
 
-def restrict_to_line(curve: PlaneCurve, line: ProjLine) -> MultiPoly:
-    """Binary form of the curve along the line's canonical parametrization.
+def restrict_to_line(form: MultiPoly, line: ProjLine) -> MultiPoly:
+    """The ternary form along the line's canonical parametrization.
 
     The parameter (s, t) maps to s*P0 + t*P1 with (P0, P1) = basis_points.
     """
     p0, p1 = line.basis_points()
-    domain = curve.domain
+    domain = form.domain
     s, t = MultiPoly.variables(2, domain)
     images = [
         s * MultiPoly.constant(2, a, domain) + t * MultiPoly.constant(2, b, domain)
         for a, b in zip(p0.coords, p1.coords)
     ]
-    form = curve.equation.substitute(images)
-    if not form:
+    restricted = form.substitute(images)
+    if not restricted:
         raise ValueError("line is a component of the curve")
-    return form
+    return restricted
 
 
 def line_parameter(line: ProjLine, p: ProjPoint):
@@ -276,18 +250,7 @@ def line_parameter(line: ProjLine, p: ProjPoint):
     if not line.contains(p):
         raise ValueError(f"{p!r} is not on {line!r}")
     p0, p1 = line.basis_points()
-    # p0 and p1 are independent, so some 2x2 coordinate minor is invertible
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            det = p0.coords[i] * p1.coords[j] - p0.coords[j] * p1.coords[i]
-            if det:
-                inv = det.inverse()
-                s = (p.coords[i] * p1.coords[j] - p.coords[j] * p1.coords[i]) * inv
-                t = (p0.coords[i] * p.coords[j] - p0.coords[j] * p.coords[i]) * inv
-                return s, t
-    raise ValueError("degenerate line basis")
+    return tuple(field_linsolve(list(zip(p0.coords, p1.coords)), p.coords, line.domain))
 
 
 def root_multiplicity(form: MultiPoly, s0, t0) -> int:

@@ -13,17 +13,27 @@ six decimals so identical input yields identical bytes.
 
 from fractions import Fraction
 
-from .field import _to_mpc
+from .field import tower_eps
 from .hesse import PencilParameter, hesse_data
 
 _FMT = "%.6f"
 _RESOLUTION = 160  # grid cells per side for marching squares
+_MAX_BOUND = 1e100  # past it a window bound cubed or a member's grid value overflows
+
+
+def _real_part(c) -> float:
+    """Real part a - b/2 of a + b*eps in Q(eps), eps = exp(2*pi*i/3)."""
+    a, b = tower_eps().coerce(c).coords
+    real = a - b / 2
+    if abs(real) > _MAX_BOUND:
+        raise ValueError(f"a value past {_MAX_BOUND:g} in magnitude cannot be drawn")
+    return float(real)
 
 
 def _chart_image(coords, window):
     """Affine (u, v) of a projective point, clamped to the window border
     for points on or near the line at infinity."""
-    x, y, z = (float(_to_mpc(c, 64).real) for c in coords)
+    x, y, z = map(_real_part, coords)
     if abs(z) > 1e-9:
         return x / z, y / z
     xmin, xmax, ymin, ymax = window
@@ -79,7 +89,7 @@ def _marching_segments(values, xs, ys):
 
 
 def _member_segments(parameter: PencilParameter, window):
-    t0, t1 = (float(_to_mpc(c, 64).real) for c in parameter.pair())
+    t0, t1 = map(_real_part, parameter.pair())
     xmin, xmax, ymin, ymax = window
     xs = [xmin + (xmax - xmin) * k / _RESOLUTION for k in range(_RESOLUTION + 1)]
     ys = [ymin + (ymax - ymin) * k / _RESOLUTION for k in range(_RESOLUTION + 1)]
@@ -138,6 +148,8 @@ def pencil_svg(lambdas, window=(-2.5, 2.5, -2.5, 2.5)) -> str:
     """SVG document (text) with one group per member, the twelve
     inflection lines, and the real base points."""
     xmin, xmax, ymin, ymax = (float(w) for w in window)
+    if not all(abs(w) <= _MAX_BOUND for w in (xmin, xmax, ymin, ymax)):  # nan fails too
+        raise ValueError(f"window bounds must be finite and at most {_MAX_BOUND:g} in magnitude")
     if not (xmin < xmax and ymin < ymax):
         raise ValueError("window must be (xmin, xmax, ymin, ymax) with nonempty sides")
     window = (xmin, xmax, ymin, ymax)

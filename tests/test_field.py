@@ -241,7 +241,7 @@ def _contact_resultant(lam):
     """The monic R(x) = Res_y(member, contact cubic 1) in the chart z = 1,
     for the member at the affine parameter lam, as coefficients in Q(eps)."""
     K = tower_eps()
-    member = pencil_member(PencilParameter.from_affine(lam, K)).equation
+    member = pencil_member(PencilParameter.from_affine(lam, K))
     x, y = MultiPoly.variables(2, K)
     chart = [x, y, MultiPoly.constant(2, K.one(), K)]
     res = resultant_in_var(

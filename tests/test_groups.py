@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 from hesse_lab.field import tower_eps
 from hesse_lab.hesse import hesse_data
 from hesse_lab.multipoly import QQ
-from hesse_lab.plane import ProjPoint, normalize_projective
+from hesse_lab.plane import ProjPoint, line_through, normalize_projective
 from hesse_lab.groups import (
     PermImage,
     ProjTransform,
     _CAP,
     _closure,
     _frame,
-    _mat_det,
     _mat_mul,
     _moebius_image,
     _orbits,
@@ -75,6 +74,12 @@ def test_transform_apply_matches_pullback():
     # pullback evaluates f at the image point, up to the scalar lost by
     # point canonicalization; both sides vanish or not together
     assert (lhs == 0) == (rhs == 0)
+
+
+def test_inverse_lift_is_the_inverse_matrix():
+    for g in GENS.values():
+        assert g.inverse().compose(g).lift == IDENTITY_3X3
+        assert g.compose(g.inverse()).lift == IDENTITY_3X3
 
 
 def test_singular_matrix_rejected():
@@ -241,6 +246,7 @@ def _assert_linear_matches_oracle(transforms):
     expected = _closure_outcome(_matrix_facts, transforms)
     got = _closure_outcome(lambda gens: group_facts(generate_closure(gens)), transforms)
     assert got == expected
+    return got
 
 
 IDENTITY_3X3 = tuple(
@@ -248,17 +254,16 @@ IDENTITY_3X3 = tuple(
 )
 
 
-# the linear lift of fourier has infinite order (its square is 3 swap), so
-# linear generator sets holding it must exceed the cap in both routines;
-# projectively each generator is its permutation of the base points
+# projectively each generator is its permutation of the base points; the
+# linear lift of fourier has infinite order, so linear draws leave it out
+# and test_fourier_lift_exceeds_the_cap_in_both_closures covers it
 @settings(max_examples=20, deadline=None)
-@given(
-    names=st.lists(
-        st.sampled_from(sorted(GENS) + ["identity"]), min_size=1, max_size=6
-    ),
-    projective=st.booleans(),
-)
-def test_closure_matches_breadth_first_oracle(names, projective):
+@given(projective=st.booleans(), data=st.data())
+def test_closure_matches_breadth_first_oracle(projective, data):
+    pool = sorted(GENS) if projective else sorted(set(GENS) - {"fourier"})
+    names = data.draw(
+        st.lists(st.sampled_from(pool + ["identity"]), min_size=1, max_size=6)
+    )
     if projective:
         elements = {
             name: action_on_points([g], DATA.base_points).gens[0]
@@ -269,6 +274,16 @@ def test_closure_matches_breadth_first_oracle(names, projective):
     else:
         elements = {**GENS, "identity": ProjTransform(IDENTITY_3X3, K)}
         _assert_linear_matches_oracle([elements[name] for name in names])
+
+
+@pytest.mark.parametrize("position", range(len(GENS)))
+def test_fourier_lift_exceeds_the_cap_in_both_closures(position):
+    # its square is 3 swap, so the oracle and generate_closure both stop at
+    # the cap wherever fourier stands among the generators
+    names = sorted(set(GENS) - {"fourier"})
+    names.insert(position, "fourier")
+    outcome = _assert_linear_matches_oracle([GENS[name] for name in names])
+    assert outcome == "group closure exceeded cap 2000"
 
 
 def test_unit_determinant_closure_matches_oracle():
@@ -380,10 +395,7 @@ def test_action_requires_closed_point_set():
 
 
 def _no_three_collinear(pts) -> bool:
-    return all(
-        _mat_det(tuple(p.coords for p in triple), K) != 0
-        for triple in combinations(pts, 3)
-    )
+    return all(not line_through(a, b).contains(c) for a, b, c in combinations(pts, 3))
 
 
 def test_frame_among_base_points_and_vertices():

@@ -201,3 +201,18 @@ def test_cli_plot(tmp_path, capsys):
 def test_cli_plot_window_validation():
     with pytest.raises(SystemExit):
         main(["plot-pencil", "--lambda", "1", "--out", "/tmp/x.svg", "--window", "1,2,3"])
+
+
+@pytest.mark.parametrize(
+    "lam, window",
+    [("1", "-inf,inf,-1,1"), ("1", "0,1e308,-1,1"), ("1", "1,0,-1,1"), ("1e400", "-1,1,-1,1")],
+)
+def test_cli_plot_rejects_what_it_cannot_draw(tmp_path, capsys, lam, window):
+    # bounds that are not finite, and a parameter past 1e100, wrote nan
+    # coordinates; window bounds past 1e100 overflowed when cubed.  Each is
+    # now an error, and no file is written.
+    out = tmp_path / "w.svg"
+    code = main(["plot-pencil", "--lambda", lam, f"--window={window}", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

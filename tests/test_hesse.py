@@ -27,6 +27,7 @@ from hesse_lab.hesse import (
     hesse_data,
     hessian_duality_check,
     hessian_map,
+    member_is_singular,
     parameter_flip,
     pencil_discriminant,
     pencil_member,
@@ -34,7 +35,6 @@ from hesse_lab.hesse import (
     polar_factorization_check,
     triangle_member_check,
     vertex_singularity_check,
-    weierstrass_data,
     _quartic_sextic_forms,
 )
 
@@ -73,7 +73,7 @@ def test_pencil_member_contains_base_points():
     data = hesse_data()
     member = pencil_member(PencilParameter.from_affine(hesse_data().eps, data.domain))
     for p in data.base_points:
-        assert member.contains(p)
+        assert not member.evaluate(p.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +123,34 @@ def test_identity_map_fixed_points():
 # ---------------------------------------------------------------------------
 
 
+def _forms_at(t):
+    """(A, B, 4A^3 + 27B^2) of the short Weierstrass model at t."""
+    forms = (*_quartic_sextic_forms(), pencil_discriminant())
+    return tuple(convert_domain(f, t.domain).evaluate(t.pair()) for f in forms)
+
+
 def test_weierstrass_fermat_member():
-    w = weierstrass_data(PencilParameter.from_affine(Fraction(0)))
-    assert (w.quartic, w.sextic, w.discriminant) == (0, 2, 108)
-    assert w.j == 0 and not w.singular
+    t = PencilParameter.from_affine(Fraction(0))
+    assert _forms_at(t) == (0, 2, 108)
+    assert not member_is_singular(t)  # and A = 0, so j = 0
 
 
 def test_weierstrass_harmonic_sample():
-    w = weierstrass_data(PencilParameter.from_affine(Fraction(6)))
-    assert (w.quartic, w.sextic, w.discriminant) == (0, -54, 78732)
-    assert w.j == 0
+    assert _forms_at(PencilParameter.from_affine(Fraction(6))) == (0, -54, 78732)
 
 
 def test_weierstrass_singular_members():
     data = hesse_data()
-    assert weierstrass_data(PencilParameter.infinity()).singular
+    assert member_is_singular(PencilParameter.infinity())
     for par in data.triangle_parameters:
-        assert weierstrass_data(par).singular
-        assert weierstrass_data(par).j is None
+        assert member_is_singular(par)
+        assert _forms_at(par)[2] == 0
 
 
 def test_j_vanishes_at_equianharmonic_parameters():
     data = hesse_data()
     for par in data.equianharmonic_parameters:
-        w = weierstrass_data(par)
-        assert w.quartic == 0 and w.j == 0
+        assert _forms_at(par)[0] == 0 and not member_is_singular(par)
 
 
 def test_j_minus_1728_is_a_square_multiple():
@@ -173,13 +176,8 @@ _EPS_PARAMETER = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(t=_EPS_PARAMETER)
-def test_weierstrass_data_evaluates_the_coefficient_forms(t):
-    # weierstrass_data writes the forms out pointwise; both copies must agree
-    a, b = (convert_domain(f, _K_EPS).evaluate(t.pair()) for f in _quartic_sextic_forms())
-    disc = convert_domain(pencil_discriminant(), _K_EPS).evaluate(t.pair())
-    w = weierstrass_data(t)
-    assert (w.quartic, w.sextic, w.discriminant) == (a, b, disc)
-    assert w.singular == (disc == 0)
+def test_member_is_singular_exactly_at_the_triangle_parameters(t):
+    assert member_is_singular(t) == (t in hesse_data().triangle_parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +360,7 @@ def test_cayleyan_dynamics():
 def test_identity_dynamics():
     report = dynamics_report(RationalSelfMap(T1, T0), ())
     assert report.wronskian_degree == 0
-    assert report.complete and report.critical_points == ()
+    assert report.complete and report.multiplicities == ()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Every module-level import in src/ and tests/ is used by its module, and
-every definition in src/ is read by some module of src/."""
+"""Every module-level import in src/ and tests/ is used by its module,
+every definition in src/ is read by some module of src/, and every field a
+class in src/ declares is read in src/ or by the benchmark in perfbench/."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src").rglob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 SOURCES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 
 def unused_imports(source: str) -> list:
@@ -113,9 +115,87 @@ def test_the_scan_flags_an_unread_definition():
     ]
 
 
+def _texts(paths) -> dict:
+    return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in paths}
+
+
 def test_every_library_definition_is_read_in_the_library():
     assert LIBRARY
-    found = unread_definitions(
-        {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in LIBRARY}
+    found = unread_definitions(_texts(LIBRARY))
+    assert found == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for node in cls.decorator_list:
+        target = node.func if isinstance(node, ast.Call) else node
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def declared_fields(tree) -> list:
+    """(line, Class.field) of each field a class declares: an annotated
+    name in the body of a dataclass, or an entry of `__slots__`."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                if _is_dataclass(cls):
+                    found.append((node.lineno, f"{cls.name}.{node.target.id}"))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                for entry in ast.literal_eval(node.value):
+                    found.append((node.lineno, f"{cls.name}.{entry}"))
+    return found
+
+
+def unread_fields(library: dict, readers: dict) -> list:
+    """`path:line: Class.field` for each field a class in `library` (path ->
+    source text) declares that no attribute load in `library` or `readers`
+    reads."""
+    trees = {path: ast.parse(text) for path, text in library.items()}
+    loaded = set().union(
+        *(names_read(tree)[1] for tree in trees.values()),
+        *(names_read(ast.parse(text))[1] for text in readers.values()),
     )
+    return [
+        f"{path}:{line}: {name}"
+        for path, tree in trees.items()
+        for line, name in declared_fields(tree)
+        if name.rsplit(".", 1)[-1] not in loaded
+    ]
+
+
+def test_the_scan_flags_an_unread_field():
+    library = {
+        "m.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Report:\n"
+            "    holds: bool\n"
+            "    margin: float\n"
+            "    count: int = 0\n"
+            "class Plain:\n"
+            "    note: str\n"
+            "class Point:\n"
+            "    __slots__ = ('coords', '_hash')\n"
+            "    def key(self): return self._hash\n"
+            "def run(r): return r.holds\n"
+        ),
+    }
+    # a store and a keyword are not reads; the reader's load of count is
+    readers = {"bench.py": "r.margin = 1\nReport(margin=2)\nprint(r.count)\n"}
+    assert unread_fields(library, readers) == [
+        "m.py:5: Report.margin",
+        "m.py:10: Point.coords",
+    ]
+
+
+def test_every_library_field_is_read():
+    assert LIBRARY and BENCHMARK
+    found = unread_fields(_texts(LIBRARY), _texts(BENCHMARK))
     assert found == []

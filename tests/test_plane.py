@@ -10,7 +10,6 @@ from hesse_lab.field import tower_eps
 from hesse_lab.hesse import PencilParameter
 from hesse_lab.multipoly import MultiPoly, det_generic
 from hesse_lab.plane import (
-    PlaneCurve,
     ProjLine,
     ProjPoint,
     SingularityClass,
@@ -68,45 +67,42 @@ def test_line_contains_and_meet():
 
 def test_tangent_to_pencil_member_at_base_point():
     lam = Fraction(5)
-    curve = PlaneCurve(S + lam * T)
+    curve = S + lam * T
     tangent = tangent_line(curve, ProjPoint([0, 1, -1]))
     assert tangent == ProjLine([-lam, 3, 3])
 
 
 def test_tangent_to_fermat_cubic():
-    assert tangent_line(PlaneCurve(S), ProjPoint([1, 0, -1])) == ProjLine([1, 0, 1])
+    assert tangent_line(S, ProjPoint([1, 0, -1])) == ProjLine([1, 0, 1])
 
 
 def test_tangent_to_conic():
-    assert tangent_line(PlaneCurve(X * Y - Z ** 2), ProjPoint([1, 0, 0])) == ProjLine(
-        [0, 1, 0]
-    )
+    assert tangent_line(X * Y - Z ** 2, ProjPoint([1, 0, 0])) == ProjLine([0, 1, 0])
 
 
 def test_tangent_requires_incidence_and_smoothness():
-    curve = PlaneCurve(S)
     with pytest.raises(ValueError):
-        tangent_line(curve, ProjPoint([1, 0, 0]))
+        tangent_line(S, ProjPoint([1, 0, 0]))
     with pytest.raises(ValueError):
-        tangent_line(PlaneCurve(T), ProjPoint([1, 0, 0]))  # singular on xyz
+        tangent_line(T, ProjPoint([1, 0, 0]))  # singular on xyz
 
 
 def test_classify_triangle_vertex_is_node():
-    assert classify_point(PlaneCurve(T), ProjPoint([1, 0, 0])) is SingularityClass.NODE
+    assert classify_point(T, ProjPoint([1, 0, 0])) is SingularityClass.NODE
 
 
 def test_classify_standard_cusp():
-    curve = PlaneCurve(Z * Y ** 2 - X ** 3)
+    curve = Z * Y ** 2 - X ** 3
     assert classify_point(curve, ProjPoint([0, 0, 1])) is SingularityClass.CUSP
 
 
 def test_classify_tacnode_as_higher():
-    curve = PlaneCurve(Z ** 2 * Y ** 2 - X ** 4)
+    curve = Z ** 2 * Y ** 2 - X ** 4
     assert classify_point(curve, ProjPoint([0, 0, 1])) is SingularityClass.HIGHER
 
 
 def test_classify_smooth_point():
-    assert classify_point(PlaneCurve(S), ProjPoint([1, 0, -1])) is SingularityClass.SMOOTH
+    assert classify_point(S, ProjPoint([1, 0, -1])) is SingularityClass.SMOOTH
 
 
 def test_incidence_table_triangle():
@@ -124,37 +120,31 @@ def test_incidence_table_empty():
 
 
 def test_restrict_fermat_to_coordinate_line():
-    form = restrict_to_line(PlaneCurve(S), ProjLine([1, 0, 0]))
+    form = restrict_to_line(S, ProjLine([1, 0, 0]))
     s, t = MultiPoly.variables(2)
     assert form == s ** 3 + t ** 3
 
 
 def test_restrict_triangle_to_diagonal_line():
-    form = restrict_to_line(PlaneCurve(T), ProjLine([0, 1, -1]))
+    form = restrict_to_line(T, ProjLine([0, 1, -1]))
     s, t = MultiPoly.variables(2)
     assert form == s * t ** 2
 
 
 def test_restrict_rejects_component():
     with pytest.raises(ValueError):
-        restrict_to_line(PlaneCurve(T), ProjLine([1, 0, 0]))
+        restrict_to_line(T, ProjLine([1, 0, 0]))
 
 
 def test_tangency_gives_double_root():
-    curve = PlaneCurve(S + 7 * T)
+    curve = S + 7 * T
     p = ProjPoint([1, -1, 0])  # base point, so multiplicity is 3
     tangent = tangent_line(curve, p)
     form = restrict_to_line(curve, tangent)
     s0, t0 = line_parameter(tangent, p)
     assert root_multiplicity(form, s0, t0) == 3
-    # a non-base smooth point: tangency is exactly 2 for this member
-    q = ProjPoint([Fraction(0), Fraction(1), Fraction(0)])
-    curve0 = PlaneCurve(S - 3 * T)  # q not on it; use E_0 through q instead
-    curve0 = PlaneCurve(S)
-    # pick a smooth non-inflection point of E_0 with rational coordinates:
-    # (1, 2, r) needs r^3 = -9, irrational; use the curve x^3+y^3+z^3-3xyz?
-    # simplest rational witness: conic xy - z^2 at (1, 1, 1)
-    conic = PlaneCurve(X * Y - Z ** 2)
+    # a smooth point of a conic has tangency exactly 2
+    conic = X * Y - Z ** 2
     r = ProjPoint([1, 1, 1])
     tl = tangent_line(conic, r)
     form2 = restrict_to_line(conic, tl)
@@ -196,7 +186,7 @@ def test_classification_invariant_under_coordinate_change(data):
     assume(bool(det))
     images = [m[r][0] * x + m[r][1] * y + m[r][2] * z for r in range(3)]
     for eq, point, expected in samples:
-        moved = PlaneCurve(eq.substitute(images))
+        moved = eq.substitute(images)
         # moved(v) = eq(M v), so the singular point pulls back through M^-1;
         # solve M q = p exactly with the adjugate
         p = point.coords

@@ -1,5 +1,7 @@
 """Rendering tests: structure and determinism of the SVG figure."""
 
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,26 @@ def test_empty_member_list_keeps_configuration():
 def test_window_validation():
     with pytest.raises(ValueError):
         pencil_svg([1], window=(2.0, -2.0, -2.5, 2.5))
+    # each bound must be finite, and its cube too
+    for window in ((-math.inf, math.inf, -1, 1), (0, 1e308, -1, 1), (0, 1, math.nan, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            pencil_svg([1], window=window)
+    assert pencil_svg([1], window=(-1e100, 1e100, -1, 1)).count('class="member"') == 1
+
+
+def test_parameter_bound():
+    # a larger parameter wrote nan coordinates
+    with pytest.raises(ValueError, match="cannot be drawn"):
+        pencil_svg([Fraction(10) ** 101])
+    assert pencil_svg([10**100, -(10**100)]).count('class="member"') == 2
+
+
+def test_svg_bytes_are_pinned():
+    # the figure of the CI plot step; real parts are read exactly as a - b/2
+    svg = pencil_svg([1, -6, "inf"]).encode("utf-8")
+    assert hashlib.sha256(svg).hexdigest() == (
+        "11d4ef3937c90da6f087b8a4612cc3c29a129257df56de7f6efedcd6d25c4beb"
+    )
 
 
 def test_plot_pencil_writes_file(tmp_path):
