@@ -6,13 +6,16 @@ F = t0*(x^3+y^3+z^3) + t1*xyz restricts by polarisation to the binary cubic
 
     F(s*u + t*v) = F(u) s^3 + (grad F(u).v) s^2 t + (grad F(v).u) s t^2 + F(v) t^3,
 
-whose coefficients come from the closed-form gradient of F.  Dividing out
-the known roots (1 : 0) and (0 : 1) certifies that u and v lie on the
-member, and the leftover linear form gives the third point.  The 3-torsion
-table and the translation check add base points whose sums share chords
-(a + b and b + a, and each sum's second chord through the origin), so each
-makes every distinct chord once per call.  Proposition 6.2 takes no root
-either: the quadratic cutting its two points divides the sextic on the line.
+whose coefficients come from the closed-form gradient of F.  Each point's
+gradient and value F(p) = grad F(p).p / 3 are made once per context (the
+member a call works on), however many chords pass through the point.
+Dividing out the known roots (1 : 0) and (0 : 1) certifies, on every chord,
+that u and v lie on the member, and the leftover linear form gives the third
+point.  The 3-torsion table and the translation check add base points whose
+sums share chords (a + b and b + a, and each sum's second chord through the
+origin), so each makes every distinct chord once per call.  Proposition 6.2
+takes no root either: the quadratic cutting its two points divides the
+sextic on the line.
 
 Loci that genuinely require root extraction (the 2-torsion on a harmonic
 polar, order-nine contact points) go through a numeric mpmath backend at a
@@ -26,7 +29,7 @@ ends with the registered torsion checks that sweep sample parameters.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -73,6 +76,7 @@ class CurveContext:
     origin_index: int
     member: MultiPoly  # the cubic form of the member
     domain: object
+    polars: dict = field(default_factory=dict, repr=False)  # see _polar
 
     @property
     def origin(self) -> ProjPoint:
@@ -109,6 +113,15 @@ def _gradient(ctx: CurveContext, p: ProjPoint) -> tuple:
     )
 
 
+def _polar(ctx: CurveContext, p: ProjPoint) -> tuple:
+    """(grad F(p), F(p)), made once per point of ctx; F(p) = grad F(p).p / 3."""
+    polar = ctx.polars.get(p)
+    if polar is None:
+        grad = _gradient(ctx, p)
+        polar = ctx.polars[p] = (grad, ctx.domain.dot(grad, p.coords) * _THIRD)
+    return polar
+
+
 def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoint:
     """The remaining intersection of the member with the chord a b (the
     tangent at a when a = b).
@@ -116,27 +129,23 @@ def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoi
     With u = a and v = b (for a tangent, v is a basis point of the tangent
     line other than a) the member restricts to the binary cubic
     F(s*u + t*v) = F(u) s^3 + (grad F(u).v) s^2 t + (grad F(v).u) s t^2
-    + F(v) t^3, where F(w) = grad F(w).w / 3.  The known roots (1 : 0) and
-    (0 : 1) (a double root at (1 : 0) for a tangent) are divided out
-    exactly; the leftover linear form c_s*s + c_t*t vanishes at the third
-    point c_t*u - c_s*v.  Raises ValueError when a or b is off the member,
-    because its root then does not divide."""
+    + F(v) t^3, where F(w) = grad F(w).w / 3.  grad F and F at u and v come
+    from _polar, which makes them once per point of ctx.  The known roots
+    (1 : 0) and (0 : 1) (a double root at (1 : 0) for a tangent) are divided
+    out exactly on every call; the leftover linear form c_s*s + c_t*t
+    vanishes at the third point c_t*u - c_s*v.  Raises ValueError when a or
+    b is off the member, because its root then does not divide."""
     K = ctx.domain
-    grad_a = _gradient(ctx, a)
+    grad_a, f_a = _polar(ctx, a)
     tangent = a == b
     if tangent:
         p0, p1 = ProjLine(grad_a, K).basis_points()
         b = p1 if p0 == a else p0
-    grad_b = _gradient(ctx, b)
+    grad_b, f_b = _polar(ctx, b)
     u, v = a.coords, b.coords
     form = MultiPoly(
         2,
-        {
-            (3, 0): K.dot(grad_a, u) * _THIRD,
-            (2, 1): K.dot(grad_a, v),
-            (1, 2): K.dot(grad_b, u),
-            (0, 3): K.dot(grad_b, v) * _THIRD,
-        },
+        {(3, 0): f_a, (2, 1): K.dot(grad_a, v), (1, 2): K.dot(grad_b, u), (0, 3): f_b},
         K,
     )
     s, t = MultiPoly.variables(2, K)

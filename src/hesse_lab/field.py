@@ -467,16 +467,16 @@ class FieldElement:
     # -- comparison -------------------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            if other.tower is not self.tower and other.tower != self.tower:
+                return False
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return (
                 self.num[0] == other.numerator
                 and self.den == other.denominator
                 and self.is_rational()
             )
-        if isinstance(other, FieldElement):
-            if other.tower is not self.tower and other.tower != self.tower:
-                return False
-            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):

@@ -60,6 +60,8 @@ class ProjPoint:
         self._hash = None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ProjPoint):
             return NotImplemented
         return self.coords == other.coords
@@ -112,6 +114,8 @@ class ProjLine:
         return a * x + b * y + c * z
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ProjLine):
             return NotImplemented
         return self.coeffs == other.coeffs

@@ -14,6 +14,7 @@ from hesse_lab.ellaw import (
     _embed_point,
     _embed_poly,
     _eval_embedded,
+    _gradient,
     _poly_roots,
     _proj_distance,
     _transverse_intersection,
@@ -29,7 +30,7 @@ from hesse_lab.ellaw import (
 from hesse_lab.field import tower_eps
 from hesse_lab.groups import hessian_group_generators
 from hesse_lab.hesse import PencilParameter, hesse_data, hessian_map
-from hesse_lab.multipoly import MultiPoly, _divmod
+from hesse_lab.multipoly import MultiPoly, _divmod, divide_exact
 from hesse_lab.plane import (
     ProjPoint,
     line_parameter,
@@ -309,6 +310,57 @@ def test_torsion_table_and_translations_make_each_chord_once(lam):
             patch.setattr(ellaw, "third_intersection", counted)
             check(lam)
         assert len(made) == len(set(made)) <= 45, check.__name__
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=_TORSION_LAMBDA)
+def test_torsion_table_and_translations_make_each_gradient_once(lam):
+    # the per-context polar data must not cost a chord its certificates:
+    # both roots are still divided out on every chord
+    assume(lam != -3)
+    for check in (three_torsion_table, translation_compatibility_check):
+        gradients, chords, divisions = [], [], []
+
+        def gradient(ctx, p):
+            gradients.append((ctx, p))
+            return _gradient(ctx, p)
+
+        def counted(ctx, a, b):
+            chords.append((a, b))
+            return third_intersection(ctx, a, b)
+
+        def divide(f, g):
+            divisions.append(g)
+            return divide_exact(f, g)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ellaw, "_gradient", gradient)
+            patch.setattr(ellaw, "third_intersection", counted)
+            patch.setattr(ellaw, "divide_exact", divide)
+            check(lam)
+        assert gradients and len(gradients) == len(set(gradients)), check.__name__
+        assert len(divisions) == 2 * len(chords) > 0, check.__name__
+
+
+def test_polar_data_belongs_to_one_context():
+    ctx = curve_context(1)
+    off = ProjPoint((1, 2, 4), ctx.domain)
+    assert ctx.member.evaluate(off.coords)
+    for _ in range(2):
+        for a, b in ((off, PTS[0]), (PTS[0], off), (off, off)):
+            with pytest.raises(ValueError):
+                third_intersection(ctx, a, b)
+    one, two = curve_context(1), curve_context(2)
+    assert not one.polars and not two.polars
+    # interleave the two members' chords, so that shared polar data would
+    # hand one member the other's gradients
+    for a, b in combinations(PTS, 2):
+        for c in (one, two):
+            assert third_intersection(c, a, b) == _third_by_line_restriction(c, a, b)
+    for a in PTS:
+        for c in (one, two):
+            assert third_intersection(c, a, a) == _third_by_line_restriction(c, a, a)
+    assert one.polars[PTS[1]][0] != two.polars[PTS[1]][0]
 
 
 def test_contact_pair_vertices():
