@@ -8,32 +8,15 @@ from . import harness
 from .plot import plot_pencil
 
 
-def _parse_lambda(text: str, allow_infinite: bool = False):
+def _parse_lambda(text: str):
+    """A member parameter of the plot: 'inf' (also 'oo', 'infinity') or a rational."""
     token = text.strip().lower()
     if token in ("inf", "oo", "infinity"):
-        if not allow_infinite:
-            raise argparse.ArgumentTypeError(
-                "the triangle of coordinate lines has no group law; "
-                "pick a finite smooth parameter"
-            )
         return "inf"
     try:
-        value = Fraction(token)
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational parameter: {text!r}") from exc
-    if not allow_infinite and value == -3:
-        raise argparse.ArgumentTypeError(
-            "-3 picks a singular member; the numeric checks need a smooth one"
-        )
-    return value
-
-
-def _check_lambda(text: str):
-    return _parse_lambda(text, allow_infinite=False)
-
-
-def _plot_lambda(text: str):
-    return _parse_lambda(text, allow_infinite=True)
 
 
 def _parse_window(text: str) -> tuple:
@@ -58,13 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("filters", nargs="*", metavar="GLOB", help="check id globs, e.g. 'lattice.*'")
     check.add_argument("--precision", type=int, default=None, metavar="BITS",
                        help="working precision for numeric checks (default 128)")
-    check.add_argument("--lambda", dest="lambdas", action="append", type=_check_lambda,
-                       metavar="L", help="smooth member parameter; repeatable")
     check.add_argument("--json", dest="json_path", default=None, metavar="PATH",
                        help="write the machine-readable report here")
 
     plot = sub.add_parser("plot-pencil", help="render members and the base configuration as SVG")
-    plot.add_argument("--lambda", dest="lambdas", action="append", type=_plot_lambda,
+    plot.add_argument("--lambda", dest="lambdas", action="append", type=_parse_lambda,
                       metavar="L", required=True, help="member parameter ('inf' allowed); repeatable")
     plot.add_argument("--out", required=True, metavar="PATH", help="output SVG path")
     plot.add_argument("--window", type=_parse_window, default=None, metavar="A,B,C,D",
@@ -78,8 +59,6 @@ def _run_check(args) -> int:
     overrides = {"filters": tuple(args.filters)}
     if args.precision is not None:
         overrides["precision_bits"] = args.precision
-    if args.lambdas:
-        overrides["lambdas"] = tuple(args.lambdas)
     try:
         config = harness.default_config(**overrides)
         report = harness.run(config)

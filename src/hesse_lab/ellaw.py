@@ -24,8 +24,12 @@ tolerance rule.  The order-nine points take one small eigen-solve: the
 resultant in y, a polynomial in x^3, deflates, and each y comes from the
 exact first subresultant, linear in y.  With a flex as origin,
 A + B + C = 0 exactly when A, B and C are collinear, so 3P is the third
-point of the line through -2P and -P: one chord per point.  The module
-ends with the registered torsion checks that sweep sample parameters.
+point of the line through -2P and -P: one chord per point.  The backend
+takes the one complex embedding of the program, that of Q(eps) with
+eps = exp(2*pi*i/3), in closed form (`_to_mpc`), and this is the one module
+that imports mpmath.  The module ends with the registered torsion checks
+that sweep sample parameters; the two numeric ones sample lambda = 1, 2 and
+1/2 (and 0 for the 2-torsion) and give each residual as a 17-digit string.
 """
 
 import math
@@ -34,7 +38,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .field import _to_mpc, tower_eps
+from .field import FieldElement, TowerError, tower_eps
 from .hesse import (
     PencilParameter,
     PropertyResult,
@@ -52,7 +56,6 @@ from .multipoly import (
     resultant_in_var,
 )
 from .plane import (
-    ProjLine,
     ProjPoint,
     _cross,
     line_parameter,
@@ -126,8 +129,10 @@ def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoi
     """The remaining intersection of the member with the chord a b (the
     tangent at a when a = b).
 
-    With u = a and v = b (for a tangent, v is a basis point of the tangent
-    line other than a) the member restricts to the binary cubic
+    With u = a and v = b (for a tangent, v is where the tangent meets
+    x_j = 0, for a_j the first nonzero coordinate of a: v is never a, and
+    never zero, since the tangent x_j = 0 would not contain a) the member
+    restricts to the binary cubic
     F(s*u + t*v) = F(u) s^3 + (grad F(u).v) s^2 t + (grad F(v).u) s t^2
     + F(v) t^3, where F(w) = grad F(w).w / 3.  grad F and F at u and v come
     from _polar, which makes them once per point of ctx.  The known roots
@@ -139,8 +144,8 @@ def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoi
     grad_a, f_a = _polar(ctx, a)
     tangent = a == b
     if tangent:
-        p0, p1 = ProjLine(grad_a, K).basis_points()
-        b = p1 if p0 == a else p0
+        j = next(i for i, c in enumerate(a.coords) if c)
+        b = ProjPoint(_cross(grad_a, [int(i == j) for i in range(3)]), K)
     grad_b, f_b = _polar(ctx, b)
     u, v = a.coords, b.coords
     form = MultiPoly(
@@ -280,6 +285,22 @@ def contact_pair_vertices_check() -> PropertyResult:
 # ---------------------------------------------------------------------------
 # numeric backend
 # ---------------------------------------------------------------------------
+
+
+def _to_mpc(value: FieldElement, precision_bits: int):
+    """Complex value of an element of Q or Q(eps), with eps = exp(2*pi*i/3).
+
+    a + b*eps is (a - b/2) + i*b*sqrt(3)/2, computed with 48 guard bits above
+    precision_bits.  No other tower has a complex embedding."""
+    if precision_bits < 64:
+        raise ValueError("precision_bits must be >= 64")
+    tower = value.tower
+    if tower.levels and tower != tower_eps():
+        raise TowerError(f"no complex embedding of {tower!r}")
+    a, b = (value.coords + (Fraction(0),))[:2]
+    with mpmath.workprec(precision_bits + 48):
+        re, im = (mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator) for q in (a, b))
+        return mpmath.mpc(re - im / 2, im * mpmath.sqrt(3) / 2)
 
 
 @dataclass(frozen=True)
@@ -700,11 +721,11 @@ def torsion_table_sweep() -> PropertyResult:
     return _expect(tables, {"1": True, "2": True})
 
 
-def two_torsion_sweep(lambdas, precision_bits) -> PropertyResult:
-    """two_torsion_polar_check on the first harmonic polar, at each lambda
-    and at 0; a pass reports the worst residual of each."""
+def two_torsion_sweep(precision_bits) -> PropertyResult:
+    """two_torsion_polar_check on the first harmonic polar at lambda = 1, 2,
+    1/2 and 0; a pass reports the worst residual of each, to 17 digits."""
     out = {"precision_bits": precision_bits}
-    for lam in (*lambdas, Fraction(0)):
+    for lam in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(0)):
         rep = two_torsion_polar_check(lam, 0, precision_bits=precision_bits)
         worst = max(
             *(p.residual for p in rep.points),
@@ -719,16 +740,16 @@ def two_torsion_sweep(lambdas, precision_bits) -> PropertyResult:
                 f"residual {mpmath.nstr(worst, 5)}, expected 3 points within "
                 f"{mpmath.nstr(rep.tolerance, 5)}",
             )
-        out[key] = worst
-        out.setdefault("tolerance", rep.tolerance)
+        out[key] = mpmath.nstr(worst, 17)
+        out.setdefault("tolerance", mpmath.nstr(rep.tolerance, 17))
     return PropertyResult(True, out)
 
 
-def nine_torsion_sweep(lambdas, precision_bits) -> PropertyResult:
-    """nine_torsion_check on the first contact cubic at each lambda; a pass
-    reports the worst residual of each."""
+def nine_torsion_sweep(precision_bits) -> PropertyResult:
+    """nine_torsion_check on the first contact cubic at lambda = 1, 2 and
+    1/2; a pass reports the worst residual of each, to 17 digits."""
     out = {"precision_bits": precision_bits}
-    for lam in lambdas:
+    for lam in (Fraction(1), Fraction(2), Fraction(1, 2)):
         rep = nine_torsion_check(lam, 1, precision_bits=precision_bits)
         worst = max(
             max(rep.triple_residuals), max(rep.nine_residuals), rep.chain_residual
@@ -740,8 +761,8 @@ def nine_torsion_sweep(lambdas, precision_bits) -> PropertyResult:
                 f"worst residual {mpmath.nstr(worst, 5)}, expected no origin and "
                 f"residuals within {mpmath.nstr(rep.tolerance, 5)}",
             )
-        out[f"lambda={lam}"] = worst
-        out.setdefault("tolerance", rep.tolerance)
+        out[f"lambda={lam}"] = mpmath.nstr(worst, 17)
+        out.setdefault("tolerance", mpmath.nstr(rep.tolerance, 17))
     return PropertyResult(True, out)
 
 

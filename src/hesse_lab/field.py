@@ -18,9 +18,7 @@ fraction-free (Bareiss) elimination.  This is the layout of Cohen, *A Course
 in Computational Algebraic Number Theory*, section 4.2.
 
 A tower is exact data only: a level is a symbol and a minimal polynomial,
-and no complex root is chosen.  The one complex embedding the program takes
-is that of Q(eps) with eps = exp(2*pi*i/3), in closed form (`_to_mpc`), and
-it serves the numeric torsion checks only.
+and no complex root is chosen.
 
 Irreducibility of user-supplied minimal polynomials is *not* verified; the
 built-in towers (`tower_eps`, `tower_eps_i`, `tower_eps_i_cbrt2`,
@@ -35,8 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
-
-import mpmath as mp
 
 RationalLike = Union[int, Fraction]
 
@@ -318,9 +314,11 @@ class FieldElement:
     """Element of a FieldTower: num / den in the tower power basis.
 
     `num` is a tuple of ints (one per basis element) and `den` a positive
-    int with gcd(den, *num) == 1, so equal elements have identical fields
-    and equal hashes.  The constructor trusts that form; `coords` gives the
-    rational coordinates num[k] / den.
+    int with gcd(den, *num) == 1, so equal elements of one tower have
+    identical fields and equal hashes.  Elements of two towers are equal
+    when both are rational with one value, and a rational element equals
+    and hashes like the int or Fraction of its value.  The constructor
+    trusts that form; `coords` gives the rational coordinates num[k] / den.
     """
 
     __slots__ = ("tower", "num", "den", "_hash")
@@ -469,7 +467,12 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             if other.tower is not self.tower and other.tower != self.tower:
-                return False
+                return (
+                    self.num[0] == other.num[0]
+                    and self.den == other.den
+                    and self.is_rational()
+                    and other.is_rational()
+                )
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return (
@@ -506,22 +509,6 @@ def _power(x, n: int, one):
         if bit == "1":
             result = result * x
     return result
-
-
-def _to_mpc(value: FieldElement, precision_bits: int):
-    """Complex value of an element of Q or Q(eps), with eps = exp(2*pi*i/3).
-
-    a + b*eps is (a - b/2) + i*b*sqrt(3)/2, computed with 48 guard bits above
-    precision_bits.  No other tower has a complex embedding."""
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be >= 64")
-    tower = value.tower
-    if tower.levels and tower != tower_eps():
-        raise TowerError(f"no complex embedding of {tower!r}")
-    a, b = (value.coords + (Fraction(0),))[:2]
-    with mp.workprec(precision_bits + 48):
-        re, im = (mp.mpf(q.numerator) / mp.mpf(q.denominator) for q in (a, b))
-        return mp.mpc(re - im / 2, im * mp.sqrt(3) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +578,7 @@ def tower_rationals() -> FieldTower:
 
 @lru_cache(maxsize=None)
 def tower_eps() -> FieldTower:
-    """Q(eps) with eps^2 + eps + 1 = 0, the one tower with a complex embedding:
-    `_to_mpc` takes eps to exp(2*pi*i/3)."""
+    """Q(eps) with eps^2 + eps + 1 = 0."""
     return tower_create([ExtensionSpec("eps", [1, 1, 1])])
 
 

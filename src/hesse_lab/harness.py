@@ -5,11 +5,13 @@ identifier, the paper statement it checks, and a zero-argument runner,
 defined beside the mathematics in `hesse`, `groups`, `ellaw` or
 `lattice`, that returns a `PropertyResult`.  Arguments are bound into
 the row with `functools.partial`; only the two numeric torsion rows read
-the config.  A pass reports its `details`, a fail its reason string, and
-a check that raises fails with the exception's type and message.  The
-runner executes any glob-selected subset in table order, timing each
-check and serializing witnesses so that a fixed configuration reproduces
-the same results, whatever PYTHONHASHSEED is: every field of a report is
+the config, for its working precision.  They pick their parameters and
+format their residuals in `ellaw`, so the harness knows no numerics.  A
+pass reports its `details`, a fail its reason string, and a check that
+raises fails with the exception's type and message.  The runner executes
+any glob-selected subset in table order, timing each check and
+serializing witnesses so that a fixed configuration reproduces the same
+results, whatever PYTHONHASHSEED is: every field of a report is
 byte-identical between runs except each check's `runtime_ms`.
 """
 
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-import mpmath
-
 from . import ellaw, groups, hesse, lattice
 
 SCHEMA_VERSION = "1"
@@ -31,13 +31,11 @@ SCHEMA_VERSION = "1"
 class HarnessConfig:
     precision_bits: int = 128
     filters: tuple = ()
-    lambdas: tuple = (Fraction(1), Fraction(2), Fraction(1, 2))
 
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ValueError("precision must be at least 64 bits")
         object.__setattr__(self, "filters", tuple(self.filters))
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
 
 
 def default_config(**overrides) -> HarnessConfig:
@@ -57,8 +55,6 @@ class CheckResult:
 def _jsonify(value):
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, (mpmath.mpf, mpmath.mpc)):
-        return mpmath.nstr(value, 17)
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -79,10 +75,9 @@ class RegisteredCheck:
 
 
 def registry(config: HarnessConfig = None) -> tuple:
-    """The check table in run order, with config.lambdas and
-    config.precision_bits bound into the two numeric torsion rows."""
+    """The check table in run order, with config.precision_bits bound into
+    the two numeric torsion rows."""
     config = config or default_config()
-    numeric = {"lambdas": config.lambdas, "precision_bits": config.precision_bits}
     rows = [
         (
             "hesse.incidence",
@@ -250,12 +245,12 @@ def registry(config: HarnessConfig = None) -> tuple:
         (
             "torsion.two",
             "harmonic polars cut the 2-torsion with respect to their base point",
-            partial(ellaw.two_torsion_sweep, **numeric),
+            partial(ellaw.two_torsion_sweep, config.precision_bits),
         ),
         (
             "torsion.nine",
             "contact cubics cut points of exact order nine on smooth members",
-            partial(ellaw.nine_torsion_sweep, **numeric),
+            partial(ellaw.nine_torsion_sweep, config.precision_bits),
         ),
         (
             "torsion.prop62",
@@ -372,7 +367,6 @@ def report_dict(report: RunReport) -> dict:
         "config": {
             "precision_bits": report.config.precision_bits,
             "filters": list(report.config.filters),
-            "lambdas": [_jsonify(l) for l in report.config.lambdas],
         },
         "results": [
             {

@@ -342,6 +342,21 @@ def test_torsion_table_and_translations_make_each_gradient_once(lam):
         assert len(divisions) == 2 * len(chords) > 0, check.__name__
 
 
+@settings(max_examples=10, deadline=None)
+@given(lam=_TORSION_LAMBDA)
+def test_tangent_partner_lies_on_the_tangent(lam):
+    # the tangent branch makes polar data for a and for one more point b,
+    # where the tangent at a meets x_j = 0 (a_j the first nonzero of a)
+    assume(lam != -3)
+    for a in PTS:
+        ctx = curve_context(lam)
+        assert third_intersection(ctx, a, a) == _third_by_line_restriction(ctx, a, a)
+        (b,) = set(ctx.polars) - {a}
+        j = next(i for i, c in enumerate(a.coords) if c)
+        assert b != a and b.coords[j] == 0
+        assert tangent_line(ctx.member, a).contains(b)
+
+
 def test_polar_data_belongs_to_one_context():
     ctx = curve_context(1)
     off = ProjPoint((1, 2, 4), ctx.domain)

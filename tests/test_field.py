@@ -1,4 +1,5 @@
-"""Field tower arithmetic, the complex embedding of Q(eps), and printing."""
+"""Field tower arithmetic, the complex embedding of Q(eps) that the numeric
+backend of `ellaw` takes, and printing."""
 
 import sys
 from fractions import Fraction
@@ -15,7 +16,6 @@ from hesse_lab.field import (
     FieldTower,
     TowerError,
     _reduced,
-    _to_mpc,
     element_to_str,
     tower_create,
     tower_eps,
@@ -24,6 +24,7 @@ from hesse_lab.field import (
     tower_rationals,
     tower_zeta9,
 )
+from hesse_lab.ellaw import _to_mpc
 from hesse_lab.hesse import PencilParameter, hesse_data, pencil_member
 from hesse_lab.multipoly import QQ, MultiPoly, resultant_in_var
 
@@ -102,6 +103,25 @@ def test_embed_eps_difference_is_i_sqrt3():
     val = _to_mpc(eps - eps ** 2, 96)
     with mp.workprec(128):
         assert abs(val - mp.mpc(0, mp.sqrt(3))) < mp.mpf(2) ** -80
+
+
+def test_rational_elements_are_equal_across_towers():
+    # a rational element equals its int or Fraction and hashes like it, so
+    # equality across towers must agree: any order of insertion gives one set
+    K, Z = tower_eps(), tower_zeta9()
+    assert len({QQ.one(), K.one(), 1}) == len({1, QQ.one(), K.one()}) == 1
+    assert QQ.one() == K.one() == Z.one() and hash(QQ.one()) == hash(K.one())
+    half = Fraction(-1, 2)
+    assert K.from_rational(half) == QQ.coerce(half) == Z.from_rational(half)
+    assert K.from_rational(half) != Z.from_rational(Fraction(1, 2))
+    # eps and zeta9^3 satisfy one minimal polynomial, but in two towers
+    eps, zeta9 = K.symbol_element("eps"), Z.symbol_element("zeta9")
+    assert eps != zeta9 ** 3 and zeta9 ** 3 != eps
+    assert len({eps, zeta9 ** 3}) == 2
+    # == never raises, whatever it meets
+    for other in (eps, zeta9, Z.one(), tower_eps_i().one(), 1, Fraction(1, 2), "1", None, 1.0):
+        for x in (K.one(), eps, zeta9 ** 3):
+            assert (x == other) in (True, False) and (other == x) in (True, False)
 
 
 def test_zeta9_tower():

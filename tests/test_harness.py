@@ -28,12 +28,16 @@ def test_every_runner_takes_no_argument():
 
 
 def test_registry_binds_the_config_into_the_numeric_rows():
-    config = harness.HarnessConfig(precision_bits=192, lambdas=(Fraction(5, 3),))
+    # only the working precision comes from the config; the sampled lambda
+    # are the sweep's own, and each residual is already a 17-digit string
+    config = harness.HarnessConfig(precision_bits=192)
     (row,) = [c for c in harness.registry(config) if c.check_id == "torsion.two"]
     result = row.runner()
     assert result.holds
     assert result.details["precision_bits"] == 192
-    assert "lambda=5/3,line=0" in result.details
+    keys = [f"lambda={lam},line=0" for lam in ("1", "2", "1/2", "0")]
+    assert sorted(result.details) == sorted(keys + ["precision_bits", "tolerance"])
+    assert all(isinstance(result.details[k], str) for k in keys + ["tolerance"])
 
 
 def test_namespaces_present():
@@ -76,7 +80,8 @@ def test_default_config_applies_overrides():
     assert harness.default_config().precision_bits == 128
     config = harness.default_config(precision_bits=192, filters=["hesse.*"])
     assert config.precision_bits == 192 and config.filters == ("hesse.*",)
-    assert config.lambdas == harness.HarnessConfig().lambdas
+    with pytest.raises(TypeError):
+        harness.default_config(lambdas=(Fraction(5, 3),))
 
 
 def test_lattice_subset_passes():
@@ -100,7 +105,7 @@ def test_report_json_round_trip(tmp_path):
     on_disk = json.loads(path.read_text(encoding="utf-8"))
     assert on_disk == json.loads(text) == harness.report_dict(report)
     assert on_disk["version"] == harness.SCHEMA_VERSION
-    assert on_disk["config"]["lambdas"] == ["1", "2", "1/2"]
+    assert on_disk["config"] == {"filters": ["lattice.a2m6.snf"], "precision_bits": 128}
     entry = on_disk["results"][0]
     assert set(entry) == {"check_id", "status", "witness", "paper_ref", "runtime_ms"}
 
@@ -174,18 +179,17 @@ def test_cli_unknown_filter_exit_two(capsys):
     assert "matches no registered check" in capsys.readouterr().err
 
 
-def test_cli_rejects_singular_lambda():
-    with pytest.raises(SystemExit):
-        main(["check", "torsion.nine", "--lambda", "-3"])
-    with pytest.raises(SystemExit):
-        main(["check", "torsion.nine", "--lambda", "inf"])
-
-
-def test_cli_custom_lambda_runs(capsys):
-    code = main(["check", "torsion.two", "--lambda", "5/3"])
-    out = capsys.readouterr().out
+def test_cli_lambda_belongs_to_the_plot(tmp_path, capsys):
+    # check samples no lambda of its own choosing, so argparse rejects the
+    # flag there; the plot still takes every member, singular ones included
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "torsion.two", "--lambda", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --lambda" in capsys.readouterr().err
+    out = tmp_path / "singular.svg"
+    code = main(["plot-pencil", "--lambda", "-3", "--lambda", "inf", "--out", str(out)])
     assert code == 0
-    assert "1/1 checks passed" in out
+    assert out.read_text(encoding="utf-8").count('class="member"') == 2
 
 
 def test_cli_plot(tmp_path, capsys):

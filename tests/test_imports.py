@@ -1,8 +1,13 @@
 """Every module-level import in src/ and tests/ is used by its module,
-every definition in src/ is read by some module of src/, and every field a
-class in src/ declares is read in src/ or by the benchmark in perfbench/."""
+every definition in src/ is read by some module of src/, every field a
+class in src/ declares is read in src/ or by the benchmark in perfbench/,
+and mpmath is imported by `ellaw` alone, so the exact modules load without
+it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -199,3 +204,51 @@ def test_every_library_field_is_read():
     assert LIBRARY and BENCHMARK
     found = unread_fields(_texts(LIBRARY), _texts(BENCHMARK))
     assert found == []
+
+
+def modules_importing(sources: dict, module: str) -> list:
+    """The paths in `sources` (path -> source text) whose code imports
+    `module` or a submodule of it, at any depth."""
+    found = []
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n == module or n.startswith(module + ".") for n in names):
+                found.append(path)
+                break
+    return found
+
+
+def test_the_scan_flags_a_numeric_import():
+    sources = {
+        "a.py": "import mpmath as mp\n",
+        "b.py": "def f():\n    from mpmath.libmp import to_str\n",
+        "c.py": "from . import mpmath_free\nimport mpmathx\n",
+    }
+    assert modules_importing(sources, "mpmath") == ["a.py", "b.py"]
+
+
+def test_only_ellaw_imports_mpmath():
+    found = modules_importing(_texts(LIBRARY), "mpmath")
+    assert found == [str(Path("src", "hesse_lab", "ellaw.py"))]
+
+
+def test_exact_modules_load_without_mpmath():
+    # a fresh interpreter, since this one has loaded mpmath already
+    modules = ("field", "multipoly", "plane", "hesse", "groups", "lattice", "plot")
+    code = (
+        "import sys\n"
+        + "".join(f"import hesse_lab.{m}\n" for m in modules)
+        + "print('mpmath' in sys.modules)\n"
+    )
+    path = filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

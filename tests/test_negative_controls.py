@@ -22,6 +22,7 @@ from hesse_lab.multipoly import MultiPoly, reduce_mod
 _generators = groups.hessian_group_generators
 _unit_determinant_generators = groups.unit_determinant_generators
 _groups_hesse_data = groups.hesse_data
+_hesse_hesse_data = hesse.hesse_data
 _ellaw_hesse_data = ellaw.hesse_data
 _third_intersection = ellaw.third_intersection
 _cover_automorphisms = groups.cover_automorphisms
@@ -145,6 +146,15 @@ def _first_polar_replaced_by_second():
     data = _ellaw_hesse_data()
     polars = data.harmonic_polars
     return replace(data, harmonic_polars=(polars[1],) + polars[1:])
+
+
+def _equianharmonic_product_plus_x11y():
+    # x^11*y is no monomial of s*(s^3 + 216*t^3), whose exponents are all
+    # multiples of three
+    data = _hesse_hesse_data()
+    x, y, _ = MultiPoly.variables(3, data.domain)
+    product = data.invariants["equianharmonic_product"] + x**11 * y
+    return replace(data, invariants={**data.invariants, "equianharmonic_product": product})
 
 
 def _reduced_mod(wrong):
@@ -281,6 +291,7 @@ MUTANTS = {
         "_F3_POINTS",
         [p for p in hesse._F3_POINTS if p != (0, 1, 2)],
     ),
+    "hesse.identity.d": (hesse, "hesse_data", _equianharmonic_product_plus_x11y),
     "hesse.identity.l": (hesse, "reduce_mod", _reduced_mod(2)),
     "hesse.identity.l/mod5": (hesse, "reduce_mod", _reduced_mod(5)),
     "lattice.k3sum.det": (lattice_mod, "direct_sum", _k3_sum_entry_moved),
@@ -322,6 +333,7 @@ PINNED_WITNESS = {
     "hesse.char3": "cubic sum is not a triple line",
     "hesse.char3/mod5": "cubic sum is not a triple line",
     "hesse.char3/points": "base locus [(1 : 0 : 2), (1 : 2 : 0)]",
+    "hesse.identity.d": "monomial (11, 1, 0)",
     "hesse.identity.l": "monomial (5, 2, 2)",
     "hesse.identity.l/mod5": "monomial (5, 2, 2)",
     "lattice.a2m6.snf": "invariants is (1, 119), expected (6, 18)",
