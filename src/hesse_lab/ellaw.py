@@ -8,14 +8,16 @@ F = t0*(x^3+y^3+z^3) + t1*xyz restricts by polarisation to the binary cubic
 
 whose coefficients come from the closed-form gradient of F.  Each point's
 gradient and value F(p) = grad F(p).p / 3 are made once per context (the
-member a call works on), however many chords pass through the point.
-Dividing out the known roots (1 : 0) and (0 : 1) certifies, on every chord,
-that u and v lie on the member, and the leftover linear form gives the third
-point.  The 3-torsion table and the translation check add base points whose
-sums share chords (a + b and b + a, and each sum's second chord through the
-origin), so each makes every distinct chord once per call.  Proposition 6.2
-takes no root either: the quadratic cutting its two points divides the
-sextic on the line.
+member a call works on), however many chords pass through the point.  One
+exact division by s*t, the known roots (1 : 0) and (0 : 1), certifies on
+every chord that u and v lie on the member, and the linear quotient gives
+the third point.  A tangent at u takes for v the signed swap
+grad F(u) x e_j, left unnormalised, and divides by t^2 instead.  The
+3-torsion table and the translation check add base points whose sums share
+chords (a + b and b + a, and each sum's second chord through the origin),
+so each makes every distinct chord once per call; a translation is read
+off the image of the origin.  Proposition 6.2 takes no root either: the
+quadratic cutting its two points divides the sextic on the line.
 
 Loci that genuinely require root extraction (the 2-torsion on a harmonic
 polar, order-nine contact points) go through a numeric mpmath backend at a
@@ -104,11 +106,11 @@ def curve_context(parameter, origin_index: int = 0) -> CurveContext:
     return CurveContext(parameter, origin_index, pencil_member(parameter), K)
 
 
-def _gradient(ctx: CurveContext, p: ProjPoint) -> tuple:
-    """grad F(p) for F = t0*(x^3+y^3+z^3) + t1*xyz, each entry one dot."""
+def _gradient(ctx: CurveContext, coords) -> tuple:
+    """grad F at coords for F = t0*(x^3+y^3+z^3) + t1*xyz, each entry one dot."""
     K = ctx.domain
     t0_3, t1 = 3 * ctx.parameter.t0, ctx.parameter.t1
-    x, y, z = p.coords
+    x, y, z = coords
     return (
         K.dot((t0_3, t1), (x * x, y * z)),
         K.dot((t0_3, t1), (y * y, x * z)),
@@ -117,10 +119,11 @@ def _gradient(ctx: CurveContext, p: ProjPoint) -> tuple:
 
 
 def _polar(ctx: CurveContext, p: ProjPoint) -> tuple:
-    """(grad F(p), F(p)), made once per point of ctx; F(p) = grad F(p).p / 3."""
+    """(grad F(p), F(p)), made once per point p of ctx and kept in
+    ctx.polars; F(p) = grad F(p).p / 3.  Only chord endpoints come here."""
     polar = ctx.polars.get(p)
     if polar is None:
-        grad = _gradient(ctx, p)
+        grad = _gradient(ctx, p.coords)
         polar = ctx.polars[p] = (grad, ctx.domain.dot(grad, p.coords) * _THIRD)
     return polar
 
@@ -129,32 +132,39 @@ def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoi
     """The remaining intersection of the member with the chord a b (the
     tangent at a when a = b).
 
-    With u = a and v = b (for a tangent, v is where the tangent meets
-    x_j = 0, for a_j the first nonzero coordinate of a: v is never a, and
-    never zero, since the tangent x_j = 0 would not contain a) the member
-    restricts to the binary cubic
+    With u = a and v = b the member restricts to the binary cubic
     F(s*u + t*v) = F(u) s^3 + (grad F(u).v) s^2 t + (grad F(v).u) s t^2
-    + F(v) t^3, where F(w) = grad F(w).w / 3.  grad F and F at u and v come
-    from _polar, which makes them once per point of ctx.  The known roots
-    (1 : 0) and (0 : 1) (a double root at (1 : 0) for a tangent) are divided
-    out exactly on every call; the leftover linear form c_s*s + c_t*t
-    vanishes at the third point c_t*u - c_s*v.  Raises ValueError when a or
-    b is off the member, because its root then does not divide."""
+    + F(v) t^3, where F(w) = grad F(w).w / 3; grad F and F at a and b come
+    from _polar, which makes them once per point of ctx.  One exact
+    division by s*t removes the known roots (1 : 0) and (0 : 1), and it is
+    exact only when F(u) = F(v) = 0.  For a tangent, v = grad F(a) x e_j,
+    for a_j the first nonzero coordinate of a, is a signed swap of two
+    gradient entries, with no field product: v lies on x_j = 0, which does
+    not hold a, and on the tangent, so grad F(u).v = 0 identically.  v stays
+    raw coordinates, normalised by no inverse and kept out of ctx.polars;
+    its gradient is made here, once per tangent, since the chord stores make
+    each tangent once.  The division is then by t^2, exact only when
+    F(u) = 0.  The quotient c_s*s + c_t*t vanishes at the third point
+    c_t*u - c_s*v.  Raises ValueError when a or b is off the member, because
+    its root then does not divide."""
     K = ctx.domain
+    u = a.coords
     grad_a, f_a = _polar(ctx, a)
-    tangent = a == b
-    if tangent:
-        j = next(i for i, c in enumerate(a.coords) if c)
-        b = ProjPoint(_cross(grad_a, [int(i == j) for i in range(3)]), K)
-    grad_b, f_b = _polar(ctx, b)
-    u, v = a.coords, b.coords
-    form = MultiPoly(
-        2,
-        {(3, 0): f_a, (2, 1): K.dot(grad_a, v), (1, 2): K.dot(grad_b, u), (0, 3): f_b},
-        K,
-    )
-    s, t = MultiPoly.variables(2, K)
-    form = divide_exact(divide_exact(form, t), t if tangent else s)
+    if a == b:
+        j = next(i for i, c in enumerate(u) if c)
+        k, m = (j + 1) % 3, (j + 2) % 3
+        v = [K.zero()] * 3
+        v[k], v[m] = grad_a[m], -grad_a[k]
+        grad_b = _gradient(ctx, v)
+        f_b = K.dot(grad_b, v) * _THIRD
+        s2t, root = K.zero(), (0, 2)  # grad F(u).v = 0 identically
+    else:
+        v = b.coords
+        grad_b, f_b = _polar(ctx, b)
+        s2t, root = K.dot(grad_a, v), (1, 1)
+    terms = {(3, 0): f_a, (2, 1): s2t, (1, 2): K.dot(grad_b, u), (0, 3): f_b}
+    form = MultiPoly(2, {e: c for e, c in terms.items() if c}, K, _clean=True)
+    form = divide_exact(form, MultiPoly(2, {root: K.one()}, K, _clean=True))
     c_s = form.coefficient((1, 0))
     c_t = form.coefficient((0, 1))
     return ProjPoint(tuple(K.dot((c_t, -c_s), uv) for uv in zip(u, v)), K)
@@ -167,7 +177,7 @@ def _add_each_chord_once(ctx: CurveContext):
     The chord through a and b is the chord through b and a, so each chord
     is kept under the unordered pair {a, b} ({a} for the tangent at a).
     Every chord is still made on the member by third_intersection, with
-    both membership certificates; the store goes with the returned function.
+    its membership certificate; the store goes with the returned function.
     """
     chords = {}
 
@@ -222,8 +232,9 @@ def translation_compatibility_check(parameter) -> PropertyResult:
     """The two order-3 generators fixing every member act on the base
     points as translations by 3-torsion points of the group law.
 
-    Candidate translations are tried in turn, and each distinct chord among
-    their sums is made once."""
+    A translation by p_k carries the origin p_0 to p_k, so each generator
+    g can only be the translation by k = g(p_0): its nine sums are checked
+    once, and each distinct chord among them is made once."""
     from .groups import hessian_group_generators
 
     ctx = curve_context(parameter, origin_index=0)
@@ -236,14 +247,10 @@ def translation_compatibility_check(parameter) -> PropertyResult:
     for name in ("cycle", "scale"):
         g = gens[name]
         perm = tuple(index[g.apply(p)] for p in pts)
-        found = None
-        for k in range(9):
-            if all(index[plus(pts[i], pts[k])] == perm[i] for i in range(9)):
-                found = k
-                break
-        if found is None:
+        k = perm[0]
+        if any(index[plus(pts[i], pts[k])] != perm[i] for i in range(9)):
             return PropertyResult(False, witness=f"{name} is not a translation")
-        assignments[name] = found
+        assignments[name] = k
     la, lb = data.labels[assignments["cycle"]], data.labels[assignments["scale"]]
     if (la[0] * lb[1] - la[1] * lb[0]) % 3 == 0:
         return PropertyResult(False, witness=f"labels {la} and {lb} are dependent")

@@ -33,6 +33,7 @@ from hesse_lab.hesse import PencilParameter, hesse_data, hessian_map
 from hesse_lab.multipoly import MultiPoly, _divmod, divide_exact
 from hesse_lab.plane import (
     ProjPoint,
+    _cross,
     line_parameter,
     line_through,
     restrict_to_line,
@@ -75,14 +76,15 @@ def test_context_rejects_singular_and_bad_origin():
 
 
 def test_off_member_point_raises():
-    off = ProjPoint((1, 1, 1), CTX.domain)
-    assert CTX.member.evaluate(off.coords)
-    with pytest.raises(ValueError):
-        add(CTX, off, PTS[1])
-    with pytest.raises(ValueError):
-        third_intersection(CTX, PTS[1], off)
-    with pytest.raises(ValueError):
-        third_intersection(CTX, off, off)
+    # grad F(1 : 0 : 0) is a multiple of e_0, so the tangent partner of
+    # (1 : 0 : 0) is the zero vector; the certificate still rejects it
+    for off in (ProjPoint((1, 1, 1), CTX.domain), ProjPoint((1, 0, 0), CTX.domain)):
+        assert CTX.member.evaluate(off.coords)
+        with pytest.raises(ValueError):
+            add(CTX, off, PTS[1])
+        for a, b in ((off, PTS[1]), (PTS[1], off), (off, off)):
+            with pytest.raises(ValueError, match="inexact division"):
+                third_intersection(CTX, a, b)
 
 
 def test_inflection_line_third_points():
@@ -315,22 +317,22 @@ def test_torsion_table_and_translations_make_each_chord_once(lam):
 @settings(max_examples=10, deadline=None)
 @given(lam=_TORSION_LAMBDA)
 def test_torsion_table_and_translations_make_each_gradient_once(lam):
-    # the per-context polar data must not cost a chord its certificates:
-    # both roots are still divided out on every chord
+    # the per-context polar data must not cost a chord its certificate:
+    # one exact division by s*t (by t^2 for a tangent) on every chord
     assume(lam != -3)
     for check in (three_torsion_table, translation_compatibility_check):
         gradients, chords, divisions = [], [], []
 
-        def gradient(ctx, p):
-            gradients.append((ctx, p))
-            return _gradient(ctx, p)
+        def gradient(ctx, coords):
+            gradients.append((ctx, tuple(coords)))
+            return _gradient(ctx, coords)
 
         def counted(ctx, a, b):
             chords.append((a, b))
             return third_intersection(ctx, a, b)
 
         def divide(f, g):
-            divisions.append(g)
+            divisions.append(g.terms)
             return divide_exact(f, g)
 
         with pytest.MonkeyPatch.context() as patch:
@@ -339,22 +341,35 @@ def test_torsion_table_and_translations_make_each_gradient_once(lam):
             patch.setattr(ellaw, "divide_exact", divide)
             check(lam)
         assert gradients and len(gradients) == len(set(gradients)), check.__name__
-        assert len(divisions) == 2 * len(chords) > 0, check.__name__
+        roots = [(0, 2) if a == b else (1, 1) for a, b in chords]
+        assert chords and divisions == [{r: 1} for r in roots], check.__name__
 
 
 @settings(max_examples=10, deadline=None)
 @given(lam=_TORSION_LAMBDA)
 def test_tangent_partner_lies_on_the_tangent(lam):
-    # the tangent branch makes polar data for a and for one more point b,
-    # where the tangent at a meets x_j = 0 (a_j the first nonzero of a)
+    # the tangent branch makes polar data for a alone, and a gradient at raw
+    # coordinates v where the tangent at a meets x_j = 0 (a_j the first
+    # nonzero of a)
     assume(lam != -3)
     for a in PTS:
         ctx = curve_context(lam)
-        assert third_intersection(ctx, a, a) == _third_by_line_restriction(ctx, a, a)
-        (b,) = set(ctx.polars) - {a}
+        made = []
+
+        def gradient(context, coords):
+            made.append(coords)
+            return _gradient(context, coords)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ellaw, "_gradient", gradient)
+            third = third_intersection(ctx, a, a)
+        assert third == _third_by_line_restriction(ctx, a, a)
+        assert made[0] == a.coords and len(made) == 2
+        v = made[1]
         j = next(i for i, c in enumerate(a.coords) if c)
-        assert b != a and b.coords[j] == 0
-        assert tangent_line(ctx.member, a).contains(b)
+        assert v[j] == 0 and any(_cross(a.coords, v))
+        assert not ctx.domain.dot(tangent_line(ctx.member, a).coeffs, v)
+        assert set(ctx.polars) == {a}
 
 
 def test_polar_data_belongs_to_one_context():

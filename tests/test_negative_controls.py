@@ -123,11 +123,15 @@ def _replaced_by_shear(name):
     return mutant
 
 
-def _first_contact_cubic_replaced(cubic):
+def _contact_cubic_replaced(index, cubic):
+    # contact cubic number index + 1 becomes cubic(cubics, x, y, z), where
+    # cubics are the unmutated ones
     def mutant():
         data = _ellaw_hesse_data()
         x, y, z = MultiPoly.variables(3, data.domain)
-        return replace(data, halphen_cubics=(cubic(x, y, z),) + data.halphen_cubics[1:])
+        cubics = list(data.halphen_cubics)
+        cubics[index] = cubic(data.halphen_cubics, x, y, z)
+        return replace(data, halphen_cubics=tuple(cubics))
 
     return mutant
 
@@ -267,8 +271,8 @@ MUTANTS = {
     "torsion.nine": (
         ellaw,
         "hesse_data",
-        _first_contact_cubic_replaced(
-            lambda x, y, z: x**3 + 2 * y**3 + 3 * z**3 + x * y * z
+        _contact_cubic_replaced(
+            0, lambda _, x, y, z: x**3 + 2 * y**3 + 3 * z**3 + x * y * z
         ),
     ),
     # x times a conic: it cuts the member in the three base points on x = 0,
@@ -277,9 +281,24 @@ MUTANTS = {
     "torsion.nine/origin": (
         ellaw,
         "hesse_data",
-        _first_contact_cubic_replaced(
-            lambda x, y, z: x * (2 * x**2 + y**2 + 3 * z**2 - x * z + y * z)
+        _contact_cubic_replaced(
+            0, lambda _, x, y, z: x * (2 * x**2 + y**2 + 3 * z**2 - x * z + y * z)
         ),
+    ),
+    # both eliminations of the first and second contact cubics are still
+    # cubes of x^3 - z^3 and y^3 - z^3, but the two meet in only six of the
+    # nine non-coordinate vertices
+    "torsion.contact_vertices": (
+        ellaw,
+        "hesse_data",
+        _contact_cubic_replaced(4, lambda cubics, x, y, z: cubics[1]),
+    ),
+    # 2x^3 - (1 + eps)y^3 + eps*z^3 meets the first contact cubic off
+    # x^3 = z^3, so neither elimination is such a cube
+    "torsion.contact_vertices/plus_x3": (
+        ellaw,
+        "hesse_data",
+        _contact_cubic_replaced(4, lambda cubics, x, y, z: cubics[4] + x**3),
     ),
     "torsion.prop62": (ellaw, "hesse_data", _cuspidal_sextic_plus_x6),
     "torsion.two": (ellaw, "hesse_data", _first_polar_replaced_by_second),
@@ -339,6 +358,10 @@ PINNED_WITNESS = {
     "lattice.a2m6.snf": "invariants is (1, 119), expected (6, 18)",
     "lattice.k3sum.det": "det is -12, expected -3",
     "lattice.kummer": "det is -1296, expected -972",
+    "torsion.contact_vertices": (
+        "common vertices differ from the nine non-coordinate ones"
+    ),
+    "torsion.contact_vertices/plus_x3": "elimination has extra factors",
     "torsion.nine": (
         "lambda=1: triples hit base points (7, 7, 7, 8, 8, 8, 3, 3, 3), worst "
         "residual 0.94656, expected no origin and residuals within 1.0e-25"
