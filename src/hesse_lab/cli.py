@@ -39,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run registered checks (glob filters select a subset)")
     check.add_argument("filters", nargs="*", metavar="GLOB", help="check id globs, e.g. 'lattice.*'")
-    check.add_argument("--precision", type=int, default=None, metavar="BITS",
-                       help="working precision for numeric checks (default 128)")
     check.add_argument("--json", dest="json_path", default=None, metavar="PATH",
                        help="write the machine-readable report here")
 
@@ -56,19 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_check(args) -> int:
-    overrides = {"filters": tuple(args.filters)}
-    if args.precision is not None:
-        overrides["precision_bits"] = args.precision
     try:
-        config = harness.default_config(**overrides)
-        report = harness.run(config)
-    except ValueError as exc:
+        report = harness.run(harness.default_config(filters=args.filters))
+        for result in report.results:
+            print(f"{result.status:7s} {result.runtime_ms:10.1f}ms  {result.check_id}")
+        if args.json_path:
+            harness.report_json(report, args.json_path)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for result in report.results:
-        print(f"{result.status:7s} {result.runtime_ms:10.1f}ms  {result.check_id}")
-    if args.json_path:
-        harness.report_json(report, args.json_path)
     passed = sum(1 for r in report.results if r.status == "pass")
     print(f"{passed}/{len(report.results)} checks passed")
     return report.exit_code
@@ -80,7 +74,7 @@ def _run_plot(args) -> int:
         kwargs["window"] = args.window
     try:
         path = plot_pencil(args.lambdas, args.out, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(path)

@@ -31,7 +31,8 @@ takes the one complex embedding of the program, that of Q(eps) with
 eps = exp(2*pi*i/3), in closed form (`_to_mpc`), and this is the one module
 that imports mpmath.  The module ends with the registered torsion checks
 that sweep sample parameters; the two numeric ones sample lambda = 1, 2 and
-1/2 (and 0 for the 2-torsion) and give each residual as a 17-digit string.
+1/2 (and 0 for the 2-torsion) at 128 bits and give each residual as a
+17-digit string.
 """
 
 import math
@@ -728,12 +729,13 @@ def torsion_table_sweep() -> PropertyResult:
     return _expect(tables, {"1": True, "2": True})
 
 
-def two_torsion_sweep(precision_bits) -> PropertyResult:
+def two_torsion_sweep() -> PropertyResult:
     """two_torsion_polar_check on the first harmonic polar at lambda = 1, 2,
-    1/2 and 0; a pass reports the worst residual of each, to 17 digits."""
-    out = {"precision_bits": precision_bits}
+    1/2 and 0, at its default 128 bits; a pass reports the worst residual
+    of each, to 17 digits."""
+    out = {"precision_bits": 128}
     for lam in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(0)):
-        rep = two_torsion_polar_check(lam, 0, precision_bits=precision_bits)
+        rep = two_torsion_polar_check(lam, 0)
         worst = max(
             *(p.residual for p in rep.points),
             *rep.tangent_residuals,
@@ -752,12 +754,13 @@ def two_torsion_sweep(precision_bits) -> PropertyResult:
     return PropertyResult(True, out)
 
 
-def nine_torsion_sweep(precision_bits) -> PropertyResult:
+def nine_torsion_sweep() -> PropertyResult:
     """nine_torsion_check on the first contact cubic at lambda = 1, 2 and
-    1/2; a pass reports the worst residual of each, to 17 digits."""
-    out = {"precision_bits": precision_bits}
+    1/2, at its default 128 bits; a pass reports the worst residual of
+    each, to 17 digits."""
+    out = {"precision_bits": 128}
     for lam in (Fraction(1), Fraction(2), Fraction(1, 2)):
-        rep = nine_torsion_check(lam, 1, precision_bits=precision_bits)
+        rep = nine_torsion_check(lam, 1)
         worst = max(
             max(rep.triple_residuals), max(rep.nine_residuals), rep.chain_residual
         )

@@ -3,16 +3,16 @@
 Every verification of the library is a row of one table: a dotted
 identifier, the paper statement it checks, and a zero-argument runner,
 defined beside the mathematics in `hesse`, `groups`, `ellaw` or
-`lattice`, that returns a `PropertyResult`.  Arguments are bound into
-the row with `functools.partial`; only the two numeric torsion rows read
-the config, for its working precision.  They pick their parameters and
-format their residuals in `ellaw`, so the harness knows no numerics.  A
-pass reports its `details`, a fail its reason string, and a check that
-raises fails with the exception's type and message.  The runner executes
-any glob-selected subset in table order, timing each check and
-serializing witnesses so that a fixed configuration reproduces the same
-results, whatever PYTHONHASHSEED is: every field of a report is
-byte-identical between runs except each check's `runtime_ms`.
+`lattice`, that returns a `PropertyResult`.  A row that samples a
+fixed argument binds it with `functools.partial`; no setting of the run
+reaches a check.  The numeric torsion rows pick their parameters and
+working precision and format their residuals in `ellaw`, so the harness
+knows no numerics.  A pass reports its `details`, a fail its reason
+string, and a check that raises fails with the exception's type and
+message.  The runner executes any glob-selected subset in table order,
+timing each check and serializing witnesses so that a fixed selection
+reproduces the same results, whatever PYTHONHASHSEED is: every field of a
+report is byte-identical between runs except each check's `runtime_ms`.
 """
 
 import fnmatch
@@ -29,12 +29,9 @@ SCHEMA_VERSION = "1"
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    precision_bits: int = 128
     filters: tuple = ()
 
     def __post_init__(self):
-        if self.precision_bits < 64:
-            raise ValueError("precision must be at least 64 bits")
         object.__setattr__(self, "filters", tuple(self.filters))
 
 
@@ -74,10 +71,8 @@ class RegisteredCheck:
     runner: object  # zero-argument callable -> PropertyResult
 
 
-def registry(config: HarnessConfig = None) -> tuple:
-    """The check table in run order, with config.precision_bits bound into
-    the two numeric torsion rows."""
-    config = config or default_config()
+def registry() -> tuple:
+    """The check table in run order."""
     rows = [
         (
             "hesse.incidence",
@@ -245,12 +240,12 @@ def registry(config: HarnessConfig = None) -> tuple:
         (
             "torsion.two",
             "harmonic polars cut the 2-torsion with respect to their base point",
-            partial(ellaw.two_torsion_sweep, config.precision_bits),
+            ellaw.two_torsion_sweep,
         ),
         (
             "torsion.nine",
             "contact cubics cut points of exact order nine on smooth members",
-            partial(ellaw.nine_torsion_sweep, config.precision_bits),
+            ellaw.nine_torsion_sweep,
         ),
         (
             "torsion.prop62",
@@ -305,10 +300,10 @@ def check_ids() -> tuple:
     return tuple(c.check_id for c in registry())
 
 
-def select_checks(filters, config: HarnessConfig = None) -> tuple:
-    """Rows of registry(config) matching any glob, in table order; every
-    filter must match at least one identifier."""
-    checks = registry(config)
+def select_checks(filters) -> tuple:
+    """Rows of registry() matching any glob, in table order; every filter
+    must match at least one identifier."""
+    checks = registry()
     if not filters:
         return checks
     ids = [c.check_id for c in checks]
@@ -339,7 +334,7 @@ class RunReport:
 def run(config: HarnessConfig = None) -> RunReport:
     config = config or default_config()
     results = []
-    for check in select_checks(config.filters, config):
+    for check in select_checks(config.filters):
         start = time.perf_counter()
         try:
             res = check.runner()
@@ -364,10 +359,7 @@ def run(config: HarnessConfig = None) -> RunReport:
 def report_dict(report: RunReport) -> dict:
     return {
         "version": SCHEMA_VERSION,
-        "config": {
-            "precision_bits": report.config.precision_bits,
-            "filters": list(report.config.filters),
-        },
+        "config": {"filters": list(report.config.filters)},
         "results": [
             {
                 "check_id": r.check_id,

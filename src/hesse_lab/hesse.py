@@ -126,13 +126,15 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 class RationalSelfMap:
     """A map of the projective parameter line given by a pair of coprime
-    homogeneous binary forms of equal degree: (t0 : t1) -> (den : num),
+    homogeneous binary forms of equal degree over Q: (t0 : t1) -> (den : num),
     so the affine coordinate maps to num/den."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         num._check_compatible(den)
+        if num.domain != QQ:
+            raise ValueError("self-map forms must be over Q")
         if num.nvars != 2:
             raise ValueError("self-map forms must be binary")
         if not num or not den:
@@ -147,22 +149,14 @@ class RationalSelfMap:
             den = divide_exact(den, g)
         if num.degree() == 0:
             raise ValueError("constant self-map")
-        num, den = self._normalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        c = _fraction_gcd(abs(rational_content(num)), abs(rational_content(den)))
+        if rational_content(den) < 0:
+            c = -c
+        object.__setattr__(self, "num", num / c)
+        object.__setattr__(self, "den", den / c)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalSelfMap is immutable")
-
-    @staticmethod
-    def _normalize(num: MultiPoly, den: MultiPoly):
-        if num.domain == QQ:
-            c = _fraction_gcd(abs(rational_content(num)), abs(rational_content(den)))
-            if rational_content(den) < 0:
-                c = -c
-            return num / c, den / c
-        lead = den.leading()[1]
-        return num / lead, den / lead
 
     def apply(self, t: PencilParameter) -> PencilParameter:
         num, den = convert_domain(self.num, t.domain), convert_domain(self.den, t.domain)

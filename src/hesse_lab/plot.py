@@ -137,9 +137,8 @@ def _real_base_points(window):
 
 
 def _coerce_parameter(value) -> PencilParameter:
-    if isinstance(value, PencilParameter):
-        return value
-    if value in ("inf", "oo", None):
+    """A member of the figure: "inf" or a rational affine parameter."""
+    if value == "inf":
         return PencilParameter.infinity()
     return PencilParameter.from_affine(Fraction(value))
 

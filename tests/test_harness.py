@@ -27,14 +27,14 @@ def test_every_runner_takes_no_argument():
         inspect.signature(check.runner).bind()
 
 
-def test_registry_binds_the_config_into_the_numeric_rows():
-    # only the working precision comes from the config; the sampled lambda
-    # are the sweep's own, and each residual is already a 17-digit string
-    config = harness.HarnessConfig(precision_bits=192)
-    (row,) = [c for c in harness.registry(config) if c.check_id == "torsion.two"]
+def test_numeric_rows_fix_their_lambda_and_precision():
+    # no setting of the run reaches a check: the sampled lambda and the 128
+    # working bits are the sweep's own, and each residual is already a
+    # 17-digit string
+    (row,) = [c for c in harness.registry() if c.check_id == "torsion.two"]
     result = row.runner()
     assert result.holds
-    assert result.details["precision_bits"] == 192
+    assert result.details["precision_bits"] == 128
     keys = [f"lambda={lam},line=0" for lam in ("1", "2", "1/2", "0")]
     assert sorted(result.details) == sorted(keys + ["precision_bits", "tolerance"])
     assert all(isinstance(result.details[k], str) for k in keys + ["tolerance"])
@@ -70,16 +70,19 @@ def test_unknown_filter_raises():
         harness.select_checks(("no.such.check",))
 
 
-def test_config_rejects_low_precision():
-    with pytest.raises(ValueError):
-        harness.HarnessConfig(precision_bits=32)
+def test_cli_check_takes_no_precision(capsys):
+    # the numeric sweeps fix their own 128 bits, so argparse rejects the flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "torsion.two", "--precision", "64"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --precision" in capsys.readouterr().err
 
 
 def test_default_config_applies_overrides():
     assert harness.default_config() == harness.HarnessConfig()
-    assert harness.default_config().precision_bits == 128
-    config = harness.default_config(precision_bits=192, filters=["hesse.*"])
-    assert config.precision_bits == 192 and config.filters == ("hesse.*",)
+    assert harness.default_config(filters=["hesse.*"]).filters == ("hesse.*",)
+    with pytest.raises(TypeError):
+        harness.default_config(precision_bits=192)
     with pytest.raises(TypeError):
         harness.default_config(lambdas=(Fraction(5, 3),))
 
@@ -105,7 +108,7 @@ def test_report_json_round_trip(tmp_path):
     on_disk = json.loads(path.read_text(encoding="utf-8"))
     assert on_disk == json.loads(text) == harness.report_dict(report)
     assert on_disk["version"] == harness.SCHEMA_VERSION
-    assert on_disk["config"] == {"filters": ["lattice.a2m6.snf"], "precision_bits": 128}
+    assert on_disk["config"] == {"filters": ["lattice.a2m6.snf"]}
     entry = on_disk["results"][0]
     assert set(entry) == {"check_id", "status", "witness", "paper_ref", "runtime_ms"}
 
@@ -121,7 +124,7 @@ def test_failing_runner_is_caught(monkeypatch):
         raise ZeroDivisionError("synthetic")
 
     fake = (harness.RegisteredCheck("fake.boom", "always explodes", boom),)
-    monkeypatch.setattr(harness, "registry", lambda config=None: fake)
+    monkeypatch.setattr(harness, "registry", lambda: fake)
     report = harness.run(harness.HarnessConfig())
     (result,) = report.results
     assert result.status == "fail"
@@ -174,6 +177,16 @@ def test_cli_check_with_json(tmp_path, capsys):
     ]
 
 
+def test_cli_check_unwritable_json_exit_two(tmp_path, capsys):
+    # exit 1 means a check failed, so a report that cannot be written is an
+    # error of its own
+    path = tmp_path / "missing" / "r.json"
+    code = main(["check", "lattice.kummer", "--json", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not path.exists()
+
+
 def test_cli_unknown_filter_exit_two(capsys):
     assert main(["check", "no.such.*"]) == 2
     assert "matches no registered check" in capsys.readouterr().err
@@ -200,6 +213,14 @@ def test_cli_plot(tmp_path, capsys):
     text = out.read_text(encoding="utf-8")
     assert text.count('class="member"') == 2
     assert capsys.readouterr().out.strip() == str(out)
+
+
+def test_cli_plot_unwritable_out_exit_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "fig.svg"
+    code = main(["plot-pencil", "--lambda", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_plot_window_validation():

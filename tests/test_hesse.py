@@ -90,6 +90,14 @@ def test_self_map_reduction_and_rejection():
         RationalSelfMap(T0 + T1, T0 * T1)  # unequal degrees
 
 
+def test_self_map_rejects_forms_over_a_tower():
+    # every self-map of the program is over Q, and only Q-content
+    # normalises its forms
+    s, t = MultiPoly.variables(2, tower_eps())
+    with pytest.raises(ValueError, match="over Q"):
+        RationalSelfMap(s * t, s * s)
+
+
 def test_hessian_map_values():
     h = hessian_map()
     assert h.num.degree() == 3
