@@ -6,18 +6,20 @@ F = t0*(x^3+y^3+z^3) + t1*xyz restricts by polarisation to the binary cubic
 
     F(s*u + t*v) = F(u) s^3 + (grad F(u).v) s^2 t + (grad F(v).u) s t^2 + F(v) t^3,
 
-whose coefficients come from the closed-form gradient of F.  Each point's
-gradient and value F(p) = grad F(p).p / 3 are made once per context (the
-member a call works on), however many chords pass through the point.  One
-exact division by s*t, the known roots (1 : 0) and (0 : 1), certifies on
-every chord that u and v lie on the member, and the linear quotient gives
-the third point.  A tangent at u takes for v the signed swap
-grad F(u) x e_j, left unnormalised, and divides by t^2 instead.  The
-3-torsion table and the translation check add base points whose sums share
-chords (a + b and b + a, and each sum's second chord through the origin),
-so each makes every distinct chord once per call; a translation is read
-off the image of the origin.  Proposition 6.2 takes no root either: the
-quadratic cutting its two points divides the sextic on the line.
+whose coefficients come from the closed-form gradient of F, with (t0 : t1)
+scaled once into Z[eps], so on the base points every chord is integral.
+Each point's gradient and 3F(p) = grad F(p).p are made once per context
+(the member a call works on), however many chords pass through the point.
+One exact division by s*t, the known roots (1 : 0) and (0 : 1), certifies
+on every chord that u and v lie on the member, and the linear quotient
+gives the third point, returned as u itself on a flex tangent.  A tangent
+at u takes for v the signed swap grad F(u) x e_j, left unnormalised, and
+divides by t^2 instead.  The 3-torsion table and the translation check add
+base points whose sums share chords (a + b and b + a, and each sum's
+second chord through the origin), so each makes every distinct chord once
+per call; a translation is read off the image of the origin.  Proposition
+6.2 takes no root either: the quadratic cutting its two points divides the
+sextic on the line.
 
 Loci that genuinely require root extraction (the 2-torsion on a harmonic
 polar, order-nine contact points) go through a numeric mpmath backend at a
@@ -66,9 +68,6 @@ from .plane import (
     tangent_line,
 )
 
-_THIRD = Fraction(1, 3)
-
-
 # ---------------------------------------------------------------------------
 # exact layer
 # ---------------------------------------------------------------------------
@@ -76,11 +75,14 @@ _THIRD = Fraction(1, 3)
 
 @dataclass(frozen=True, eq=False)
 class CurveContext:
-    """A smooth pencil member with a marked base point as group origin."""
+    """A smooth pencil member with a marked base point as group origin.
+
+    grad_coeffs is (3*t0, t1) for (t0 : t1) times the lcm of its
+    denominators, in Z[eps]; the cubic form `member` is made when read."""
 
     parameter: PencilParameter
     origin_index: int
-    member: MultiPoly  # the cubic form of the member
+    grad_coeffs: tuple
     domain: object
     polars: dict = field(default_factory=dict, repr=False)  # see _polar
 
@@ -88,12 +90,17 @@ class CurveContext:
     def origin(self) -> ProjPoint:
         return hesse_data().base_points[self.origin_index]
 
+    @property
+    def member(self) -> MultiPoly:
+        return pencil_member(self.parameter)
+
 
 def curve_context(parameter, origin_index: int = 0) -> CurveContext:
     """Group-law context on the member at `parameter` with origin p_i.
 
     The parameter may be a PencilParameter or an affine value; it is
-    coerced into the cube-root tower where the base points live.
+    coerced into the cube-root tower where the base points live, and
+    scaled into Z[eps] once for the chord law, the same member projectively.
     """
     K = tower_eps()
     if not isinstance(parameter, PencilParameter):
@@ -104,28 +111,30 @@ def curve_context(parameter, origin_index: int = 0) -> CurveContext:
         raise ValueError("origin must be one of the nine base points")
     if member_is_singular(parameter):
         raise ValueError("singular member has no group law")
-    return CurveContext(parameter, origin_index, pencil_member(parameter), K)
+    t0, t1 = parameter.pair()
+    scale = math.lcm(t0.den, t1.den)
+    return CurveContext(parameter, origin_index, (t0 * (3 * scale), t1 * scale), K)
 
 
 def _gradient(ctx: CurveContext, coords) -> tuple:
     """grad F at coords for F = t0*(x^3+y^3+z^3) + t1*xyz, each entry one dot."""
     K = ctx.domain
-    t0_3, t1 = 3 * ctx.parameter.t0, ctx.parameter.t1
+    coeffs = ctx.grad_coeffs
     x, y, z = coords
     return (
-        K.dot((t0_3, t1), (x * x, y * z)),
-        K.dot((t0_3, t1), (y * y, x * z)),
-        K.dot((t0_3, t1), (z * z, x * y)),
+        K.dot(coeffs, (x * x, y * z)),
+        K.dot(coeffs, (y * y, x * z)),
+        K.dot(coeffs, (z * z, x * y)),
     )
 
 
 def _polar(ctx: CurveContext, p: ProjPoint) -> tuple:
-    """(grad F(p), F(p)), made once per point p of ctx and kept in
-    ctx.polars; F(p) = grad F(p).p / 3.  Only chord endpoints come here."""
+    """(grad F(p), 3F(p)), made once per point p of ctx and kept in
+    ctx.polars; 3F(p) = grad F(p).p (Euler).  Only chord endpoints come here."""
     polar = ctx.polars.get(p)
     if polar is None:
         grad = _gradient(ctx, p.coords)
-        polar = ctx.polars[p] = (grad, ctx.domain.dot(grad, p.coords) * _THIRD)
+        polar = ctx.polars[p] = (grad, ctx.domain.dot(grad, p.coords))
     return polar
 
 
@@ -134,20 +143,22 @@ def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoi
     tangent at a when a = b).
 
     With u = a and v = b the member restricts to the binary cubic
-    F(s*u + t*v) = F(u) s^3 + (grad F(u).v) s^2 t + (grad F(v).u) s t^2
-    + F(v) t^3, where F(w) = grad F(w).w / 3; grad F and F at a and b come
-    from _polar, which makes them once per point of ctx.  One exact
-    division by s*t removes the known roots (1 : 0) and (0 : 1), and it is
-    exact only when F(u) = F(v) = 0.  For a tangent, v = grad F(a) x e_j,
-    for a_j the first nonzero coordinate of a, is a signed swap of two
-    gradient entries, with no field product: v lies on x_j = 0, which does
-    not hold a, and on the tangent, so grad F(u).v = 0 identically.  v stays
-    raw coordinates, normalised by no inverse and kept out of ctx.polars;
-    its gradient is made here, once per tangent, since the chord stores make
-    each tangent once.  The division is then by t^2, exact only when
-    F(u) = 0.  The quotient c_s*s + c_t*t vanishes at the third point
-    c_t*u - c_s*v.  Raises ValueError when a or b is off the member, because
-    its root then does not divide."""
+    3F(s*u + t*v) = 3F(u) s^3 + 3(grad F(u).v) s^2 t + 3(grad F(v).u) s t^2
+    + 3F(v) t^3, where 3F(w) = grad F(w).w; grad F and 3F at a and b come
+    from _polar, once per point of ctx, in integers on the base points.
+    One exact division by s*t removes the known roots (1 : 0) and (0 : 1),
+    and it is exact only when F(u) = F(v) = 0.  For a tangent,
+    v = grad F(a) x e_j, for a_j the first nonzero coordinate of a, is a
+    signed swap of two gradient entries, with no field product: v lies on
+    x_j = 0, which does not hold a, and on the tangent, so grad F(u).v = 0
+    identically.  v stays raw coordinates, normalised by no inverse and
+    kept out of ctx.polars; its gradient is made here, once per tangent,
+    since the chord stores make each tangent once.  The division is then by
+    t^2, exact only when F(u) = 0.  The quotient c_s*s + c_t*t vanishes at
+    the third point c_t*u - c_s*v, which is a itself when c_s = 0 (on a
+    flex tangent, say) and is then returned with no new point or inverse.
+    Raises ValueError when a or b is off the member, because its root then
+    does not divide."""
     K = ctx.domain
     u = a.coords
     grad_a, f_a = _polar(ctx, a)
@@ -157,17 +168,19 @@ def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoi
         v = [K.zero()] * 3
         v[k], v[m] = grad_a[m], -grad_a[k]
         grad_b = _gradient(ctx, v)
-        f_b = K.dot(grad_b, v) * _THIRD
+        f_b = K.dot(grad_b, v)
         s2t, root = K.zero(), (0, 2)  # grad F(u).v = 0 identically
     else:
         v = b.coords
         grad_b, f_b = _polar(ctx, b)
-        s2t, root = K.dot(grad_a, v), (1, 1)
-    terms = {(3, 0): f_a, (2, 1): s2t, (1, 2): K.dot(grad_b, u), (0, 3): f_b}
+        s2t, root = 3 * K.dot(grad_a, v), (1, 1)
+    terms = {(3, 0): f_a, (2, 1): s2t, (1, 2): 3 * K.dot(grad_b, u), (0, 3): f_b}
     form = MultiPoly(2, {e: c for e, c in terms.items() if c}, K, _clean=True)
     form = divide_exact(form, MultiPoly(2, {root: K.one()}, K, _clean=True))
     c_s = form.coefficient((1, 0))
     c_t = form.coefficient((0, 1))
+    if not c_s and c_t:
+        return a
     return ProjPoint(tuple(K.dot((c_t, -c_s), uv) for uv in zip(u, v)), K)
 
 

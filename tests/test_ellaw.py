@@ -5,7 +5,7 @@ from itertools import combinations
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab import ellaw
@@ -29,7 +29,7 @@ from hesse_lab.ellaw import (
 )
 from hesse_lab.field import tower_eps
 from hesse_lab.groups import hessian_group_generators
-from hesse_lab.hesse import PencilParameter, hesse_data, hessian_map
+from hesse_lab.hesse import PencilParameter, hesse_data, hessian_map, pencil_member
 from hesse_lab.multipoly import MultiPoly, _divmod, divide_exact
 from hesse_lab.plane import (
     ProjPoint,
@@ -238,16 +238,23 @@ def test_translation_compatibility():
     assert report.details["assignments"] == {"cycle": 6, "scale": 1}
 
 
-# lambda of 2- to 128-bit height, near the singular member -3, and Fermat
+EPS = tower_eps().gen(0)
+_HEIGHT_RATIONAL = st.integers(2, 128).flatmap(
+    lambda bits: st.builds(
+        Fraction, st.integers(-(2**bits), 2**bits), st.integers(1, 2**bits)
+    )
+)
+# lambda of 2- to 128-bit height in Q and in Q(eps), near each of the
+# singular members -3, -3 eps and -3 eps^2, and Fermat
 _TORSION_LAMBDA = st.one_of(
     st.just(Fraction(0)),
-    st.integers(2, 128).flatmap(
-        lambda bits: st.builds(
-            Fraction, st.integers(-(2**bits), 2**bits), st.integers(1, 2**bits)
-        )
-    ),
+    _HEIGHT_RATIONAL,
     st.builds(
-        lambda k, sign: -3 + sign * Fraction(1, 10**k),
+        lambda a, b: a + b * EPS, _HEIGHT_RATIONAL, _HEIGHT_RATIONAL.filter(bool)
+    ).filter(lambda lam: lam not in (-3 * EPS, -3 * EPS**2)),
+    st.builds(
+        lambda singular, k, sign: singular + sign * Fraction(1, 10**k),
+        st.sampled_from((-3, -3 * EPS, -3 * EPS**2)),
         st.integers(1, 30),
         st.sampled_from((1, -1)),
     ),
@@ -370,6 +377,73 @@ def test_tangent_partner_lies_on_the_tangent(lam):
         assert v[j] == 0 and any(_cross(a.coords, v))
         assert not ctx.domain.dot(tangent_line(ctx.member, a).coeffs, v)
         assert set(ctx.polars) == {a}
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=_TORSION_LAMBDA)
+@example(lam=-3 * EPS + Fraction(1, 10**20))
+@example(lam=-3 * EPS**2 - Fraction(1, 10**25))
+@example(lam=Fraction(3, 7) + Fraction(2**100 + 1, 3**50) * EPS)
+def test_torsion_table_and_translations_run_in_integers(lam):
+    # the context scales the member into Z[eps] once, so on the base points
+    # no chord form and no kept gradient carries a denominator
+    assume(lam != -3)
+    for check in (three_torsion_table, translation_compatibility_check):
+        contexts, forms = [], []
+
+        def context(*args, **kwargs):
+            contexts.append(curve_context(*args, **kwargs))
+            return contexts[-1]
+
+        def divide(f, g):
+            forms.append(f)
+            return divide_exact(f, g)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ellaw, "curve_context", context)
+            patch.setattr(ellaw, "divide_exact", divide)
+            assert check(lam).holds, check.__name__
+        (ctx,) = contexts
+        assert forms and all(c.den == 1 for f in forms for c in f.terms.values())
+        grads = [c for grad, _ in ctx.polars.values() for c in grad]
+        assert grads and all(c.den == 1 for c in grads), check.__name__
+
+
+def test_torsion_table_and_translations_skip_the_cubic_and_flex_points():
+    # the table and the translation check read the member's gradient
+    # coefficients only, and a flex tangent (c_s = 0) returns its point;
+    # the checks that restrict the member to a line still build its cubic
+    made = {}
+
+    def counter(name, f):
+        def counted(*args):
+            made[name] += 1
+            return f(*args)
+
+        return counted
+
+    def run(check, *args):
+        made.update(member=0, points=0, chords=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ellaw, "pencil_member", counter("member", pencil_member))
+            patch.setattr(ellaw, "ProjPoint", counter("points", ProjPoint))
+            patch.setattr(
+                ellaw, "third_intersection", counter("chords", third_intersection)
+            )
+            return check(*args)
+
+    for lam in (1, Fraction(-7, 5), Fraction(1, 2) + 3 * EPS):
+        assert run(three_torsion_table, lam).holds
+        assert made == {"member": 0, "points": 36, "chords": 45}
+        assert run(translation_compatibility_check, lam).holds
+        assert made == {"member": 0, "points": 21, "chords": 24}
+    for check, args in (
+        (two_torsion_polar_check, (1, 0)),
+        (nine_torsion_check, (1, 1)),
+        (prop62_check, (1,)),
+    ):
+        assert run(check, *args).holds, check.__name__
+        assert made["member"] >= 1, check.__name__
 
 
 def test_polar_data_belongs_to_one_context():
