@@ -43,7 +43,7 @@ def default_config(**overrides) -> HarnessConfig:
 @dataclass(frozen=True)
 class CheckResult:
     check_id: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     witness: object
     reference: str
     runtime_ms: float

@@ -85,12 +85,6 @@ class PencilParameter:
     def is_infinite(self) -> bool:
         return self.t0 == 0
 
-    def affine(self):
-        """The affine coordinate t1/t0, None at infinity."""
-        if self.is_infinite:
-            return None
-        return self.t1
-
     def pair(self) -> tuple:
         return (self.t0, self.t1)
 

@@ -631,7 +631,7 @@ def test_tangent_section_generic():
     assert report.holds
     assert report.details == {"count": 2, "off_base_points": True}
     hessian = hessian_map().apply(PencilParameter.from_affine(Fraction(1)))
-    assert hessian.affine() == Fraction(-109, 3)
+    assert hessian == PencilParameter.from_affine(Fraction(-109, 3))
 
 
 def test_tangent_section_fermat_degenerates_to_cusps():

@@ -71,11 +71,13 @@ def test_unknown_filter_raises():
 
 
 def test_cli_check_takes_no_precision(capsys):
-    # the numeric sweeps fix their own 128 bits, so argparse rejects the flag
-    with pytest.raises(SystemExit) as exit_info:
-        main(["check", "torsion.two", "--precision", "64"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --precision" in capsys.readouterr().err
+    # the numeric sweeps fix their own 128 bits and sample no lambda of the
+    # caller's choosing, so argparse rejects either flag
+    for flag, value in (("--precision", "64"), ("--lambda", "1")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "torsion.two", flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_default_config_applies_overrides():
@@ -192,52 +194,10 @@ def test_cli_unknown_filter_exit_two(capsys):
     assert "matches no registered check" in capsys.readouterr().err
 
 
-def test_cli_lambda_belongs_to_the_plot(tmp_path, capsys):
-    # check samples no lambda of its own choosing, so argparse rejects the
-    # flag there; the plot still takes every member, singular ones included
-    with pytest.raises(SystemExit) as exit_info:
-        main(["check", "torsion.two", "--lambda", "1"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --lambda" in capsys.readouterr().err
-    out = tmp_path / "singular.svg"
-    code = main(["plot-pencil", "--lambda", "-3", "--lambda", "inf", "--out", str(out)])
-    assert code == 0
-    assert out.read_text(encoding="utf-8").count('class="member"') == 2
-
-
-def test_cli_plot(tmp_path, capsys):
+def test_cli_has_no_svg_subcommand(tmp_path, capsys):
     out = tmp_path / "fig.svg"
-    code = main(["plot-pencil", "--lambda", "1", "--lambda", "inf", "--out", str(out)])
-    assert code == 0
-    assert out.exists()
-    text = out.read_text(encoding="utf-8")
-    assert text.count('class="member"') == 2
-    assert capsys.readouterr().out.strip() == str(out)
-
-
-def test_cli_plot_unwritable_out_exit_two(tmp_path, capsys):
-    out = tmp_path / "missing" / "fig.svg"
-    code = main(["plot-pencil", "--lambda", "1", "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
-
-
-def test_cli_plot_window_validation():
-    with pytest.raises(SystemExit):
-        main(["plot-pencil", "--lambda", "1", "--out", "/tmp/x.svg", "--window", "1,2,3"])
-
-
-@pytest.mark.parametrize(
-    "lam, window",
-    [("1", "-inf,inf,-1,1"), ("1", "0,1e308,-1,1"), ("1", "1,0,-1,1"), ("1e400", "-1,1,-1,1")],
-)
-def test_cli_plot_rejects_what_it_cannot_draw(tmp_path, capsys, lam, window):
-    # bounds that are not finite, and a parameter past 1e100, wrote nan
-    # coordinates; window bounds past 1e100 overflowed when cubed.  Each is
-    # now an error, and no file is written.
-    out = tmp_path / "w.svg"
-    code = main(["plot-pencil", "--lambda", lam, f"--window={window}", "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["plot-pencil", "--lambda", "1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
     assert not out.exists()

@@ -240,7 +240,7 @@ def test_only_ellaw_imports_mpmath():
 
 def test_exact_modules_load_without_mpmath():
     # a fresh interpreter, since this one has loaded mpmath already
-    modules = ("field", "multipoly", "plane", "hesse", "groups", "lattice", "plot")
+    modules = ("field", "multipoly", "plane", "hesse", "groups", "lattice")
     code = (
         "import sys\n"
         + "".join(f"import hesse_lab.{m}\n" for m in modules)
