@@ -14,12 +14,17 @@ One exact division by s*t, the known roots (1 : 0) and (0 : 1), certifies
 on every chord that u and v lie on the member, and the linear quotient
 gives the third point, returned as u itself on a flex tangent.  A tangent
 at u takes for v the signed swap grad F(u) x e_j, left unnormalised, and
-divides by t^2 instead.  The 3-torsion table and the translation check add
-base points whose sums share chords (a + b and b + a, and each sum's
-second chord through the origin), so each makes every distinct chord once
-per call; a translation is read off the image of the origin.  Proposition
-6.2 takes no root either: the quadratic cutting its two points divides the
-sextic on the line.
+divides by t^2 instead.  Any two base points span a Hesse line that holds
+a third, so a chord among them meets the member again in a base point: its
+raw third point is matched to that very base point by an exact
+proportionality test (`_known_point`), with no normalising inverse, and
+only a chord through other points makes a new `ProjPoint`.  The 3-torsion
+table and the translation check add base points whose sums share chords
+(a + b and b + a, and each sum's second chord through the origin), so each
+makes every distinct chord once per call; a translation is read off the
+image of the origin, and each generator's raw image of a base point is
+matched the same way.  Proposition 6.2 takes no root either: the quadratic
+cutting its two points divides the sextic on the line.
 
 Loci that genuinely require root extraction (the 2-torsion on a harmonic
 polar, order-nine contact points) go through a numeric mpmath backend at a
@@ -138,6 +143,25 @@ def _polar(ctx: CurveContext, p: ProjPoint) -> tuple:
     return polar
 
 
+def _known_point(points, coords):
+    """The point of `points` of which `coords` is a nonzero multiple, or None.
+
+    Decided exactly and with no inverse: the zero coordinates of coords must
+    be those of p, and then coords[i] == coords[lead]*p[i] for each further
+    nonzero coordinate of p, where lead is p's first nonzero coordinate,
+    which normalisation made 1.  The point returned is the very object of
+    `points`."""
+    zeros = [not c for c in coords]
+    for p in points:
+        pc = p.coords
+        if [not x for x in pc] != zeros:
+            continue
+        lead = zeros.index(False)
+        if all(coords[i] == coords[lead] * pc[i] for i in range(lead + 1, 3) if pc[i]):
+            return p
+    return None
+
+
 def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoint:
     """The remaining intersection of the member with the chord a b (the
     tangent at a when a = b).
@@ -146,17 +170,23 @@ def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoi
     3F(s*u + t*v) = 3F(u) s^3 + 3(grad F(u).v) s^2 t + 3(grad F(v).u) s t^2
     + 3F(v) t^3, where 3F(w) = grad F(w).w; grad F and 3F at a and b come
     from _polar, once per point of ctx, in integers on the base points.
-    One exact division by s*t removes the known roots (1 : 0) and (0 : 1),
-    and it is exact only when F(u) = F(v) = 0.  For a tangent,
+    A chord divides 3F(u) s^3 + (grad F(u).v) s^2 t + (grad F(v).u) s t^2
+    + 3F(v) t^3, its middle coefficients unscaled, by s*t: the division is
+    exact only when F(u) = F(v) = 0, and the form is then F(s*u + t*v), so
+    the quotient has the same root.  For a tangent,
     v = grad F(a) x e_j, for a_j the first nonzero coordinate of a, is a
     signed swap of two gradient entries, with no field product: v lies on
     x_j = 0, which does not hold a, and on the tangent, so grad F(u).v = 0
     identically.  v stays raw coordinates, normalised by no inverse and
     kept out of ctx.polars; its gradient is made here, once per tangent,
-    since the chord stores make each tangent once.  The division is then by
-    t^2, exact only when F(u) = 0.  The quotient c_s*s + c_t*t vanishes at
-    the third point c_t*u - c_s*v, which is a itself when c_s = 0 (on a
-    flex tangent, say) and is then returned with no new point or inverse.
+    since the chord stores make each tangent once.  Only the tangent
+    restricts 3F(s*u + t*v) itself, its s t^2 coefficient scaled by 3 to
+    match 3F(v), and it divides by t^2, exact only when F(u) = 0.  The
+    quotient c_s*s + c_t*t vanishes at the third point c_t*u - c_s*v.  That
+    is a itself when c_s = 0 (on a flex tangent, say), returned with no new
+    point; a base point it is a multiple of is returned itself, found by
+    _known_point with no inverse; any other third point is normalised into
+    a new ProjPoint.
     Raises ValueError when a or b is off the member, because its root then
     does not divide."""
     K = ctx.domain
@@ -169,19 +199,22 @@ def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoi
         v[k], v[m] = grad_a[m], -grad_a[k]
         grad_b = _gradient(ctx, v)
         f_b = K.dot(grad_b, v)
-        s2t, root = K.zero(), (0, 2)  # grad F(u).v = 0 identically
+        # grad F(u).v = 0 identically
+        s2t, st2, root = K.zero(), 3 * K.dot(grad_b, u), (0, 2)
     else:
         v = b.coords
         grad_b, f_b = _polar(ctx, b)
-        s2t, root = 3 * K.dot(grad_a, v), (1, 1)
-    terms = {(3, 0): f_a, (2, 1): s2t, (1, 2): 3 * K.dot(grad_b, u), (0, 3): f_b}
+        s2t, st2, root = K.dot(grad_a, v), K.dot(grad_b, u), (1, 1)
+    terms = {(3, 0): f_a, (2, 1): s2t, (1, 2): st2, (0, 3): f_b}
     form = MultiPoly(2, {e: c for e, c in terms.items() if c}, K, _clean=True)
     form = divide_exact(form, MultiPoly(2, {root: K.one()}, K, _clean=True))
     c_s = form.coefficient((1, 0))
     c_t = form.coefficient((0, 1))
     if not c_s and c_t:
         return a
-    return ProjPoint(tuple(K.dot((c_t, -c_s), uv) for uv in zip(u, v)), K)
+    w = tuple(K.dot((c_t, -c_s), uv) for uv in zip(u, v))
+    known = _known_point(hesse_data().base_points, w)
+    return ProjPoint(w, K) if known is None else known
 
 
 def _add_each_chord_once(ctx: CurveContext):
@@ -248,7 +281,9 @@ def translation_compatibility_check(parameter) -> PropertyResult:
 
     A translation by p_k carries the origin p_0 to p_k, so each generator
     g can only be the translation by k = g(p_0): its nine sums are checked
-    once, and each distinct chord among them is made once."""
+    once, and each distinct chord among them is made once.  Each raw image
+    g(p_i) is matched to the base point it is a multiple of, with no
+    normalising inverse."""
     from .groups import hessian_group_generators
 
     ctx = curve_context(parameter, origin_index=0)
@@ -260,7 +295,11 @@ def translation_compatibility_check(parameter) -> PropertyResult:
     assignments = {}
     for name in ("cycle", "scale"):
         g = gens[name]
-        perm = tuple(index[g.apply(p)] for p in pts)
+        images = [_known_point(pts, g.image(p.coords)) for p in pts]
+        if any(q is None for q in images):
+            witness = f"{name} does not permute the base points"
+            return PropertyResult(False, witness=witness)
+        perm = tuple(index[q] for q in images)
         k = perm[0]
         if any(index[plus(pts[i], pts[k])] != perm[i] for i in range(9)):
             return PropertyResult(False, witness=f"{name} is not a translation")

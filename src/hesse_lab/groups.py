@@ -207,10 +207,14 @@ class ProjTransform:
     def det(self):
         return det_generic(self.lift)
 
-    def apply(self, p: ProjPoint) -> ProjPoint:
+    def image(self, coords) -> tuple:
+        """The lift times coords: raw coordinates of the image, unnormalised."""
         K = self.domain
-        coords = tuple(map(K.coerce, p.coords))
-        return ProjPoint(tuple(K.dot(row, coords) for row in self.lift), K)
+        coords = tuple(map(K.coerce, coords))
+        return tuple(K.dot(row, coords) for row in self.lift)
+
+    def apply(self, p: ProjPoint) -> ProjPoint:
+        return ProjPoint(self.image(p.coords), self.domain)
 
     def pullback(self, f: MultiPoly) -> MultiPoly:
         """f composed with the lift, i.e. substitute the linear images."""

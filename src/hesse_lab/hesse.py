@@ -238,10 +238,16 @@ def pencil_discriminant() -> MultiPoly:
     return 4 * a**3 + 27 * b**2
 
 
+@lru_cache(maxsize=None)
+def _discriminant_over(domain) -> MultiPoly:
+    """pencil_discriminant() with its coefficients coerced into domain."""
+    return convert_domain(pencil_discriminant(), domain)
+
+
 def member_is_singular(t: PencilParameter) -> bool:
     """Whether the member at t is singular: the discriminant form vanishes
     at t."""
-    return not convert_domain(pencil_discriminant(), t.domain).evaluate(t.pair())
+    return not _discriminant_over(t.domain).evaluate(t.pair())
 
 
 # ---------------------------------------------------------------------------

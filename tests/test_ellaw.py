@@ -15,6 +15,7 @@ from hesse_lab.ellaw import (
     _embed_poly,
     _eval_embedded,
     _gradient,
+    _known_point,
     _poly_roots,
     _proj_distance,
     _transverse_intersection,
@@ -411,8 +412,10 @@ def test_torsion_table_and_translations_run_in_integers(lam):
 
 def test_torsion_table_and_translations_skip_the_cubic_and_flex_points():
     # the table and the translation check read the member's gradient
-    # coefficients only, and a flex tangent (c_s = 0) returns its point;
-    # the checks that restrict the member to a line still build its cubic
+    # coefficients only; a flex tangent (c_s = 0) returns its point and
+    # every other chord among base points returns the base point its third
+    # point is a multiple of, so neither check makes a ProjPoint; the checks
+    # that restrict the member to a line still build its cubic
     made = {}
 
     def counter(name, f):
@@ -434,9 +437,9 @@ def test_torsion_table_and_translations_skip_the_cubic_and_flex_points():
 
     for lam in (1, Fraction(-7, 5), Fraction(1, 2) + 3 * EPS):
         assert run(three_torsion_table, lam).holds
-        assert made == {"member": 0, "points": 36, "chords": 45}
+        assert made == {"member": 0, "points": 0, "chords": 45}
         assert run(translation_compatibility_check, lam).holds
-        assert made == {"member": 0, "points": 21, "chords": 24}
+        assert made == {"member": 0, "points": 0, "chords": 24}
     for check, args in (
         (two_torsion_polar_check, (1, 0)),
         (nine_torsion_check, (1, 1)),
@@ -444,6 +447,70 @@ def test_torsion_table_and_translations_skip_the_cubic_and_flex_points():
     ):
         assert run(check, *args).holds, check.__name__
         assert made["member"] >= 1, check.__name__
+
+
+# nonzero elements of Q(eps), negative or irrational, of height up to 128 bits
+_SCALAR = st.builds(lambda a, b: a + b * EPS, _HEIGHT_RATIONAL, _HEIGHT_RATIONAL).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 8), c=_SCALAR, moved=st.integers(0, 2))
+def test_known_point_matches_exact_multiples_only(k, c, moved):
+    p = PTS[k]
+    w = [c * x for x in p.coords]
+    assert _known_point(PTS, w) is p
+    shifted = list(w)
+    shifted[moved] = shifted[moved] + 1
+    assume(ProjPoint(shifted, p.domain) not in PTS)
+    assert _known_point(PTS, shifted) is None
+    # a zero where p has none, or c where p has its zero
+    flipped = list(w)
+    flipped[moved] = 0 if p.coords[moved] else c
+    assert _known_point(PTS, flipped) is None
+
+
+_ENTRY = st.one_of(st.just(Fraction(0)), st.sampled_from((1, -1, EPS, -EPS, EPS**2)), _SCALAR)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    w=st.one_of(
+        st.tuples(_ENTRY, _ENTRY, _ENTRY),
+        st.builds(
+            lambda k, c, d, i: tuple(
+                c * x + (d if j == i else 0) for j, x in enumerate(PTS[k].coords)
+            ),
+            st.integers(0, 8),
+            _SCALAR,
+            st.sampled_from((0, 1, -1, EPS)),
+            st.integers(0, 2),
+        ),
+    )
+)
+def test_known_point_agrees_with_normalisation(w):
+    K = tower_eps()
+    w = tuple(map(K.coerce, w))
+    assume(any(w))
+    found = _known_point(PTS, w)
+    for p in PTS:
+        assert (found is p) == (ProjPoint(w, K) == p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=_TORSION_LAMBDA)
+def test_chords_and_images_of_base_points_are_the_base_points(lam):
+    # every chord among base points and every generator image of one is
+    # matched to the very base point the normalising oracle gives
+    assume(lam != -3)
+    ctx = curve_context(lam)
+    for a, b in [(a, a) for a in PTS] + list(combinations(PTS, 2)):
+        third = third_intersection(ctx, a, b)
+        assert any(third is p for p in PTS)
+        assert third == _third_by_line_restriction(ctx, a, b)
+    for g in hessian_group_generators().values():
+        for p in PTS:
+            image = _known_point(PTS, g.image(p.coords))
+            assert image is not None and image == g.apply(p)
 
 
 def test_polar_data_belongs_to_one_context():

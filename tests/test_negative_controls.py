@@ -92,6 +92,14 @@ def _chord_replaced(indices, wrong):
     return mutant
 
 
+def _known_point_without_products(points, coords):
+    # the first point with the zero pattern of coords, the products skipped:
+    # each chord among base points returns the first base point on the
+    # coordinate line of its third point
+    zeros = tuple(not c for c in coords)
+    return next((p for p in points if tuple(not c for c in p.coords) == zeros), None)
+
+
 def _dilate_lift_with_w_scalar_eps():
     # eps^2 is not the factor 1 by which the sextic pulls back under dilate
     lifts = _cover_automorphisms()
@@ -256,10 +264,23 @@ MUTANTS = {
     "torsion.table": (ellaw, "hesse_data", _labels_one_and_three_swapped),
     # p_1 is a flex, so its tangent meets the member again only at p_1
     "torsion.table/tangent": (ellaw, "third_intersection", _chord_replaced((1,), 2)),
+    "torsion.table/known_point": (ellaw, "_known_point", _known_point_without_products),
     "torsion.translations": (
         groups,
         "hessian_group_generators",
         _scale_replaced_by_dilate,
+    ),
+    # the shear carries p_0 = (0 : 1 : -1) to (1 : 1 : -1), off the base
+    # points
+    "torsion.translations/shear": (
+        groups,
+        "hessian_group_generators",
+        _replaced_by_shear("scale"),
+    ),
+    "torsion.translations/known_point": (
+        ellaw,
+        "_known_point",
+        _known_point_without_products,
     ),
     # the line through p_3 and p_6 meets the member again at p_0
     "torsion.translations/chord": (
@@ -374,8 +395,11 @@ PINNED_WITNESS = {
         "lambda=1: 0 of 2 tangent-line points on the sextic, expected 2 of 2"
     ),
     "torsion.table": "1 is False, expected True",
+    "torsion.table/known_point": "1 is False, expected True",
     "torsion.table/tangent": "1 is False, expected True",
     "torsion.translations": "scale is not a translation",
+    "torsion.translations/known_point": "labels (0, 2) and (0, 0) are dependent",
+    "torsion.translations/shear": "scale does not permute the base points",
     "torsion.translations/chord": "cycle is not a translation",
     "torsion.two": (
         "lambda=1,line=0: 3 points on the polar, worst residual 0.86603, "
