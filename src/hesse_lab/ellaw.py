@@ -45,6 +45,7 @@ that sweep sample parameters; the two numeric ones sample lambda = 1, 2 and
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -143,19 +144,28 @@ def _polar(ctx: CurveContext, p: ProjPoint) -> tuple:
     return polar
 
 
+@lru_cache(maxsize=None)
+def _by_zero_pattern(points: tuple) -> dict:
+    """The indices into `points` grouped by which coordinates of the point
+    vanish, once per tuple of points."""
+    groups = {}
+    for i, p in enumerate(points):
+        groups.setdefault(tuple(not c for c in p.coords), []).append(i)
+    return groups
+
+
 def _known_point(points, coords):
     """The point of `points` of which `coords` is a nonzero multiple, or None.
 
     Decided exactly and with no inverse: the zero coordinates of coords must
     be those of p, and then coords[i] == coords[lead]*p[i] for each further
     nonzero coordinate of p, where lead is p's first nonzero coordinate,
-    which normalisation made 1.  The point returned is the very object of
-    `points`."""
-    zeros = [not c for c in coords]
-    for p in points:
+    which normalisation made 1.  Only the points with the zero pattern of
+    coords are tried.  The point returned is the very object of `points`."""
+    zeros = tuple(not c for c in coords)
+    for k in _by_zero_pattern(points).get(zeros, ()):
+        p = points[k]
         pc = p.coords
-        if [not x for x in pc] != zeros:
-            continue
         lead = zeros.index(False)
         if all(coords[i] == coords[lead] * pc[i] for i in range(lead + 1, 3) if pc[i]):
             return p

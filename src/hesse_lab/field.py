@@ -11,11 +11,15 @@ Each tower holds one table of integer structure constants: e_i * e_j is
 sum_k c_ijk e_k / D, where D is the lcm of the denominators of the rational
 constants (D = 1 when every minimal polynomial has integer coefficients, as
 in the built-in towers).  A new level's table is computed in the arithmetic
-of the tower below it, whose elements' integer numerators fill it.  A
-product runs through that table in integers and is reduced by a single gcd;
-an inverse solves M_a x = e_0 on the integer multiplication matrix M_a by
-fraction-free (Bareiss) elimination.  This is the layout of Cohen, *A Course
-in Computational Algebraic Number Theory*, section 4.2.
+of the tower below it, whose elements' integer numerators fill it.  This is
+the layout of Cohen, *A Course in Computational Algebraic Number Theory*,
+section 4.2.  When the tower is built its table is compiled, once, into one
+straight-line integer product of two numerator tuples; for Q(eps) that is
+(x0*y0 - x1*y1, x0*y1 + x1*(y0 - y1)).  A product and a dot product run
+through it, and the result is reduced by one gcd only when its denominator
+is not 1, which it is for every pair of integral operands.  An inverse
+solves M_a x = e_0 on the integer multiplication matrix M_a, read off the
+table, by fraction-free (Bareiss) elimination.
 
 A tower is exact data only: a level is a symbol and a minimal polynomial,
 and no complex root is chosen.
@@ -115,6 +119,7 @@ class FieldTower:
         self._tail = (0,) * (self.total_degree - 1)
         self._fingerprint = hash(self._key())
         self._table, self._scale = self._structure_constants(prefix)
+        self._mul, self._dot = _compile_products(self._table)
 
     # -- identity ----------------------------------------------------------
 
@@ -189,35 +194,12 @@ class FieldTower:
     def dot(self, xs: Sequence["FieldElement"], ys: Sequence["FieldElement"]):
         """sum(x * y for x, y in zip(xs, ys)) with a single reduction.
 
-        The terms are accumulated in integers over a running lcm of their
-        denominators, one pass through the structure constants per nonzero
-        coordinate pair, and the sum is reduced by one gcd.
+        The terms are accumulated by the tower's compiled product in
+        integers over a running lcm of their denominators, and the sum is
+        reduced by one gcd unless its denominator is 1; dot([], []) is 0.
         """
-        table = self._table
-        acc = [0] * self.total_degree
-        den = 1
-        for x, y in zip(xs, ys):
-            ynum = y.num
-            if not any(ynum):
-                continue
-            d = x.den * y.den
-            if den % d:
-                new = lcm(den, d)
-                acc = [v * (new // den) for v in acc]
-                den = new
-            s = den // d
-            for i, a in enumerate(x.num):
-                if not a:
-                    continue
-                a *= s
-                row = table[i]
-                for j, b in enumerate(ynum):
-                    if not b:
-                        continue
-                    ab = a * b
-                    for k, c in row[j]:
-                        acc[k] += c * ab
-        return _reduced(self, acc, den * self._scale)
+        num, den = self._dot(xs, ys)
+        return _reduced(self, num, den * self._scale)
 
     # -- internal layout ----------------------------------------------------
 
@@ -281,6 +263,72 @@ class FieldTower:
         return [[entries(p) for p in row] for row in products], scale
 
 
+def _signed_sum(terms) -> str:
+    """Source text of sum(c * t for c, t in terms), for nonzero integers c
+    and operand texts t; "0" when there are no terms."""
+    if not terms:
+        return "0"
+    text = ""
+    for c, t in terms:
+        text += (" - " if c < 0 else " + ") + (t if abs(c) == 1 else f"{abs(c)}*{t}")
+    return text[3:] if terms[0][0] > 0 else "-" + text[3:]
+
+
+def _compile_products(table) -> tuple:
+    """(mul, dot): the table as one straight-line integer product, compiled.
+
+    mul(x, y) takes two numerator tuples and returns the numerators of
+    their product over the table's common denominator.  dot(xs, ys) sums
+    the products of elements pairwise over a running lcm of their
+    denominators and returns (numerators, lcm).  Output k is
+    sum_i x_i * (sum_j c_ijk y_j), one term per nonzero structure constant.
+    """
+    n = len(table)
+    rows = [{} for _ in range(n)]  # rows[k][i]: the (c_ijk, y_j) of output k
+    for i, row in enumerate(table):
+        for j, entries in enumerate(row):
+            for k, c in entries:
+                rows[k].setdefault(i, []).append((c, f"y{j}"))
+    outs = [
+        _signed_sum(
+            [
+                (ys[0][0], f"x{i}*{ys[0][1]}") if len(ys) == 1 else (1, f"x{i}*({_signed_sum(ys)})")
+                for i, ys in parts.items()
+            ]
+        )
+        for parts in rows
+    ]
+    x = ", ".join(f"x{i}" for i in range(n)) + ","
+    y = ", ".join(f"y{i}" for i in range(n)) + ","
+    acc = [f"a{k}" for k in range(n)]
+    lines = [
+        "def mul(x, y):",
+        f"    {x} = x",
+        f"    {y} = y",
+        f"    return ({', '.join(outs)},)",
+        "def dot(xs, ys):",
+        f"    {' = '.join(acc)} = 0",
+        "    den = 1",
+        "    for u, v in zip(xs, ys):",
+        f"        {x} = u.num",
+        f"        {y} = v.num",
+        "        d = u.den * v.den",
+        "        if d != den:",
+        "            if den % d:",
+        "                f = lcm(den, d) // den",
+        "                den *= f",
+        *(f"                {a} *= f" for a in acc),
+        "            if d != den:",
+        "                s = den // d",
+        *(f"                x{i} *= s" for i in range(n)),
+        *(f"        {a} += {o}" for a, o in zip(acc, outs)),
+        f"    return ({', '.join(acc)},), den",
+    ]
+    scope = {"lcm": lcm}
+    exec("\n".join(lines), scope)
+    return scope["mul"], scope["dot"]
+
+
 def _extend(tower: FieldTower, spec: ExtensionSpec) -> FieldTower:
     coeffs = [tower.coerce(c) for c in spec.minpoly]
     degree = len(coeffs) - 1
@@ -304,6 +352,8 @@ def tower_create(specs: Iterable[ExtensionSpec]) -> FieldTower:
 
 def _reduced(tower: FieldTower, num: Sequence[int], den: int) -> "FieldElement":
     """The canonical element num / den, for den > 0."""
+    if den == 1:
+        return FieldElement(tower, tuple(num), 1)
     g = gcd(den, *num)
     if g != 1:
         return FieldElement(tower, tuple(a // g for a in num), den // g)
@@ -396,20 +446,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             if other.tower is not t and other.tower != t:
                 raise TowerError("mixed-tower arithmetic")
-            # one pass through the integer structure constants, one gcd
-            table = t._table
-            acc = [0] * t.total_degree
-            for i, a in enumerate(self.num):
-                if not a:
-                    continue
-                row = table[i]
-                for j, b in enumerate(other.num):
-                    if not b:
-                        continue
-                    ab = a * b
-                    for k, c in row[j]:
-                        acc[k] += c * ab
-            return _reduced(t, acc, self.den * other.den * t._scale)
+            return _reduced(t, t._mul(self.num, other.num), self.den * other.den * t._scale)
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return t.zero()

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 from .field import tower_eps, tower_zeta9
@@ -242,9 +243,10 @@ def _classical_generators(K, e) -> dict:
     return {name: ProjTransform(m, K) for name, m in rows.items()}
 
 
-def hessian_group_generators() -> dict:
+@lru_cache(maxsize=None)
+def hessian_group_generators() -> MappingProxyType:
     """The five classical plane transformations preserving the pencil, over
-    Q(eps).
+    Q(eps), built once and handed out as a read-only mapping.
 
     swap:    (x, y, z) -> (x, z, y)
     cycle:   (x, y, z) -> (y, z, x)
@@ -254,7 +256,7 @@ def hessian_group_generators() -> dict:
     dilate:  diag(1, e, e)
     """
     K = tower_eps()
-    return _classical_generators(K, K.symbol_element("eps"))
+    return MappingProxyType(_classical_generators(K, K.symbol_element("eps")))
 
 
 def normalized_fourier() -> ProjTransform:

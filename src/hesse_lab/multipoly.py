@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .field import _power, tower_rationals
@@ -181,21 +182,7 @@ class MultiPoly:
                 _clean=True,
             )
         self._check_compatible(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(exps)
-                if acc is None:
-                    out[exps] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[exps] = acc
-                    else:
-                        del out[exps]
-        return MultiPoly(self.nvars, out, self.domain, _clean=True)
+        return _fused(self.nvars, self.domain, _pair_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -288,14 +275,16 @@ class MultiPoly:
                 cache[k] = got
             return got
 
-        acc = MultiPoly.zero(out_nvars, domain)
+        constant = (0,) * out_nvars
+        one = {constant: domain.one()}
+        groups: dict = {}
         for exps, c in self.terms.items():
-            term = MultiPoly.constant(out_nvars, domain.coerce(c), domain)
+            image = None
             for v, k in enumerate(exps):
                 if k:
-                    term = term * power(v, k)
-            acc = acc + term
-        return acc
+                    image = power(v, k) if image is None else image * power(v, k)
+            _pair_terms({constant: domain.coerce(c)}, one if image is None else image.terms, groups)
+        return _fused(out_nvars, domain, groups)
 
     def _substitute_monomial(self, images, out_nvars, domain):
         # every image is a single term (or zero): map exponent vectors directly
@@ -351,6 +340,36 @@ class MultiPoly:
             k: MultiPoly(self.nvars, terms, self.domain, _clean=True)
             for k, terms in out.items()
         }
+
+
+def _pair_terms(left: dict, right: dict, groups: dict = None) -> dict:
+    """Every term pair of left * right, grouped by the product monomial:
+    {monomial: ([left coefficients], [right coefficients])}, added to groups
+    when it is given."""
+    if groups is None:
+        groups = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            exps = tuple(map(add, e1, e2))
+            pair = groups.get(exps)
+            if pair is None:
+                groups[exps] = ([c1], [c2])
+            else:
+                pair[0].append(c1)
+                pair[1].append(c2)
+    return groups
+
+
+def _fused(nvars: int, domain, groups: dict) -> MultiPoly:
+    """The polynomial whose coefficient at each monomial of groups is the
+    dot product of its two coefficient lists, each made by one dot."""
+    dot = domain.dot
+    terms = {}
+    for exps, (xs, ys) in groups.items():
+        c = dot(xs, ys)
+        if c:
+            terms[exps] = c
+    return MultiPoly(nvars, terms, domain, _clean=True)
 
 
 def reduce_mod(f: MultiPoly, p: int) -> MultiPoly:

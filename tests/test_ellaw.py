@@ -724,3 +724,16 @@ def test_numeric_reports_stable_under_more_precision():
     assert lo.holds and hi.holds
     assert max(hi.triple_residuals) < max(lo.triple_residuals)
     assert set(lo.triple_indices) == set(hi.triple_indices)
+
+
+def test_known_point_returns_the_objects_of_the_tuple_it_is_given():
+    # an equal tuple of fresh points, and the points in another order: the
+    # match comes from the tuple passed, never from an earlier one
+    copies = tuple(ProjPoint(p.coords, p.domain) for p in PTS)
+    reordered = PTS[::-1]
+    eps = tower_eps().symbol_element("eps")
+    for p, q in zip(PTS, copies):
+        w = [(2 - eps) * x for x in p.coords]
+        assert _known_point(PTS, w) is p
+        assert _known_point(copies, w) is q
+        assert _known_point(reordered, w) is p

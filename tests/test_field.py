@@ -547,6 +547,77 @@ def test_dot_is_the_canonical_sum_of_products(drawn):
     assert got.num == expected.num and got.den == expected.den
 
 
+def _table_dot(tower, xs, ys) -> tuple:
+    """(num, den) of sum(x * y) in canonical form, by the loop over the
+    structure constant table that the compiled kernel replaces: integer
+    terms over the lcm of the pair denominators, reduced once."""
+    den = lcm(1, *(x.den * y.den for x, y in zip(xs, ys)))
+    acc = [0] * tower.total_degree
+    for x, y in zip(xs, ys):
+        s = den // (x.den * y.den)
+        for i, a in enumerate(x.num):
+            for j, b in enumerate(y.num):
+                for k, c in tower._table[i][j]:
+                    acc[k] += c * a * b * s
+    den *= tower._scale
+    g = gcd(den, *acc)
+    return tuple(a // g for a in acc), den // g
+
+
+_KERNEL_TOWERS = (
+    tower_rationals,
+    tower_eps,
+    tower_eps_i,
+    tower_eps_i_cbrt2,
+    tower_zeta9,
+    _tower_sqrt_half,
+    _tower_two_level_fractional,
+)
+
+
+@st.composite
+def _kernel_operands(draw):
+    """A tower and two equal-length lists of its elements: heights of 1 to
+    256 bits, dense or sparse numerators of either sign, and a denominator
+    of 1 or above 1."""
+    tower = draw(st.sampled_from(_KERNEL_TOWERS))()
+    n = tower.total_degree
+
+    def element():
+        bits = draw(st.integers(min_value=1, max_value=256))
+        entry = st.integers(min_value=-(2**bits), max_value=2**bits)
+        if draw(st.booleans()):
+            entry = st.one_of(st.just(0), entry)
+        num = draw(st.lists(entry, min_size=n, max_size=n))
+        den = draw(st.one_of(st.just(1), st.integers(min_value=2, max_value=2**bits)))
+        return _reduced(tower, num, den)
+
+    size = draw(st.integers(min_value=1, max_value=4))
+    return tower, [element() for _ in range(size)], [element() for _ in range(size)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_kernel_operands())
+def test_compiled_kernel_matches_the_structure_constant_table(drawn):
+    tower, xs, ys = drawn
+    products = [x * y for x, y in zip(xs, ys)] + [tower.dot(xs, ys)]
+    expected = [_table_dot(tower, [x], [y]) for x, y in zip(xs, ys)]
+    expected.append(_table_dot(tower, xs, ys))
+    for got, (num, den) in zip(products, expected):
+        assert isinstance(got.num, tuple) and len(got.num) == tower.total_degree
+        _assert_canonical(got)
+        assert (got.num, got.den) == (num, den)
+    empty = tower.dot([], [])
+    assert empty == 0 and (empty.num, empty.den) == ((0,) * tower.total_degree, 1)
+
+
+def test_compiled_kernel_of_q_eps_is_the_straight_line_product():
+    # (x0 + x1 eps)(y0 + y1 eps) with eps^2 = -1 - eps
+    mul = tower_eps()._mul
+    for x0, x1, y0, y1 in ((3, -5, 7, 11), (-2**200, 1, 0, -3), (0, 0, 4, 9)):
+        assert mul((x0, x1), (y0, y1)) == (x0 * y0 - x1 * y1, x0 * y1 + x1 * y0 - x1 * y1)
+
+
 def test_text_round_trip_past_the_int_str_digit_limit():
     # the inverse of a 128-bit element of Q(eps, i, cbrt2) has numerators of
     # about 17,900 bits, past Python's default 4300-digit int <-> str limit

@@ -548,3 +548,12 @@ def test_dilate_lifts_are_non_symplectic_cube_roots():
 def test_wrong_cover_scalar_rejected():
     with pytest.raises(ValueError):
         symplectic_ratio(GENS["dilate"], EPS)
+
+
+def test_hessian_generators_are_built_once_and_read_only():
+    gens = hessian_group_generators()
+    assert gens is hessian_group_generators()
+    with pytest.raises(TypeError):
+        gens["swap"] = gens["cycle"]
+    # a caller that wants other generators builds a new dict
+    assert {**gens, "swap": gens["cycle"]}["swap"] is gens["cycle"]

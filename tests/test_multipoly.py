@@ -479,3 +479,109 @@ def test_substitute_respects_products(data):
     g = rand_poly(data.draw)
     h = [Y + Z, X - Z, 2 * X + Y]
     assert (f * g).substitute(h) == f.substitute(h) * g.substitute(h)
+
+
+def _naive_terms(left: dict, right: dict, zero) -> dict:
+    """left * right term pair by term pair, one field product and one field
+    sum each, with the zero sums dropped at the end."""
+    out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, zero) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _naive_substitute(f: MultiPoly, images) -> dict:
+    """f(images) term by term: each coefficient times the product of the
+    images, one variable factor at a time, and the terms summed."""
+    domain, nvars = images[0].domain, images[0].nvars
+    zero = domain.zero()
+    out = {}
+    for exps, c in f.terms.items():
+        term = {(0,) * nvars: domain.coerce(c)}
+        for v, k in enumerate(exps):
+            for _ in range(k):
+                term = _naive_terms(term, images[v].terms, zero)
+        for e, a in term.items():
+            out[e] = out.get(e, zero) + a
+    return {e: c for e, c in out.items() if c}
+
+
+_FUSED_DOMAINS = (lambda: QQ, tower_eps, tower_zeta9)
+
+
+def _basis(domain):
+    """The power basis 1, g, ..., g^(n-1) of a one-level tower (1 for Q)."""
+    if not domain.levels:
+        return [domain.one()]
+    g = domain.gen(0)
+    return [g**k for k in range(domain.total_degree)]
+
+
+def _random_poly(draw, domain, nvars=3, max_terms=6, linear=False):
+    basis = _basis(domain)
+    exps = (
+        st.sampled_from([tuple(int(i == v) for i in range(nvars)) for v in range(nvars)])
+        if linear
+        else st.tuples(*[st.integers(0, 3)] * nvars)
+    )
+    coefficient = st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=4),
+        min_size=len(basis),
+        max_size=len(basis),
+    ).map(lambda qs: sum((b * q for b, q in zip(basis, qs)), domain.zero()))
+    terms = draw(st.dictionaries(exps, coefficient, max_size=max_terms))
+    return MultiPoly(nvars, terms, domain)
+
+
+def _assert_clean(f: MultiPoly):
+    assert all(c for c in f.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fused_product_matches_the_naive_term_pairs(data):
+    domain = data.draw(st.sampled_from(_FUSED_DOMAINS))()
+    f = _random_poly(data.draw, domain)
+    g = _random_poly(data.draw, domain)
+    for product in (f * g, g * f, f * f):
+        _assert_clean(product)
+    assert (f * g).terms == _naive_terms(f.terms, g.terms, domain.zero())
+    assert (f * f).terms == _naive_terms(f.terms, f.terms, domain.zero())
+
+
+@pytest.mark.parametrize("make_domain", _FUSED_DOMAINS)
+def test_fused_product_drops_cancelled_coefficients(make_domain):
+    domain = make_domain()
+    x, y = MultiPoly.variables(2, domain)
+    cases = [
+        ((x + y) * (x - y), x**2 - y**2),
+        ((x - y) * (x**2 + x * y + y**2), x**3 - y**3),
+        # the odd powers of y cancel in every middle term
+        ((x - y) ** 3 * (x + y) ** 3, (x**2 - y**2) ** 3),
+        ((x - y) * (x + y) - x**2 + y**2, MultiPoly.zero(2, domain)),
+    ]
+    if domain.levels:
+        w = _basis(domain)[1] ** (domain.total_degree // 2)  # a cube root of unity
+        cases.append(((x - y) * (x - w * y) * (x - w * w * y), x**3 - y**3))
+    for got, want in cases:
+        _assert_clean(got)
+        assert got.terms == want.terms
+    assert len(((x - y) ** 3 * (x + y) ** 3).terms) == 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_fused_substitution_matches_the_naive_expansion(data):
+    source = data.draw(st.sampled_from(_FUSED_DOMAINS))()
+    domain = data.draw(st.sampled_from([source, tower_eps()] if not source.levels else [source]))
+    f = _random_poly(data.draw, source)
+    linear = [_random_poly(data.draw, domain, nvars=2, max_terms=2, linear=True) for _ in range(3)]
+    monomial = [_random_poly(data.draw, domain, nvars=2, max_terms=1) for _ in range(3)]
+    u, v = MultiPoly.variables(2, domain)
+    for images in (linear, monomial, [u + v, u - v, 2 * u + v]):
+        got = f.substitute(images)
+        _assert_clean(got)
+        assert got.domain == domain
+        assert got.terms == _naive_substitute(f, images)
