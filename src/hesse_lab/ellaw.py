@@ -45,7 +45,6 @@ that sweep sample parameters; the two numeric ones sample lambda = 1, 2 and
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 
@@ -69,6 +68,7 @@ from .multipoly import (
 from .plane import (
     ProjPoint,
     _cross,
+    _known_point,
     line_parameter,
     restrict_to_line,
     tangent_line,
@@ -142,34 +142,6 @@ def _polar(ctx: CurveContext, p: ProjPoint) -> tuple:
         grad = _gradient(ctx, p.coords)
         polar = ctx.polars[p] = (grad, ctx.domain.dot(grad, p.coords))
     return polar
-
-
-@lru_cache(maxsize=None)
-def _by_zero_pattern(points: tuple) -> dict:
-    """The indices into `points` grouped by which coordinates of the point
-    vanish, once per tuple of points."""
-    groups = {}
-    for i, p in enumerate(points):
-        groups.setdefault(tuple(not c for c in p.coords), []).append(i)
-    return groups
-
-
-def _known_point(points, coords):
-    """The point of `points` of which `coords` is a nonzero multiple, or None.
-
-    Decided exactly and with no inverse: the zero coordinates of coords must
-    be those of p, and then coords[i] == coords[lead]*p[i] for each further
-    nonzero coordinate of p, where lead is p's first nonzero coordinate,
-    which normalisation made 1.  Only the points with the zero pattern of
-    coords are tried.  The point returned is the very object of `points`."""
-    zeros = tuple(not c for c in coords)
-    for k in _by_zero_pattern(points).get(zeros, ()):
-        p = points[k]
-        pc = p.coords
-        lead = zeros.index(False)
-        if all(coords[i] == coords[lead] * pc[i] for i in range(lead + 1, 3) if pc[i]):
-            return p
-    return None
 
 
 def third_intersection(ctx: CurveContext, a: ProjPoint, b: ProjPoint) -> ProjPoint:

@@ -3,17 +3,24 @@
 A transformation is its linear lift, a 3x3 matrix over a field tower
 exactly as supplied; it acts on points, forms and other transformations
 through that matrix, and products take the domain's fused ``dot``, one
-reduction per entry.  Every finite group here is the permutation group
-its generators induce on a finite set, grown as an orbit and faithful
-for a reason that each caller gives: a projective group permutes an
-invariant point set holding a frame (four points, no three collinear),
-and a projective map fixing a frame is the identity; a linear group
-permutes the orbit of the standard basis, and a linear map is fixed by
-where it sends a basis; the Moebius maps of the pencil parameter permute
+reduction per entry.  The image of a vector goes through the nonzero
+entries of each row, kept from construction: a lone entry one costs no
+product, a lone entry one product and a longer row one ``dot``.  Every
+finite group here is the permutation group its generators induce on a
+finite set, grown as an orbit and faithful for a reason that each caller
+gives: a projective group permutes an invariant point set holding a frame
+(four points, no three collinear), and a projective map fixing a frame is
+the identity, so each generator's raw image of a point is matched to the
+labelled point it is a multiple of; a linear group permutes the orbit of
+the seed vectors its caller gives, and is faithful when that orbit spans,
+since a linear map fixing a spanning set is the identity (the
+determinant-one group is seeded at the flex p_0, an orbit of 81 vectors
+against 216 for the basis, and the Heisenberg group at the standard
+basis, 9 against 27); the Moebius maps of the pencil parameter permute
 the four triangle parameters, and a Moebius map fixing three points is
-the identity.  The permutations are closed by Dimino's coset closure
-(G. Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
-1991, ch. 7), at about one product per element.  The module also records
+the identity.  The permutations are closed by Dimino's coset closure (G.
+Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991,
+ch. 7), at about one product per element.  The module also records
 how the groups act on polynomial forms, on the pencil parameter, and on
 the holomorphic 2-form of the double cover w^2 + (degree-six invariant)
 = 0, and ends with the registered group checks.
@@ -45,7 +52,7 @@ from .multipoly import (
     field_rref,
     proportionality,
 )
-from .plane import ProjPoint
+from .plane import ProjPoint, _cross, _known_point
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +175,26 @@ def _closure(gens: Sequence[tuple]) -> set:
 # ---------------------------------------------------------------------------
 
 
+def _sparse_rows(lift: tuple) -> tuple:
+    """Each row of the lift as (indices, entries) of its nonzero entries,
+    with entries None for a lone entry one."""
+    rows = []
+    for row in lift:
+        js, cs = zip(*((j, c) for j, c in enumerate(row) if c))
+        rows.append((js, None if len(js) == 1 and cs[0] == 1 else cs))
+    return tuple(rows)
+
+
 class ProjTransform:
     """An invertible map of the projective plane, given by its linear lift.
 
     ``lift`` is the matrix exactly as supplied, and every action goes
     through it, so scaled copies of one projective map carry distinct
-    linear data.
+    linear data.  The nonzero entries of its rows are kept from
+    construction for `image`.
     """
 
-    __slots__ = ("lift", "domain")
+    __slots__ = ("lift", "domain", "_rows")
 
     def __init__(self, rows, domain):
         lift = _mat_coerce(rows, domain)
@@ -184,6 +202,7 @@ class ProjTransform:
             raise ValueError("transformation must be invertible")
         object.__setattr__(self, "lift", lift)
         object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_rows", _sparse_rows(lift))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjTransform is immutable")
@@ -209,10 +228,23 @@ class ProjTransform:
         return det_generic(self.lift)
 
     def image(self, coords) -> tuple:
-        """The lift times coords: raw coordinates of the image, unnormalised."""
-        K = self.domain
-        coords = tuple(map(K.coerce, coords))
-        return tuple(K.dot(row, coords) for row in self.lift)
+        """The lift times coords: raw coordinates of the image, unnormalised.
+
+        Each coordinate is made from the nonzero entries of its row: a lone
+        entry one takes no product, a lone entry one product, and a longer
+        row one ``dot`` over its entries, so a monomial lift costs at most
+        one product per coordinate."""
+        return self._image(tuple(map(self.domain.coerce, coords)))
+
+    def _image(self, v: tuple) -> tuple:
+        """`image` of a vector whose entries are in the domain already."""
+        dot = self.domain.dot
+        return tuple(
+            dot(cs, [v[j] for j in js]) if len(js) > 1
+            else v[js[0]] if cs is None
+            else cs[0] * v[js[0]]
+            for js, cs in self._rows
+        )
 
     def apply(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(self.image(p.coords), self.domain)
@@ -287,18 +319,40 @@ def unit_determinant_generators() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def generate_closure(gens: Sequence[ProjTransform]) -> PermImage:
+# the seeds of the Heisenberg closure, whose orbit of 9 vectors is
+# smaller than the 27 of p_0
+_STANDARD_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _spans(vectors) -> bool:
+    """Whether the vectors span the space of triples: a first nonzero u,
+    a first v with u x v nonzero, then some w with det(u, v, w) nonzero.
+    Every vector read before v is a multiple of u, so one pass decides."""
+    rest = iter(vectors)
+    u = next((x for x in rest if any(x)), None)
+    v = None if u is None else next((x for x in rest if any(_cross(u, x))), None)
+    return v is not None and any(det_generic((u, v, w)) for w in rest)
+
+
+def generate_closure(gens: Sequence[ProjTransform], seeds: Sequence) -> PermImage:
     """The linear group the generators' lifts generate, as the
-    permutations they induce on the orbit of the standard basis e1, e2,
-    e3.  A linear map is fixed by where it sends a basis, so the image is
-    faithful, and the orbit is finite exactly when the group is."""
+    permutations they induce on the orbit of the seed vectors, coordinate
+    triples coerced into the generators' domain.
+
+    A linear map that fixes a spanning set is the identity, so the image
+    is faithful once the orbit spans (`_spans`), and the orbit is finite
+    exactly when the group is.  The caller picks seeds with a small
+    spanning orbit.  Raises ValueError when the orbit does not span, and
+    when it passes _CAP vectors."""
     if not gens:
         raise ValueError("need at least one generator")
     K = gens[0].domain
-    basis = [tuple(K.one() if i == j else K.zero() for j in range(3)) for i in range(3)]
-    _, perms = _induced_permutations(
-        lambda g, v: tuple(K.dot(row, v) for row in g.lift), gens, basis
-    )
+    seeds = [tuple(map(K.coerce, v)) for v in seeds]
+    orbit, perms = _induced_permutations(ProjTransform._image, gens, seeds)
+    if not _spans(orbit):
+        raise ValueError(
+            "the orbit of the seeds does not span, so the action may not be faithful"
+        )
     return PermImage(tuple(perms), tuple(sorted(_closure(perms))))
 
 
@@ -372,12 +426,19 @@ def action_on_points(
 
     The image is a copy of the projective group when the points hold a
     frame (`_frame`): an element acting trivially fixes the frame and so
-    is the identity.  Raises ValueError when the orbit of the points is
-    larger than the list, that is when a generator does not permute them.
+    is the identity.  Each raw image g.image(p) is matched to the point of
+    the list it is a multiple of (`_known_point`), with no normalising
+    inverse.  Raises ValueError when an image is none of the points, that
+    is when a generator does not permute them.
     """
-    orbit, perms = _induced_permutations(ProjTransform.apply, gens, pts)
-    if len(orbit) != len(pts):
-        raise ValueError("group element does not permute the points")
+    pts = tuple(pts)
+    index = {p: i for i, p in enumerate(pts)}
+    perms = []
+    for g in gens:
+        images = [_known_point(pts, g.image(p.coords)) for p in pts]
+        if any(q is None for q in images):
+            raise ValueError("group element does not permute the points")
+        perms.append(tuple(index[q] for q in images))
     return PermImage(tuple(perms), tuple(sorted(_closure(perms))))
 
 
@@ -559,7 +620,9 @@ def heisenberg_check() -> PropertyResult:
     """The linear closure of the translations is nonabelian of order 27
     with a center of order 3."""
     gens = hessian_group_generators()
-    facts = group_facts(generate_closure([gens["cycle"], gens["scale"]]))
+    facts = group_facts(
+        generate_closure([gens["cycle"], gens["scale"]], _STANDARD_BASIS)
+    )
     got = {
         "order": facts["order"],
         "abelian": facts["abelian"],
@@ -569,10 +632,13 @@ def heisenberg_check() -> PropertyResult:
 
 
 def unit_determinant_check() -> PropertyResult:
-    """The determinant-one lifts generate a linear group of order 648."""
+    """The determinant-one lifts generate a linear group of order 648,
+    closed on the orbit of the flex p_0 (81 vectors)."""
     lifts = unit_determinant_generators()
     dets_one = all(t.det() == t.domain.one() for t in lifts.values())
-    closure = generate_closure(list(lifts.values()))
+    # p_0 = (0 : 1 : -1) is rational, so it moves into Q(zeta9) by value
+    p0 = [c.rational_value() for c in hesse_data().base_points[0].coords]
+    closure = generate_closure(list(lifts.values()), [p0])
     got = {"order": closure.order, "determinants_one": dets_one}
     return _expect(got, {"order": 648, "determinants_one": True})
 

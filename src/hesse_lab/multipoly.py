@@ -311,18 +311,21 @@ class MultiPoly:
         return MultiPoly(out_nvars, out, domain)
 
     def evaluate(self, values: Sequence):
-        """Exact value at a point; `values` are domain elements."""
+        """Exact value at a point; `values` are domain elements.  The
+        terms are summed by one ``dot`` of the coefficients with the
+        monomial values."""
         if len(values) != self.nvars:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
         vals = [self.domain.coerce(v) for v in values]
-        acc = self.domain.zero()
-        for exps, c in self.terms.items():
-            term = c
+        one = self.domain.one()
+        monomials = []
+        for exps in self.terms:
+            m = one
             for v, k in zip(vals, exps):
                 if k:
-                    term = term * v**k
-            acc = acc + term
-        return acc
+                    m = v**k if m is one else m * v**k
+            monomials.append(m)
+        return self.domain.dot(tuple(self.terms.values()), monomials)
 
     # -- structure ---------------------------------------------------------------
 

@@ -1,7 +1,9 @@
 """Projective plane geometry over an exact field.
 
 Points and lines are canonicalized by scaling the first nonzero coordinate
-to 1, so equality and incidence reduce to exact coordinate comparisons.
+to 1, so equality and incidence reduce to exact coordinate comparisons, and
+raw coordinates are matched to the labelled point they are a multiple of
+(`_known_point`) with no inverse.
 A curve is its homogeneous form in x, y, z: `tangent_line`,
 `classify_point` and `restrict_to_line` take the `MultiPoly` itself, and a
 point lies on the curve where the form evaluates to zero.  Singularities
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .multipoly import MultiPoly, QQ, divide_exact, field_linsolve
@@ -86,10 +89,7 @@ class ProjLine:
         self._hash = None
 
     def contains(self, p: ProjPoint) -> bool:
-        acc = self.domain.zero()
-        for a, x in zip(self.coeffs, p.coords):
-            acc = acc + a * x
-        return not acc
+        return not self.domain.dot(self.coeffs, p.coords)
 
     def basis_points(self):
         """Two distinct points spanning the line, chosen deterministically."""
@@ -127,6 +127,34 @@ class ProjLine:
 
     def __repr__(self):
         return "[" + " : ".join(repr(c) for c in self.coeffs) + "]"
+
+
+@lru_cache(maxsize=None)
+def _by_zero_pattern(points: tuple) -> dict:
+    """The indices into `points` grouped by which coordinates of the point
+    vanish, once per tuple of points."""
+    groups = {}
+    for i, p in enumerate(points):
+        groups.setdefault(tuple(not c for c in p.coords), []).append(i)
+    return groups
+
+
+def _known_point(points: tuple, coords):
+    """The point of `points` of which `coords` is a nonzero multiple, or None.
+
+    Decided exactly and with no inverse: the zero coordinates of coords must
+    be those of p, and then coords[i] == coords[lead]*p[i] for each further
+    nonzero coordinate of p, where lead is p's first nonzero coordinate,
+    which normalisation made 1.  Only the points with the zero pattern of
+    coords are tried.  The point returned is the very object of `points`."""
+    zeros = tuple(not c for c in coords)
+    for k in _by_zero_pattern(points).get(zeros, ()):
+        p = points[k]
+        pc = p.coords
+        lead = zeros.index(False)
+        if all(coords[i] == coords[lead] * pc[i] for i in range(lead + 1, 3) if pc[i]):
+            return p
+    return None
 
 
 def _cross(u, v):

@@ -2,27 +2,30 @@
 
 Every group is the permutation group its generators induce on a finite
 set: projective groups on the nine base points, linear groups on the orbit
-of the standard basis, parameter maps on the four triangle parameters.
+of the seed vectors (the standard basis, or the flex p_0 for the
+determinant-one lifts), parameter maps on the four triangle parameters.
 Test-local breadth-first closures of matrices are the reference.
 """
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hesse_lab.field import tower_eps
 from hesse_lab.hesse import hesse_data
-from hesse_lab.multipoly import QQ
+from hesse_lab.multipoly import QQ, det_generic
 from hesse_lab.plane import ProjPoint, line_through, normalize_projective
 from hesse_lab.groups import (
     PermImage,
     ProjTransform,
     _CAP,
+    _STANDARD_BASIS as BASIS,
     _closure,
     _frame,
     _mat_mul,
@@ -152,7 +155,7 @@ def test_closure_cap():
     # as the first generator and as a later one
     for gens in ([GENS["fourier"]], [GENS["cycle"], GENS["fourier"]]):
         with pytest.raises(ValueError, match="exceeded cap 2000"):
-            generate_closure(gens)
+            generate_closure(gens, BASIS)
 
 
 def test_closure_over_the_rationals():
@@ -168,7 +171,7 @@ def test_closure_over_the_rationals():
     ]
     assert action_on_points([swap, cycle], pts).order == 6
     # signed permutation matrices: 48 linear maps, 24 projective ones
-    assert generate_closure([swap, cycle, sign]).order == 48
+    assert generate_closure([swap, cycle, sign], BASIS).order == 48
     _assert_linear_matches_oracle([swap, cycle, sign])
     image = action_on_points([swap, cycle, sign], pts)
     assert _frame(pts) is not None
@@ -244,7 +247,9 @@ def _matrix_facts(transforms):
 
 def _assert_linear_matches_oracle(transforms):
     expected = _closure_outcome(_matrix_facts, transforms)
-    got = _closure_outcome(lambda gens: group_facts(generate_closure(gens)), transforms)
+    got = _closure_outcome(
+        lambda gens: group_facts(generate_closure(gens, BASIS)), transforms
+    )
     assert got == expected
     return got
 
@@ -286,12 +291,64 @@ def test_fourier_lift_exceeds_the_cap_in_both_closures(position):
     assert outcome == "group closure exceeded cap 2000"
 
 
+@lru_cache(maxsize=None)
+def _unit_determinant_facts():
+    return _matrix_facts(list(unit_determinant_generators().values()))
+
+
 def test_unit_determinant_closure_matches_oracle():
     lifts = list(unit_determinant_generators().values())
-    expected = _matrix_facts(lifts)
+    expected = _unit_determinant_facts()
     assert expected["order"] == 648
-    assert group_facts(generate_closure(lifts)) == expected
-    assert group_facts(generate_closure(lifts[::-1])) == expected
+    assert group_facts(generate_closure(lifts, BASIS)) == expected
+    assert group_facts(generate_closure(lifts[::-1], BASIS)) == expected
+
+
+# the flex p_0 = (0 : 1 : -1), rational, as a vector of any domain
+P0 = tuple(c.rational_value() for c in DATA.base_points[0].coords)
+
+
+def test_unit_determinant_closure_seeded_at_the_flex():
+    # p_0 spans with an orbit of 81 vectors, against 216 for the basis
+    lifts = list(unit_determinant_generators().values())
+    for gens in (lifts, lifts[::-1]):
+        closure = generate_closure(gens, [P0])
+        assert len(closure.gens[0]) == 81
+        assert closure.order == 648
+        assert group_facts(closure) == _unit_determinant_facts()
+    assert len(generate_closure(lifts, BASIS).gens[0]) == 216
+
+
+def test_closure_rejects_seeds_whose_orbit_does_not_span():
+    # swap sends p_0 to -p_0, an orbit on one line; with scale the orbit
+    # spans only the plane x = 0
+    for names in (["swap"], ["swap", "scale"]):
+        with pytest.raises(ValueError, match="orbit of the seeds does not span"):
+            generate_closure([GENS[name] for name in names], [P0])
+
+
+_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+@st.composite
+def _eps_elements(draw):
+    kind = draw(st.sampled_from(("zero", "one", "general")))
+    if kind == "zero":
+        return K.zero()
+    if kind == "one":
+        return K.one()
+    return draw(_RATIONALS) + draw(_RATIONALS) * EPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(_eps_elements(), min_size=3, max_size=3), min_size=3, max_size=3),
+    st.lists(_eps_elements(), min_size=3, max_size=3),
+)
+def test_sparse_image_matches_the_dense_product(rows, v):
+    assume(det_generic(rows))
+    g = ProjTransform(rows, K)
+    assert g.image(v) == tuple(K.dot(row, v) for row in g.lift)
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,11 +374,11 @@ def test_infinite_order_generator_exceeds_cap():
     # the orbit of the basis never closes, whichever generator comes first
     for gens in ([stretch, cycle], [cycle, stretch]):
         with pytest.raises(ValueError, match="exceeded cap 2000"):
-            generate_closure(gens)
+            generate_closure(gens, BASIS)
 
 
 def test_heisenberg_lift():
-    heis = generate_closure(TRANSLATION_GENS)
+    heis = generate_closure(TRANSLATION_GENS, BASIS)
     facts = group_facts(heis)
     assert facts["order"] == 27
     assert not facts["abelian"]
@@ -334,7 +391,7 @@ def test_unit_determinant_closure():
     lifts = unit_determinant_generators()
     for t in lifts.values():
         assert t.det() == t.domain.one()
-    big = generate_closure(list(lifts.values()))
+    big = generate_closure(list(lifts.values()), BASIS)
     assert big.order == 648
 
 
