@@ -26,25 +26,34 @@ image of the origin, and each generator's raw image of a base point is
 matched the same way.  Proposition 6.2 takes no root either: the quadratic
 cutting its two points divides the sextic on the line.
 
-Loci that genuinely require root extraction (the 2-torsion on a harmonic
-polar, order-nine contact points) go through a numeric mpmath backend at a
-chosen working precision, whose residuals are compared with one fixed
-tolerance rule.  The order-nine points take one small eigen-solve: the
-resultant in y, a polynomial in x^3, deflates, and each y comes from the
-exact first subresultant, linear in y.  With a flex as origin,
-A + B + C = 0 exactly when A, B and C are collinear, so 3P is the third
-point of the line through -2P and -P: one chord per point.  The backend
-takes the one complex embedding of the program, that of Q(eps) with
-eps = exp(2*pi*i/3), in closed form (`_to_mpc`), and this is the one module
-that imports mpmath.  The module ends with the registered torsion checks
-that sweep sample parameters; the two numeric ones sample lambda = 1, 2 and
-1/2 (and 0 for the 2-torsion) at 128 bits and give each residual as a
-17-digit string.
+The 2-torsion takes no root for its decision either.  With the flex p_i as
+origin, 2q = 0 exactly when q lies on the polar conic of p_i, which splits
+as the harmonic polar L_i times the flex tangent at p_i; that tangent
+meets the member only at p_i, and the member restricted to L_i has a
+discriminant dividing pencil_discriminant().  `polar_two_torsion_proof`
+checks these identities for the generic member over Q(eps)[x, y, z, t0, t1],
+so L_i cuts the three nonzero 2-torsion points of every smooth member.
+
+The order-nine contact points, and the numeric view of the 2-torsion, go
+through a numeric mpmath backend at a chosen working precision, whose
+residuals are compared with one fixed tolerance rule.  The order-nine
+points take one small eigen-solve: the resultant in y, a polynomial in
+x^3, deflates, and each y comes from the exact first subresultant, linear
+in y.  With a flex as origin, A + B + C = 0 exactly when A, B and C are
+collinear, so 3P is the third point of the line through -2P and -P: one
+chord per point.  The backend takes the one complex embedding of the
+program, that of Q(eps) with eps = exp(2*pi*i/3), in closed form
+(`_to_mpc`), and this is the one module that imports mpmath.  The module
+ends with the registered torsion checks.  `torsion.nine` samples
+lambda = 1, 2 and 1/2 at 128 bits; `torsion.two` is the exact proof with
+one numeric cross-check at lambda = 1 on L_0, at 128 bits.  Each residual
+is given as a 17-digit string.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import mpmath
 
@@ -55,12 +64,16 @@ from .hesse import (
     _expect,
     hesse_data,
     hessian_map,
+    member_gradient,
     member_is_singular,
+    pencil_discriminant,
     pencil_member,
+    polar_conic_split,
 )
 from .multipoly import (
     MultiPoly,
     binary_form_gcd,
+    convert_domain,
     divide_exact,
     proportionality,
     resultant_in_var,
@@ -322,6 +335,100 @@ def contact_pair_vertices_check() -> PropertyResult:
     return PropertyResult(
         True, {"count": len(common), "coordinate_vertices_excluded": 3}
     )
+
+
+# ---------------------------------------------------------------------------
+# two-torsion on the harmonic polars, for every member
+# ---------------------------------------------------------------------------
+
+
+def _dot(g, w):
+    """g.w for triples of field elements or polynomials."""
+    return g[0] * w[0] + g[1] * w[1] + g[2] * w[2]
+
+
+def _binary_cubic(u, v, t0, t1) -> tuple:
+    """(a, b, c, d) with F(s*u + w*v) = a s^3 + b s^2 w + c s w^2 + d w^3 for
+    the generic member and points u, v with coordinates in its domain.
+
+    By polarisation a = F(u), b = grad F(u).v, c = grad F(v).u and d = F(v),
+    where F(u) = t0*sum u_k^3 + t1*u_0 u_1 u_2 and grad F(u).v =
+    3*t0*sum u_k^2 v_k + t1*(u_1 u_2 v_0 + u_0 u_2 v_1 + u_0 u_1 v_2): each
+    coefficient of t0 and of t1 is one dot of field elements."""
+    K = t0.domain
+
+    def squares_and_products(p):
+        x, y, z = p
+        return (x * x, y * y, z * z), (y * z, x * z, x * y)
+
+    (su, pu), (sv, pv) = squares_and_products(u), squares_and_products(v)
+    return (
+        K.dot(su, u) * t0 + pu[0] * u[0] * t1,
+        3 * K.dot(su, v) * t0 + K.dot(pu, v) * t1,
+        3 * K.dot(sv, u) * t0 + K.dot(pv, u) * t1,
+        K.dot(sv, v) * t0 + pv[0] * v[0] * t1,
+    )
+
+
+def _cubic_discriminant(a, b, c, d):
+    """Discriminant of the binary cubic a s^3 + b s^2 w + c s w^2 + d w^3."""
+    bc, ad = b * c, a * d
+    return bc * bc + 18 * ad * bc - 27 * ad * ad - 4 * a * c**3 - 4 * b**3 * d
+
+
+# the discriminant of the generic member on each harmonic polar
+_POLAR_DISCRIMINANT = "-4*t0*(27*t0^3 + t1^3)"
+
+
+def polar_two_torsion_proof() -> Optional[str]:
+    """Why a harmonic polar fails to cut the 2-torsion of some smooth member,
+    or None when each L_i does on every smooth member, with p_i as origin.
+
+    p_i is a flex, so -q is the third point of the line through p_i and q,
+    and 2q = 0 exactly when the tangent at q passes through p_i, that is
+    when q lies on the polar conic grad F(x).p_i = 0.  For the generic
+    member F = t0*(x^3+y^3+z^3) + t1*xyz, each pair (p_i, L_i) is checked:
+    (a) the conic is L_i times the flex tangent T_i = grad F(p_i).x, over
+    Q(eps)[x, y, z, t0, t1] (hesse.polar_conic_split);
+    (b) F(s*p_i + w*v) = w^3 F(v) for v = grad F(p_i) x e_j, the signed swap
+    third_intersection takes, so T_i meets a smooth member only at p_i (were
+    F(v) = 0, T_i would be a component);
+    (c) p_i is not on L_i;
+    (d) F restricted to L_i, through its basis points, has discriminant
+    -4*t0*(27*t0^3 + t1^3), which divides pencil_discriminant(), so L_i
+    cuts three distinct points on every smooth member.
+    By (a) and (b), every q != p_i with 2q = 0 is on L_i; by (a) and (c),
+    every member point of L_i is such a q; by (d) there are three: L_i cuts
+    exactly the three nonzero 2-torsion points.  The forms of (b) and (d)
+    involve t0 and t1 alone, so they are made by polarisation over
+    Q(eps)[t0, t1], with no root taken."""
+    data = hesse_data()
+    reason = polar_conic_split(data.base_points, data.harmonic_polars)
+    if reason is not None:
+        return reason
+    K = data.domain
+    t0, t1 = MultiPoly.variables(2, K)
+    expected = -4 * t0 * (27 * t0**3 + t1**3)
+    for idx, (p, line) in enumerate(zip(data.base_points, data.harmonic_polars)):
+        grad = member_gradient(p.coords, t0, t1)
+        j = next(i for i, c in enumerate(p.coords) if c)
+        v = [MultiPoly.zero(2, K)] * 3
+        v[(j + 1) % 3], v[(j + 2) % 3] = grad[(j + 2) % 3], -grad[(j + 1) % 3]
+        # the s^3, s^2 w and s w^2 coefficients of F(s*p + w*v), by
+        # polarisation: 3F(p) = grad F(p).p, grad F(p).v and grad F(v).p
+        polars = ((grad, p.coords), (grad, v), (member_gradient(v, t0, t1), p.coords))
+        if any(_dot(g, q) for g, q in polars):
+            return f"the flex tangent at p{idx} meets the member off p{idx}"
+        if line.contains(p):
+            return f"polar {idx} passes through p{idx}"
+        u, w = (q.coords for q in line.basis_points())
+        if _cubic_discriminant(*_binary_cubic(u, w, t0, t1)) != expected:
+            return f"discriminant on polar {idx} is not {_POLAR_DISCRIMINANT}"
+    try:
+        divide_exact(convert_domain(pencil_discriminant(), K), expected)
+    except ValueError:
+        return f"{_POLAR_DISCRIMINANT} does not divide the pencil discriminant"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -764,28 +871,37 @@ def torsion_table_sweep() -> PropertyResult:
 
 
 def two_torsion_sweep() -> PropertyResult:
-    """two_torsion_polar_check on the first harmonic polar at lambda = 1, 2,
-    1/2 and 0, at its default 128 bits; a pass reports the worst residual
-    of each, to 17 digits."""
-    out = {"precision_bits": 128}
-    for lam in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(0)):
-        rep = two_torsion_polar_check(lam, 0)
-        worst = max(
-            *(p.residual for p in rep.points),
-            *rep.tangent_residuals,
-            *rep.doubling_residuals,
+    """polar_two_torsion_proof for all nine harmonic polars and every smooth
+    member, then one numeric cross-check: two_torsion_polar_check on the
+    first polar at lambda = 1, at its default 128 bits.  A pass needs both,
+    and reports the worst residual of the sample, to 17 digits."""
+    reason = polar_two_torsion_proof()
+    if reason is not None:
+        return PropertyResult(False, witness=reason)
+    rep = two_torsion_polar_check(Fraction(1), 0)
+    worst = max(
+        *(p.residual for p in rep.points),
+        *rep.tangent_residuals,
+        *rep.doubling_residuals,
+    )
+    key = "lambda=1,line=0"
+    if not rep.holds:
+        return PropertyResult(
+            False,
+            witness=f"{key}: {len(rep.points)} points on the polar, worst "
+            f"residual {mpmath.nstr(worst, 5)}, expected 3 points within "
+            f"{mpmath.nstr(rep.tolerance, 5)}",
         )
-        key = f"lambda={lam},line=0"
-        if not rep.holds:
-            return PropertyResult(
-                False,
-                witness=f"{key}: {len(rep.points)} points on the polar, worst "
-                f"residual {mpmath.nstr(worst, 5)}, expected 3 points within "
-                f"{mpmath.nstr(rep.tolerance, 5)}",
-            )
-        out[key] = mpmath.nstr(worst, 17)
-        out.setdefault("tolerance", mpmath.nstr(rep.tolerance, 17))
-    return PropertyResult(True, out)
+    return PropertyResult(
+        True,
+        {
+            "polars": len(hesse_data().harmonic_polars),
+            "polar_discriminant": _POLAR_DISCRIMINANT,
+            "precision_bits": 128,
+            key: mpmath.nstr(worst, 17),
+            "tolerance": mpmath.nstr(rep.tolerance, 17),
+        },
+    )
 
 
 def nine_torsion_sweep() -> PropertyResult:

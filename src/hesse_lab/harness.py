@@ -239,7 +239,8 @@ def registry() -> tuple:
         ),
         (
             "torsion.two",
-            "harmonic polars cut the 2-torsion with respect to their base point",
+            "each harmonic polar cuts the three nonzero 2-torsion points of every "
+            "smooth member, with its base point as origin",
             ellaw.two_torsion_sweep,
         ),
         (

@@ -1154,29 +1154,49 @@ def polar_avoidance_check() -> PropertyResult:
     return PropertyResult(True, {"polars": len(data.harmonic_polars)})
 
 
+def member_gradient(coords, t0, t1) -> tuple:
+    """grad F at coords for the generic member F = t0*(x^3+y^3+z^3) + t1*xyz,
+    with t0 and t1 polynomial variables and coords field elements or
+    polynomials: entry k is 3*x_k^2*t0 + x_l*x_m*t1."""
+    x, y, z = coords
+    c0 = 3 * t0
+    return (x * x * c0 + y * z * t1, y * y * c0 + x * z * t1, z * z * c0 + x * y * t1)
+
+
+def polar_conic_split(points, lines) -> Optional[str]:
+    """Why the polar conic of some point is not its line times its flex
+    tangent, or None when every one splits so.
+
+    Over Q(eps)[x, y, z, t0, t1], the polar conic of points[i] = p with
+    respect to the generic member F = t0*(x^3+y^3+z^3) + t1*xyz is
+    grad F(x).p; it must be lines[i] times a multiple of the tangent
+    grad F(p).x at p.  Everything is made afresh from the points and lines
+    given, so a patched configuration is read on every call."""
+    x, y, z, t0, t1 = MultiPoly.variables(5, points[0].domain)
+    # the conic from the derivatives of F, the tangent from member_gradient
+    grad = (t0 * (x**3 + y**3 + z**3) + t1 * x * y * z).gradient((0, 1, 2))
+    for idx, (p, line) in enumerate(zip(points, lines)):
+        a, b, c = p.coords
+        conic = a * grad[0] + b * grad[1] + c * grad[2]
+        la, lb, lc = line.coeffs
+        try:
+            cofactor = divide_exact(conic, la * x + lb * y + lc * z)
+        except ValueError:
+            return f"polar of p{idx} has no line factor"
+        gx, gy, gz = member_gradient(p.coords, t0, t1)
+        tangent = gx * x + gy * y + gz * z
+        if proportionality(cofactor, tangent)[0] is None:
+            return f"cofactor of p{idx} is not its flex tangent"
+    return None
+
+
 def polar_factorization_check() -> PropertyResult:
     """The polar conic of each base point with respect to the generic
-    member splits off that point's harmonic polar."""
+    member splits as that point's harmonic polar times its flex tangent."""
     data = hesse_data()
-    K = data.domain
-    x, y, z, t0, t1 = MultiPoly.variables(5, K)
-    s = x**3 + y**3 + z**3
-    t = x * y * z
-    member = t0 * s + t1 * t
-    grad = member.gradient((0, 1, 2))
-    for idx, (p, line) in enumerate(zip(data.base_points, data.harmonic_polars)):
-        conic = (
-            p.coords[0] * grad[0] + p.coords[1] * grad[1] + p.coords[2] * grad[2]
-        )
-        a, bb, c = line.coeffs
-        line5 = a * x + bb * y + c * z
-        try:
-            quotient = divide_exact(conic, line5)
-        except ValueError:
-            return PropertyResult(False, witness=f"polar of p{idx} has no line factor")
-        degs = {sum(e[:3]) for e in quotient.terms}
-        if degs != {1}:
-            return PropertyResult(False, witness=f"cofactor of p{idx} is not a line")
+    reason = polar_conic_split(data.base_points, data.harmonic_polars)
+    if reason is not None:
+        return PropertyResult(False, witness=reason)
     return PropertyResult(True, {"points": len(data.base_points)})
 
 
@@ -1288,15 +1308,19 @@ def j_values_check() -> PropertyResult:
 
 
 def singular_parameters_check() -> PropertyResult:
-    """The discriminant vanishes at the four triangle parameters and at no
-    sampled smooth member."""
-    data = hesse_data()
-    for t in data.triangle_parameters:
+    """The discriminant is (4/729)*t0^3*(t1^3 + 27*t0^3)^3 identically, so
+    it vanishes exactly at t0 = 0 and t1 = -3*eps^k*t0, each a root of
+    multiplicity three; these are the four triangle parameters, each
+    checked to give a singular member.  The identity comes first, so a
+    wrong form fails before member_is_singular caches it."""
+    t0, t1 = MultiPoly.variables(2, QQ)
+    factored = Fraction(4, 729) * t0**3 * (t1**3 + 27 * t0**3) ** 3
+    diff = pencil_discriminant() - factored
+    if diff:
+        return _zero_result(diff)
+    for t in hesse_data().triangle_parameters:
         if not member_is_singular(t):
             return PropertyResult(
                 False, witness="discriminant nonzero at a triangle parameter"
             )
-    for lam in (Fraction(0), Fraction(1), Fraction(-6)):
-        if member_is_singular(PencilParameter.from_affine(lam)):
-            return PropertyResult(False, witness=f"unexpected singular member at {lam}")
-    return PropertyResult(True, {"singular_parameters": 4})
+    return PropertyResult(True, {"singular_parameters": 4, "multiplicity": 3})

@@ -28,16 +28,20 @@ def test_every_runner_takes_no_argument():
 
 
 def test_numeric_rows_fix_their_lambda_and_precision():
-    # no setting of the run reaches a check: the sampled lambda and the 128
-    # working bits are the sweep's own, and each residual is already a
-    # 17-digit string
+    # no setting of the run reaches a check: the one sampled lambda and the
+    # 128 working bits are the sweep's own, and the residual is already a
+    # 17-digit string; the decision itself is the exact proof on all nine
+    # polars
     (row,) = [c for c in harness.registry() if c.check_id == "torsion.two"]
     result = row.runner()
     assert result.holds
     assert result.details["precision_bits"] == 128
-    keys = [f"lambda={lam},line=0" for lam in ("1", "2", "1/2", "0")]
-    assert sorted(result.details) == sorted(keys + ["precision_bits", "tolerance"])
-    assert all(isinstance(result.details[k], str) for k in keys + ["tolerance"])
+    assert sorted(result.details) == sorted(
+        ["lambda=1,line=0", "polar_discriminant", "polars", "precision_bits", "tolerance"]
+    )
+    assert all(isinstance(result.details[k], str) for k in ("lambda=1,line=0", "tolerance"))
+    assert result.details["polars"] == 9
+    assert result.details["polar_discriminant"] == "-4*t0*(27*t0^3 + t1^3)"
 
 
 def test_namespaces_present():

@@ -32,7 +32,9 @@ from hesse_lab.hesse import (
     pencil_discriminant,
     pencil_member,
     polar_avoidance_check,
+    polar_conic_split,
     polar_factorization_check,
+    singular_parameters_check,
     triangle_member_check,
     vertex_singularity_check,
     _quartic_sextic_forms,
@@ -416,6 +418,25 @@ def test_vertex_singularities():
 def test_polar_lines():
     assert polar_avoidance_check().holds
     assert polar_factorization_check().holds
+
+
+def test_polar_conic_split_reads_the_points_and_lines_it_is_given():
+    data = hesse_data()
+    pts, polars = data.base_points, data.harmonic_polars
+    assert polar_conic_split(pts, polars) is None
+    # L_i pairs with p_i alone; each other line misses the conic of p_0
+    for other in polars[1:]:
+        assert polar_conic_split(pts, (other,) + polars[1:]) == (
+            "polar of p0 has no line factor"
+        )
+    assert polar_conic_split(pts[3:], polars[3:]) is None
+    assert polar_conic_split(pts[3:], polars[4:]) == "polar of p0 has no line factor"
+
+
+def test_singular_parameters_are_the_factored_discriminant():
+    result = singular_parameters_check()
+    assert result.holds
+    assert result.details == {"singular_parameters": 4, "multiplicity": 3}
 
 
 def test_char3_degeneration():

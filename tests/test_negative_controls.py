@@ -17,7 +17,7 @@ from hesse_lab import ellaw, groups, harness, hesse
 from hesse_lab import lattice as lattice_mod
 from hesse_lab.groups import ProjTransform
 from hesse_lab.harness import HarnessConfig
-from hesse_lab.multipoly import MultiPoly, reduce_mod
+from hesse_lab.multipoly import QQ, MultiPoly, reduce_mod
 
 _generators = groups.hessian_group_generators
 _unit_determinant_generators = groups.unit_determinant_generators
@@ -25,6 +25,8 @@ _groups_hesse_data = groups.hesse_data
 _hesse_hesse_data = hesse.hesse_data
 _ellaw_hesse_data = ellaw.hesse_data
 _third_intersection = ellaw.third_intersection
+_pencil_discriminant = hesse.pencil_discriminant
+_member_gradient = hesse.member_gradient
 _cover_automorphisms = groups.cover_automorphisms
 _direct_sum = lattice_mod.direct_sum
 _standard_lattice = lattice_mod.standard_lattice
@@ -153,11 +155,28 @@ def _cuspidal_sextic_plus_x6():
     return replace(data, invariants={**data.invariants, "cuspidal_sextic": sextic})
 
 
-def _first_polar_replaced_by_second():
-    # L_1 is the harmonic polar of p_1, not of the marked point p_0
-    data = _ellaw_hesse_data()
-    polars = data.harmonic_polars
-    return replace(data, harmonic_polars=(polars[1],) + polars[1:])
+def _polar_replaced(index, by):
+    # L_index becomes L_by, the harmonic polar of p_by, not of p_index
+    def mutant():
+        data = _hesse_hesse_data()
+        polars = list(data.harmonic_polars)
+        polars[index] = polars[by]
+        return replace(data, harmonic_polars=tuple(polars))
+
+    return mutant
+
+
+def _gradient_with_t0_and_t1_swapped(coords, t0, t1):
+    # 3*x_k^2*t1 + x_l*x_m*t0: the tangent of another member than the one
+    # whose polar conic is split
+    return _member_gradient(coords, t1, t0)
+
+
+def _pencil_discriminant_plus_t0_11_t1():
+    # t0^11*t1 is no monomial of (4/729)*t0^3*(t1^3 + 27*t0^3)^3, whose t1
+    # exponents are all multiples of three
+    t0, t1 = MultiPoly.variables(2, QQ)
+    return _pencil_discriminant() + t0**11 * t1
 
 
 def _equianharmonic_product_plus_x11y():
@@ -322,7 +341,23 @@ MUTANTS = {
         _contact_cubic_replaced(4, lambda cubics, x, y, z: cubics[4] + x**3),
     ),
     "torsion.prop62": (ellaw, "hesse_data", _cuspidal_sextic_plus_x6),
-    "torsion.two": (ellaw, "hesse_data", _first_polar_replaced_by_second),
+    # the polar conic of p_0 splits off L_0, not L_1
+    "torsion.two": (ellaw, "hesse_data", _polar_replaced(0, 1)),
+    # the numeric sample sees line 0 alone; the exact proof reads all nine
+    "torsion.two/polar4": (ellaw, "hesse_data", _polar_replaced(4, 5)),
+    "hesse.polar.factorization": (hesse, "hesse_data", _polar_replaced(0, 1)),
+    "hesse.polar.factorization/tangent": (
+        hesse,
+        "member_gradient",
+        _gradient_with_t0_and_t1_swapped,
+    ),
+    # L_1 avoids p_0 as well, but it is not y - z
+    "hesse.polar.avoidance": (hesse, "hesse_data", _polar_replaced(0, 1)),
+    "hesse.singular_parameters": (
+        hesse,
+        "pencil_discriminant",
+        _pencil_discriminant_plus_t0_11_t1,
+    ),
     "hesse.char3": (hesse, "reduce_mod", _reduced_mod(2)),
     "hesse.char3/mod5": (hesse, "reduce_mod", _reduced_mod(5)),
     # P^2(F_3) without the base point (0 : 1 : 2)
@@ -376,6 +411,10 @@ PINNED_WITNESS = {
     "hesse.identity.d": "monomial (11, 1, 0)",
     "hesse.identity.l": "monomial (5, 2, 2)",
     "hesse.identity.l/mod5": "monomial (5, 2, 2)",
+    "hesse.polar.avoidance": "first polar is not y - z",
+    "hesse.polar.factorization": "polar of p0 has no line factor",
+    "hesse.polar.factorization/tangent": "cofactor of p0 is not its flex tangent",
+    "hesse.singular_parameters": "monomial (11, 1)",
     "lattice.a2m6.snf": "invariants is (1, 119), expected (6, 18)",
     "lattice.k3sum.det": "det is -12, expected -3",
     "lattice.kummer": "det is -1296, expected -972",
@@ -401,10 +440,8 @@ PINNED_WITNESS = {
     "torsion.translations/known_point": "labels (0, 2) and (0, 0) are dependent",
     "torsion.translations/shear": "scale does not permute the base points",
     "torsion.translations/chord": "cycle is not a translation",
-    "torsion.two": (
-        "lambda=1,line=0: 3 points on the polar, worst residual 0.86603, "
-        "expected 3 points within 1.0e-25"
-    ),
+    "torsion.two": "polar of p0 has no line factor",
+    "torsion.two/polar4": "polar of p4 has no line factor",
 }
 
 
