@@ -34,20 +34,28 @@ discriminant dividing pencil_discriminant().  `polar_two_torsion_proof`
 checks these identities for the generic member over Q(eps)[x, y, z, t0, t1],
 so L_i cuts the three nonzero 2-torsion points of every smooth member.
 
-The order-nine contact points, and the numeric view of the 2-torsion, go
-through a numeric mpmath backend at a chosen working precision, whose
-residuals are compared with one fixed tolerance rule.  The order-nine
-points take one small eigen-solve: the resultant in y, a polynomial in
-x^3, deflates, and each y comes from the exact first subresultant, linear
-in y.  With a flex as origin, A + B + C = 0 exactly when A, B and C are
-collinear, so 3P is the third point of the line through -2P and -P: one
-chord per point.  The backend takes the one complex embedding of the
-program, that of Q(eps) with eps = exp(2*pi*i/3), in closed form
-(`_to_mpc`), and this is the one module that imports mpmath.  The module
-ends with the registered torsion checks.  `torsion.nine` samples
-lambda = 1, 2 and 1/2 at 128 bits; `torsion.two` is the exact proof with
-one numeric cross-check at lambda = 1 on L_0, at 128 bits.  Each residual
-is given as a 17-digit string.
+The order-nine contact points take no root for their decision at a given
+member either.  The resultant R(x) = Res_y(F, G) with a contact cubic G,
+and the first subresultant A(x)*y + B(x), linear in y, make the nine points
+one point P = (x*A : -B : A) over the algebra Q(eps)[x]/(R) (in a sheared
+chart if A is a zero divisor).  With a flex as origin, three points sum to
+zero exactly when they are collinear, so 3P is the third point of the line
+through -P and -2P: `nine_torsion_proof` makes them by divide-free chord
+and tangent formulas in that algebra, with R made monic over Z[eps] so that
+it computes in integers (`_Residue`), and it certifies each coprimality it
+needs by a gcd of 1 modulo a prime.
+
+The numeric views of both go through an mpmath backend at a chosen working
+precision, whose residuals are compared with one fixed tolerance rule.  The
+order-nine points take one small eigen-solve: R, a polynomial in x^3,
+deflates, and each y comes from the same subresultant; 3P is one chord per
+point.  The backend takes the one complex embedding of the program, that of
+Q(eps) with eps = exp(2*pi*i/3), in closed form (`_to_mpc`), and this is
+the one module that imports mpmath.  The module ends with the registered
+torsion checks.  `torsion.nine` is the exact proof at lambda = 1, 2 and
+1/2 with one numeric cross-check at lambda = 1, and `torsion.two` the
+exact proof for every member with one at lambda = 1 on L_0, both at 128
+bits.  Each residual is given as a 17-digit string.
 """
 
 import math
@@ -75,6 +83,7 @@ from .multipoly import (
     binary_form_gcd,
     convert_domain,
     divide_exact,
+    poly_remainder,
     proportionality,
     resultant_in_var,
 )
@@ -429,6 +438,317 @@ def polar_two_torsion_proof() -> Optional[str]:
     except ValueError:
         return f"{_POLAR_DISCRIMINANT} does not divide the pencil discriminant"
     return None
+
+
+# ---------------------------------------------------------------------------
+# nine-torsion on the contact cubics, in Q(eps)[x]/(R)
+# ---------------------------------------------------------------------------
+
+# primes p = 1 (mod 3), each with a root w of w^2 + w + 1 mod p, so that
+# eps -> w maps Z[eps] onto F_p
+_PRIMES = ((2147483647, 634005911), (2147483587, 1950290007), (2147483563, 1135448757))
+
+
+class _Residue:
+    """The class of sum (u_i + v_i*eps) x^i in Z[eps][x]/(R), for R monic of
+    degree n over Z[eps]: u and v hold the n coordinates, and `modulus` the
+    low coefficients of R as the lists (u, v, u - v).  A product reduces by
+    R with no division, because R is monic, so the arithmetic stays in
+    integers; a scalar is an int or an element of Z[eps]."""
+
+    __slots__ = ("modulus", "u", "v")
+
+    def __init__(self, modulus, u, v):
+        self.modulus, self.u, self.v = modulus, u, v
+
+    def __bool__(self):
+        return any(self.u) or any(self.v)
+
+    def __add__(self, other):
+        return _Residue(
+            self.modulus,
+            [a + b for a, b in zip(self.u, other.u)],
+            [a + b for a, b in zip(self.v, other.v)],
+        )
+
+    def __sub__(self, other):
+        return _Residue(
+            self.modulus,
+            [a - b for a, b in zip(self.u, other.u)],
+            [a - b for a, b in zip(self.v, other.v)],
+        )
+
+    def __mul__(self, other):
+        # (a + b*eps)(c + d*eps) = (ac - bd) + (ad + bc - bd)*eps
+        if isinstance(other, _Residue):
+            n = len(self.u)
+            u, v = [0] * (2 * n - 1), [0] * (2 * n - 1)
+            terms = list(enumerate(zip(other.u, other.v)))
+            for i, (a, b) in enumerate(zip(self.u, self.v)):
+                if a or b:
+                    for j, (c, d) in terms:
+                        bd = b * d
+                        u[i + j] += a * c - bd
+                        v[i + j] += a * d + b * c - bd
+            return _reduced(self.modulus, u, v)
+        if isinstance(other, int):
+            c, d = other, 0
+        else:
+            if other.den != 1:
+                raise ValueError(f"scalar {other} is not in Z[eps]")
+            c, d = other.num
+        e = c - d
+        pairs = list(zip(self.u, self.v))
+        return _Residue(
+            self.modulus, [a * c - b * d for a, b in pairs], [a * d + b * e for a, b in pairs]
+        )
+
+    __rmul__ = __mul__
+
+
+def _reduced(modulus, u, v) -> _Residue:
+    """The class of sum (u_i + v_i*eps) x^i for coefficient lists of any
+    length, reduced by the monic R of `modulus` from the top term down."""
+    ru, rv, rd = modulus
+    n = len(ru)
+    u, v = u + [0] * (n - len(u)), v + [0] * (n - len(v))
+    for m in range(len(u) - 1, n - 1, -1):
+        a, b = u[m], v[m]
+        if a or b:  # subtract (a + b*eps) x^(m-n) R
+            s = m - n
+            for i in range(n):
+                u[s + i] -= a * ru[i] - b * rv[i]
+                v[s + i] -= a * rv[i] + b * rd[i]
+    return _Residue(modulus, u[:n], v[:n])
+
+
+def _certified_unit(a: _Residue) -> bool:
+    """Whether some prime of _PRIMES certifies gcd(a, R) = 1 over Q(eps).
+
+    R is monic over Z[eps], so its reduction mod the prime (p, eps - w) keeps
+    its degree, and the resultant Res(a, R) reduces to the resultant of the
+    reductions (times a power of lc(R) = 1 when a's degree drops).  A gcd of
+    1 mod p makes that residue nonzero, so Res(a, R) != 0 and a is prime to
+    R.  No gcd over Q(eps) is taken; a pair that no prime certifies is left
+    undecided, never assumed coprime."""
+    ru, rv, _ = a.modulus
+    for p, w in _PRIMES:
+        f = [(x + y * w) % p for x, y in zip(ru, rv)] + [1]
+        g = [(x + y * w) % p for x, y in zip(a.u, a.v)]
+        while True:  # Euclid over F_p, f of degree >= 1
+            while g and not g[-1]:
+                g.pop()
+            if len(g) <= 1:
+                break
+            inv, n = pow(g[-1], -1, p), len(g) - 1
+            for m in range(len(f) - 1, n - 1, -1):
+                c = f[m] * inv % p
+                if c:
+                    for i in range(n):
+                        f[m - n + i] = (f[m - n + i] - c * g[i]) % p
+            f, g = g, f[:n]
+        if g:
+            return True
+    return False
+
+
+def _gcd_degree(*elements: _Residue) -> int:
+    """deg gcd(R, a, ...) over Q(eps), by Euclid on R and each a lifted to
+    Q(eps)[x].  Only the reasons of a failed proof take it, never the
+    decision."""
+    K = tower_eps()
+
+    def lift(u, v):
+        terms = {(i,): FieldElement(K, pair, 1) for i, pair in enumerate(zip(u, v))}
+        return MultiPoly(1, terms, K)
+
+    ru, rv, _ = elements[0].modulus
+    f = lift(ru + [1], rv + [0])
+    for a in elements:
+        g = lift(a.u, a.v)
+        while g:
+            f, g = g, poly_remainder(f, g)
+    return f.degree()
+
+
+def _primitive(point) -> tuple:
+    """The point with its residue coordinates divided by the gcd of all
+    their integer coefficients: the same point over every root, with
+    smaller integers to carry."""
+    point = tuple(point)
+    g = math.gcd(*(c for q in point for c in q.u + q.v))
+    if g <= 1:
+        return point
+    return tuple(_Residue(q.modulus, [c // g for c in q.u], [c // g for c in q.v]) for q in point)
+
+
+def _chord_third(u, v, grad_u, grad_v) -> tuple:
+    """The third point (grad F(v).u) u - (grad F(u).v) v of the member on
+    the chord through its points u and v, with no division: by
+    polarisation F(s*u + t*v) = s t ((grad F(u).v) s + (grad F(v).u) t).
+    Made primitive (`_primitive`), like every point of the proof."""
+    a, b = _dot(grad_v, u), _dot(grad_u, v)
+    return _primitive(a * p - b * q for p, q in zip(u, v))
+
+
+def _tangent_third(u, grad_u, t0, t1) -> tuple:
+    """The third point 3F(r) u - 3(grad F(r).u) r of the member on its
+    tangent at u, for r = grad F(u) x e_z on that tangent, with no division:
+    F(s*u + t*r) = t^2 ((grad F(r).u) s + F(r) t), as grad F(u).r = 0."""
+    r = _cross(grad_u, (0, 0, 1))
+    grad_r = member_gradient(r, t0, t1)
+    a, b = _dot(grad_r, r), 3 * _dot(grad_r, u)
+    return _primitive(a * p - b * q for p, q in zip(u, r))
+
+
+def _evaluate_at(form: MultiPoly, coords):
+    """form at coords whose entries are ring elements, term by term."""
+    total = None
+    for exps, c in form.terms.items():
+        term = c
+        for value, k in zip(coords, exps):
+            for _ in range(k):
+                term = term * value
+        total = term if total is None else total + term
+    return total
+
+
+def _undecided(what: str) -> str:
+    primes = ", ".join(str(p) for p, _ in _PRIMES)
+    return f"no prime of ({primes}) certifies that {what}"
+
+
+def nine_torsion_proof(parameter, cubic_index) -> PropertyResult:
+    """Every point P where the contact cubic G = `cubic_index` meets the
+    smooth member F at `parameter` has exact order nine, with 3P = p_k for
+    one k != 0 and origin p_0, decided exactly in Q(eps)[x]/(R).
+
+    In the chart z = 1 sheared by x -> x - c*y (c = 0, 1, 2), R(x) =
+    Res_y(F, G) and the first subresultant A(x)*y + B(x) (Collins, JACM
+    1967) give P = (x*A + c*B : -B : A) over the generic root x of R, whose
+    chart abscissa is x.  F is scaled into Z[eps] and x into x/lc(R), which
+    makes R monic over Z[eps], so `_Residue` computes in integers.  The
+    proof needs, in turn:
+    (a) deg R = 9, so no common zero is at infinity;
+    (b) gcd(A, R) = 1, so P is a point over each root; else the next shear;
+    (c) gcd(R, R') = 1, so the roots, and the nine points, are distinct;
+    (d) F(P) = G(P) = 0 mod R, so each is a common zero, and with (a)-(c)
+    they are all nine, since R != 0 and F is irreducible;
+    (e) 3P x p_k = 0 mod R for a k != 0, where -P is the third point of the
+    chord from p_0, -2P that of the tangent at P, and 3P that of the line
+    through -P and -2P (`_chord_third`, `_tangent_third`);
+    (f) gcd(3P_j, R) = 1 for the first nonzero coordinate j of p_k, so 3P
+    is a point over each root, and then p_k itself.
+    A degenerate chord or tangent on the way gives the zero vector, which
+    (f) rules out.  Then 3P = p_k != 0 and 9P = 3 p_k = 0 at all nine
+    points.  The coprimality of (b), (c) and (f) is certified modulo a
+    prime (`_certified_unit`); the reasons of (c) and (f) tell a common
+    factor, by the exact gcd, from a pair that no prime decided.
+    A pass reports k, the shear c and deg R."""
+    if not 1 <= cubic_index <= 8:
+        raise ValueError("contact cubic index must be in 1..8")
+    ctx = curve_context(parameter, origin_index=0)
+    data = hesse_data()
+    t0, t1 = ctx.parameter.pair()
+    scale = math.lcm(t0.den, t1.den)
+    t0, t1 = t0 * scale, t1 * scale
+    member = pencil_member(ctx.parameter) * scale
+    contact = data.halphen_cubics[cubic_index - 1]
+    contact = contact * math.lcm(*(c.den for c in contact.terms.values()))
+    for shear in range(3):
+        degree, point = _chart_point(member, contact, shear)
+        if degree != 9:
+            return PropertyResult(False, witness=f"R has degree {degree}, not 9")
+        if point is not None and _certified_unit(point[2]):
+            break
+    else:
+        return PropertyResult(
+            False, witness="no shear x -> x - c*y with c = 0, 1, 2 makes A prime to R"
+        )
+
+    def fail(reason):
+        return PropertyResult(False, witness=f"{reason} (shear {shear})")
+
+    modulus = point[2].modulus
+    ru, rv, _ = modulus
+    # R' = 9 x^8 + sum i R_i x^(i - 1)
+    derivative = _Residue(
+        modulus, [i * c for i, c in enumerate(ru)][1:] + [9], [i * c for i, c in enumerate(rv)][1:] + [0]
+    )
+    if not _certified_unit(derivative):
+        common = _gcd_degree(derivative)
+        if common:
+            return fail(f"R is not squarefree: gcd(R, R') has degree {common}")
+        return fail(_undecided("R is squarefree"))
+    grad = member_gradient(point, t0, t1)
+    if _dot(grad, point):
+        return fail("F(P) is not 0 mod R")
+    if _evaluate_at(contact, point):
+        return fail("G(P) is not 0 mod R")
+    points = data.base_points
+    p0 = points[0].coords
+    neg = _chord_third(p0, point, member_gradient(p0, t0, t1), grad)
+    neg2 = _tangent_third(point, grad, t0, t1)
+    triple = _chord_third(neg, neg2, member_gradient(neg, t0, t1), member_gradient(neg2, t0, t1))
+    k = next((k for k, p in enumerate(points) if not any(_cross(triple, p.coords))), None)
+    if k:
+        scalar = triple[next(i for i, c in enumerate(points[k].coords) if c)]
+        if _certified_unit(scalar):
+            return PropertyResult(True, {"k": k, "shear": shear, "degree": degree})
+        if not _gcd_degree(scalar):
+            return fail(_undecided("3P is nonzero at all nine points"))
+    return fail(_triple_census(triple, points))
+
+
+def _chart_point(member: MultiPoly, contact: MultiPoly, shear: int) -> tuple:
+    """(deg R, P) in the chart z = 1 sheared by x -> x - shear*y, where
+    R(x) = Res_y(member, contact) and P = (x*A + shear*B : -B : A) over
+    Z[eps][x]/(R); P is None when deg R is not 9, or when a form has
+    y-degree below two in the chart, where S_1 is not defined.
+
+    Both forms are over Z[eps], so R, A and B are; x -> x/r with r = lc(R)
+    makes R monic, and P is scaled by r^d, d bounding its degrees, to stay
+    integral: the same point, since r is a nonzero constant."""
+    K = member.domain
+    x, y = MultiPoly.variables(2, K)
+    chart = [x - shear * y, y, MultiPoly.constant(2, K.one(), K)]
+    f, g = member.substitute(chart), contact.substitute(chart)
+    res = resultant_in_var(f, g, 1)
+    if res.degree() != 9 or min(max(h.collect(1)) for h in (f, g)) < 2:
+        return res.degree(), None
+    sub = resultant_in_var(f, g, 1, index=1).collect(1)
+    a, b = (sub.get(i, MultiPoly.zero(2, K)) for i in (1, 0))
+    top = max(a.degree(), b.degree()) + 1
+    powers = [K.one()]
+    for _ in range(max(top, 8)):
+        powers.append(powers[-1] * res.coefficient((9, 0)))
+
+    def scaled(coeffs, d):
+        # r^d * p(x / r) for p = sum coeffs[i] x^i of degree at most d
+        cs = [c * powers[d - i] for i, c in enumerate(coeffs)]
+        return [c.num[0] for c in cs], [c.num[1] for c in cs]
+
+    ru, rv = scaled([res.coefficient((i, 0)) for i in range(9)], 8)
+    modulus = (ru, rv, [p - q for p, q in zip(ru, rv)])
+    ca, cb = ([h.coefficient((i, 0)) for i in range(top + 1)] for h in (a, b))
+    xa = [K.zero()] + ca[:top]
+    coords = ([p + shear * q for p, q in zip(xa, cb)], [-c for c in cb], ca)
+    return 9, _primitive(_reduced(modulus, *scaled(c, top)) for c in coords)
+
+
+def _triple_census(triple, points) -> str:
+    """Where 3P falls among the nine points, by exact gcds with R: at how
+    many it is each base point, and at how many its coordinates all vanish."""
+    zero = _gcd_degree(*triple)
+    parts = []
+    for k, p in enumerate(points):
+        count = _gcd_degree(*_cross(triple, p.coords)) - zero
+        if count:
+            parts.append(f"p{k} at {count}")
+    if zero:
+        parts.append(f"zero at {zero}")
+    found = ", ".join(parts) if parts else "no base point at any"
+    return f"3P is {found} of the nine points, expected one p_k with k != 0 at all nine"
 
 
 # ---------------------------------------------------------------------------
@@ -905,25 +1225,36 @@ def two_torsion_sweep() -> PropertyResult:
 
 
 def nine_torsion_sweep() -> PropertyResult:
-    """nine_torsion_check on the first contact cubic at lambda = 1, 2 and
-    1/2, at its default 128 bits; a pass reports the worst residual of
-    each, to 17 digits."""
-    out = {"precision_bits": 128}
+    """nine_torsion_proof for the first contact cubic at lambda = 1, 2 and
+    1/2, then one numeric cross-check: nine_torsion_check(1, 1) at its
+    default 128 bits, whose 3P must all be the proof's p_k.  A pass needs
+    all four; it reports each proof's k, shear and deg R, and the worst
+    residual of the sample, to 17 digits."""
+    proofs = {}
     for lam in (Fraction(1), Fraction(2), Fraction(1, 2)):
-        rep = nine_torsion_check(lam, 1)
-        worst = max(
-            max(rep.triple_residuals), max(rep.nine_residuals), rep.chain_residual
+        res = nine_torsion_proof(lam, 1)
+        if not res.holds:
+            return PropertyResult(False, witness=f"lambda={lam}: {res.witness}")
+        proofs[f"lambda={lam}"] = res.details
+    rep = nine_torsion_check(Fraction(1), 1)
+    worst = max(max(rep.triple_residuals), max(rep.nine_residuals), rep.chain_residual)
+    key, k = "lambda=1,cubic=1", proofs["lambda=1"]["k"]
+    if not rep.holds or set(rep.triple_indices) != {k}:
+        return PropertyResult(
+            False,
+            witness=f"{key}: triples hit base points {rep.triple_indices}, worst "
+            f"residual {mpmath.nstr(worst, 5)}, expected p{k} at all nine within "
+            f"{mpmath.nstr(rep.tolerance, 5)}",
         )
-        if not rep.holds:
-            return PropertyResult(
-                False,
-                witness=f"lambda={lam}: triples hit base points {rep.triple_indices}, "
-                f"worst residual {mpmath.nstr(worst, 5)}, expected no origin and "
-                f"residuals within {mpmath.nstr(rep.tolerance, 5)}",
-            )
-        out[f"lambda={lam}"] = mpmath.nstr(worst, 17)
-        out.setdefault("tolerance", mpmath.nstr(rep.tolerance, 17))
-    return PropertyResult(True, out)
+    return PropertyResult(
+        True,
+        {
+            "proofs": proofs,
+            "precision_bits": 128,
+            key: mpmath.nstr(worst, 17),
+            "tolerance": mpmath.nstr(rep.tolerance, 17),
+        },
+    )
 
 
 def prop62_sweep() -> PropertyResult:

@@ -245,7 +245,8 @@ def registry() -> tuple:
         ),
         (
             "torsion.nine",
-            "contact cubics cut points of exact order nine on smooth members",
+            "the first contact cubic cuts nine points P of exact order nine, with "
+            "3P = p_k for one k != 0, on the smooth members lambda = 1, 2 and 1/2",
             ellaw.nine_torsion_sweep,
         ),
         (

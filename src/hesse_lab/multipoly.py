@@ -187,12 +187,21 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        # scalar division only; exact polynomial division is divide_exact
-        try:
-            c = self.domain.coerce(other)
-        except (ValueError, TypeError):
-            return NotImplemented
-        return self * c.inverse()
+        # scalar division only; exact polynomial division is divide_exact.
+        # An int or Fraction takes its rational reciprocal, no inverse in
+        # the tower, and each coefficient is multiplied by the reciprocal.
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("polynomial division by zero")
+            c = self.domain.from_rational(Fraction(other.denominator, other.numerator))
+        else:
+            try:
+                c = self.domain.coerce(other)
+            except (ValueError, TypeError):
+                return NotImplemented
+            c = c.inverse()
+        terms = {e: k * c for e, k in self.terms.items()}
+        return MultiPoly(self.nvars, terms, self.domain, _clean=True)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

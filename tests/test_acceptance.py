@@ -15,6 +15,7 @@ from hesse_lab import harness
 from hesse_lab.ellaw import (
     contact_pair_vertices_check,
     nine_torsion_check,
+    nine_torsion_proof,
     three_torsion_table,
     translation_compatibility_check,
     two_torsion_polar_check,
@@ -119,12 +120,12 @@ def test_criterion_06_contact_cubic_suite():
         assert perms["dilate"] == [0, 3, 1, 2, 4, 7, 5, 6]
         assert contact_pair_vertices_check().holds
         for lam in (Fraction(1), Fraction(2), Fraction(1, 2)):
-            rep = nine_torsion_check(lam, 1, precision_bits=128)
-            assert rep.holds
-            worst = max(
-                max(rep.triple_residuals), max(rep.nine_residuals), rep.chain_residual
-            )
-            assert worst < TOL
+            proof = nine_torsion_proof(lam, 1)
+            assert proof.details == {"k": 2, "shear": 0, "degree": 9}
+        rep = nine_torsion_check(Fraction(1), 1, precision_bits=128)
+        assert rep.holds and set(rep.triple_indices) == {2}
+        worst = max(max(rep.triple_residuals), max(rep.nine_residuals), rep.chain_residual)
+        assert worst < TOL
 
 
 def test_criterion_07_cuspidal_sextic():

@@ -44,6 +44,22 @@ def test_numeric_rows_fix_their_lambda_and_precision():
     assert result.details["polar_discriminant"] == "-4*t0*(27*t0^3 + t1^3)"
 
 
+def test_nine_torsion_row_reports_each_proof_and_one_sample():
+    # the decision is the exact proof at lambda = 1, 2 and 1/2, each giving
+    # k, the shear and deg R; one 128-bit numeric sample at lambda = 1 on
+    # the first contact cubic cross-checks it, its residual a 17-digit string
+    (row,) = [c for c in harness.registry() if c.check_id == "torsion.nine"]
+    result = row.runner()
+    assert result.holds
+    proof = {"k": 2, "shear": 0, "degree": 9}
+    assert result.details == {
+        "proofs": {"lambda=1": proof, "lambda=2": proof, "lambda=1/2": proof},
+        "precision_bits": 128,
+        "lambda=1,cubic=1": "2.4612746208796499e-52",
+        "tolerance": "1.0e-25",
+    }
+
+
 def test_namespaces_present():
     ids = harness.check_ids()
     for prefix in ("hesse.", "groups.", "torsion.", "lattice."):

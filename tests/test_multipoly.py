@@ -197,6 +197,32 @@ _EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 _TERMS = st.dictionaries(_EXPONENTS, st.integers(-5, 5), max_size=6)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    parts=st.tuples(_TERMS, _TERMS),
+    divisor=st.one_of(
+        st.integers(-50, 50).filter(bool),
+        st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool),
+    ),
+    tower=st.sampled_from((QQ, tower_eps(), tower_zeta9())),
+)
+def test_division_by_a_rational_matches_the_tower_inverse(parts, divisor, tower):
+    # an int or Fraction divides by its rational reciprocal; the result is
+    # the product with the tower's inverse of the divisor, term for term
+    gen = tower.gen(0) if tower.levels else tower.one()
+    f = MultiPoly(3, parts[0], tower) + MultiPoly(3, parts[1], tower) * gen
+    quotient = f / divisor
+    assert quotient.terms == (f * tower.coerce(divisor).inverse()).terms
+    assert quotient * divisor == f
+
+
+def test_division_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        S / 0
+    with pytest.raises(ZeroDivisionError):
+        S / Fraction(0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     quotient=_TERMS,

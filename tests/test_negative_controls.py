@@ -25,6 +25,7 @@ _groups_hesse_data = groups.hesse_data
 _hesse_hesse_data = hesse.hesse_data
 _ellaw_hesse_data = ellaw.hesse_data
 _third_intersection = ellaw.third_intersection
+_dot = ellaw._dot
 _pencil_discriminant = hesse.pencil_discriminant
 _member_gradient = hesse.member_gradient
 _cover_automorphisms = groups.cover_automorphisms
@@ -144,6 +145,16 @@ def _contact_cubic_replaced(index, cubic):
         return replace(data, halphen_cubics=tuple(cubics))
 
     return mutant
+
+
+def _tangent_partner_off_the_tangent(u, grad_u, t0, t1):
+    # r = (g_y, g_x, 0) in place of grad F(u) x e_z = (g_y, -g_x, 0): then
+    # grad F(u).r = 2 g_x g_y != 0, so r leaves the tangent and the formula
+    # gives a point off the member, not -2P
+    r = (grad_u[1], grad_u[0], grad_u[2] * 0)
+    grad_r = _member_gradient(r, t0, t1)
+    a, b = _dot(grad_r, r), 3 * _dot(grad_r, u)
+    return tuple(a * p - b * q for p, q in zip(u, r))
 
 
 def _cuspidal_sextic_plus_x6():
@@ -307,7 +318,7 @@ MUTANTS = {
         "third_intersection",
         _chord_replaced((3, 6), 3),
     ),
-    # a generic cubic: its points are not 9-torsion, so no residual is small
+    # a generic cubic: its points are not 9-torsion, so 3P is no base point
     "torsion.nine": (
         ellaw,
         "hesse_data",
@@ -316,8 +327,9 @@ MUTANTS = {
         ),
     ),
     # x times a conic: it cuts the member in the three base points on x = 0,
-    # which are 3-torsion, so 3P hits the origin there and the origin clause
-    # fails as well as the residuals of the six points on the conic
+    # which share the abscissa 0, so A is a zero divisor until shear 1; they
+    # are 3-torsion, so 3P hits the origin at p1 and p2, and at p0 itself the
+    # chord from the origin degenerates to the zero vector
     "torsion.nine/origin": (
         ellaw,
         "hesse_data",
@@ -325,6 +337,7 @@ MUTANTS = {
             0, lambda _, x, y, z: x * (2 * x**2 + y**2 + 3 * z**2 - x * z + y * z)
         ),
     ),
+    "torsion.nine/tangent": (ellaw, "_tangent_third", _tangent_partner_off_the_tangent),
     # both eliminations of the first and second contact cubics are still
     # cubes of x^3 - z^3 and y^3 - z^3, but the two meet in only six of the
     # nine non-coordinate vertices
@@ -423,12 +436,16 @@ PINNED_WITNESS = {
     ),
     "torsion.contact_vertices/plus_x3": "elimination has extra factors",
     "torsion.nine": (
-        "lambda=1: triples hit base points (7, 7, 7, 8, 8, 8, 3, 3, 3), worst "
-        "residual 0.94656, expected no origin and residuals within 1.0e-25"
+        "lambda=1: 3P is no base point at any of the nine points, expected one "
+        "p_k with k != 0 at all nine (shear 0)"
     ),
     "torsion.nine/origin": (
-        "lambda=1: triples hit base points (3, 6, 0, 0, 2, 1, 0, 6, 3), worst "
-        "residual 0.99127, expected no origin and residuals within 1.0e-25"
+        "lambda=1: 3P is p0 at 2, zero at 1 of the nine points, expected one "
+        "p_k with k != 0 at all nine (shear 1)"
+    ),
+    "torsion.nine/tangent": (
+        "lambda=1: 3P is no base point at any of the nine points, expected one "
+        "p_k with k != 0 at all nine (shear 0)"
     ),
     "torsion.prop62": (
         "lambda=1: 0 of 2 tangent-line points on the sextic, expected 2 of 2"
