@@ -46,21 +46,29 @@ it computes in integers (`_Residue`), and it certifies each coprimality it
 needs by a gcd of 1 modulo a prime.
 
 The numeric views of both go through an mpmath backend at a chosen working
-precision, whose residuals are compared with one fixed tolerance rule.  The
-order-nine points take one small eigen-solve: R, a polynomial in x^3,
-deflates, and each y comes from the same subresultant; 3P is one chord per
-point.  The backend takes the one complex embedding of the program, that of
-Q(eps) with eps = exp(2*pi*i/3), in closed form (`_to_mpc`), and this is
-the one module that imports mpmath.  The module ends with the registered
-torsion checks.  `torsion.nine` is the exact proof at lambda = 1, 2 and
-1/2 with one numeric cross-check at lambda = 1, and `torsion.two` the
-exact proof for every member with one at lambda = 1 on L_0, both at 128
-bits.  Each residual is given as a 17-digit string.
+precision, whose residuals are compared with one fixed tolerance rule.  They
+take the proof's divide-free chord and tangent on embedded coordinates, with
+each point's gradient made once and, for a tangent at u, the partner
+grad F(u) x e_j at the coordinate u_j of largest modulus; the order-nine
+sample makes its chords and tangents with 16 more guard bits than its
+points.  As the sample shares these formulas with the proof, a fault in
+them is caught by the binary-cubic oracle of the tests, not by the
+sample.  The order-nine points take one small eigen-solve: R, a
+polynomial in x^3, deflates, and each y = -B(x)/A(x) comes from the same
+subresultant, with no polish; the proof and the sample of one member and
+cubic share R and S_1 (`_sheared_chart`).  The backend takes the one
+complex embedding of the program, that of Q(eps) with eps = exp(2*pi*i/3),
+in closed form (`_to_mpc`), and this is the one module that imports
+mpmath.  The module ends with the registered torsion checks.
+`torsion.nine` is the exact proof at lambda = 1, 2 and 1/2 with one
+numeric cross-check at lambda = 1, and `torsion.two` the exact proof for
+every member with one at lambda = 1 on L_0, both at 128 bits.  Each residual is given as a 17-digit string.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import mpmath
@@ -471,6 +479,9 @@ class _Residue:
             [a + b for a, b in zip(self.v, other.v)],
         )
 
+    def __neg__(self):
+        return _Residue(self.modulus, [-a for a in self.u], [-b for b in self.v])
+
     def __sub__(self, other):
         return _Residue(
             self.modulus,
@@ -586,19 +597,21 @@ def _chord_third(u, v, grad_u, grad_v) -> tuple:
     """The third point (grad F(v).u) u - (grad F(u).v) v of the member on
     the chord through its points u and v, with no division: by
     polarisation F(s*u + t*v) = s t ((grad F(u).v) s + (grad F(v).u) t).
-    Made primitive (`_primitive`), like every point of the proof."""
+    The coordinates are residues of the proof or embedded numbers."""
     a, b = _dot(grad_v, u), _dot(grad_u, v)
-    return _primitive(a * p - b * q for p, q in zip(u, v))
+    return tuple(a * p - b * q for p, q in zip(u, v))
 
 
-def _tangent_third(u, grad_u, t0, t1) -> tuple:
+def _tangent_third(u, grad_u, t0, t1, j=2) -> tuple:
     """The third point 3F(r) u - 3(grad F(r).u) r of the member on its
-    tangent at u, for r = grad F(u) x e_z on that tangent, with no division:
-    F(s*u + t*r) = t^2 ((grad F(r).u) s + F(r) t), as grad F(u).r = 0."""
-    r = _cross(grad_u, (0, 0, 1))
+    tangent at u, for r = grad F(u) x e_j on that tangent, with no division:
+    F(s*u + t*r) = t^2 ((grad F(r).u) s + F(r) t), as grad F(u).r = 0.
+    The proof takes e_z; r is the signed swap of two entries of grad F(u)."""
+    r = [0 * grad_u[j]] * 3
+    r[(j + 1) % 3], r[(j + 2) % 3] = grad_u[(j + 2) % 3], -grad_u[(j + 1) % 3]
     grad_r = member_gradient(r, t0, t1)
     a, b = _dot(grad_r, r), 3 * _dot(grad_r, u)
-    return _primitive(a * p - b * q for p, q in zip(u, r))
+    return tuple(a * p - b * q for p, q in zip(u, r))
 
 
 def _evaluate_at(form: MultiPoly, coords):
@@ -636,7 +649,8 @@ def nine_torsion_proof(parameter, cubic_index) -> PropertyResult:
     they are all nine, since R != 0 and F is irreducible;
     (e) 3P x p_k = 0 mod R for a k != 0, where -P is the third point of the
     chord from p_0, -2P that of the tangent at P, and 3P that of the line
-    through -P and -2P (`_chord_third`, `_tangent_third`);
+    through -P and -2P (`_chord_third`, `_tangent_third`), each made
+    primitive (`_primitive`);
     (f) gcd(3P_j, R) = 1 for the first nonzero coordinate j of p_k, so 3P
     is a point over each root, and then p_k itself.
     A degenerate chord or tangent on the way gives the zero vector, which
@@ -648,13 +662,7 @@ def nine_torsion_proof(parameter, cubic_index) -> PropertyResult:
     if not 1 <= cubic_index <= 8:
         raise ValueError("contact cubic index must be in 1..8")
     ctx = curve_context(parameter, origin_index=0)
-    data = hesse_data()
-    t0, t1 = ctx.parameter.pair()
-    scale = math.lcm(t0.den, t1.den)
-    t0, t1 = t0 * scale, t1 * scale
-    member = pencil_member(ctx.parameter) * scale
-    contact = data.halphen_cubics[cubic_index - 1]
-    contact = contact * math.lcm(*(c.den for c in contact.terms.values()))
+    t0, t1, member, contact = _integral_forms(ctx, cubic_index)
     for shear in range(3):
         degree, point = _chart_point(member, contact, shear)
         if degree != 9:
@@ -685,11 +693,13 @@ def nine_torsion_proof(parameter, cubic_index) -> PropertyResult:
         return fail("F(P) is not 0 mod R")
     if _evaluate_at(contact, point):
         return fail("G(P) is not 0 mod R")
-    points = data.base_points
+    points = hesse_data().base_points
     p0 = points[0].coords
-    neg = _chord_third(p0, point, member_gradient(p0, t0, t1), grad)
-    neg2 = _tangent_third(point, grad, t0, t1)
-    triple = _chord_third(neg, neg2, member_gradient(neg, t0, t1), member_gradient(neg2, t0, t1))
+    neg = _primitive(_chord_third(p0, point, member_gradient(p0, t0, t1), grad))
+    neg2 = _primitive(_tangent_third(point, grad, t0, t1))
+    triple = _primitive(
+        _chord_third(neg, neg2, member_gradient(neg, t0, t1), member_gradient(neg2, t0, t1))
+    )
     k = next((k for k, p in enumerate(points) if not any(_cross(triple, p.coords))), None)
     if k:
         scalar = triple[next(i for i, c in enumerate(points[k].coords) if c)]
@@ -700,24 +710,49 @@ def nine_torsion_proof(parameter, cubic_index) -> PropertyResult:
     return fail(_triple_census(triple, points))
 
 
+def _integral_forms(ctx: CurveContext, cubic_index) -> tuple:
+    """(t0, t1, F, G): the member of ctx and contact cubic `cubic_index`,
+    each scaled into Z[eps], the forms that both the proof and the numeric
+    sample of torsion.nine make their charts from (`_sheared_chart`)."""
+    t0, t1 = ctx.parameter.pair()
+    scale = math.lcm(t0.den, t1.den)
+    contact = hesse_data().halphen_cubics[cubic_index - 1]
+    contact = contact * math.lcm(*(c.den for c in contact.terms.values()))
+    return t0 * scale, t1 * scale, pencil_member(ctx.parameter) * scale, contact
+
+
+@lru_cache(maxsize=16)
+def _sheared_chart(f: MultiPoly, g: MultiPoly, shear: int) -> tuple:
+    """(R, A, B) in the chart z = 1 sheared by x -> x - shear*y, where
+    R(x) = Res_y(f, g) and A(x)*y + B(x) is the first subresultant S_1
+    (Collins, JACM 1967); A = B = None when deg R is not 9, or when a form
+    has y-degree below two in the chart, where S_1 is not defined.  Kept
+    for the last few forms, so the proof and the numeric sample of one
+    member and cubic make R and S_1 once."""
+    K = f.domain
+    x, y = MultiPoly.variables(2, K)
+    chart = [x - shear * y, y, MultiPoly.constant(2, K.one(), K)]
+    f, g = f.substitute(chart), g.substitute(chart)
+    res = resultant_in_var(f, g, 1)
+    if res.degree() != 9 or min(max(h.collect(1)) for h in (f, g)) < 2:
+        return res, None, None
+    sub = resultant_in_var(f, g, 1, index=1).collect(1)
+    zero = MultiPoly.zero(2, K)
+    return res, sub.get(1, zero), sub.get(0, zero)
+
+
 def _chart_point(member: MultiPoly, contact: MultiPoly, shear: int) -> tuple:
     """(deg R, P) in the chart z = 1 sheared by x -> x - shear*y, where
-    R(x) = Res_y(member, contact) and P = (x*A + shear*B : -B : A) over
-    Z[eps][x]/(R); P is None when deg R is not 9, or when a form has
-    y-degree below two in the chart, where S_1 is not defined.
+    P = (x*A + shear*B : -B : A) over Z[eps][x]/(R) for R, A and B of
+    `_sheared_chart`; P is None where A and B are.
 
     Both forms are over Z[eps], so R, A and B are; x -> x/r with r = lc(R)
     makes R monic, and P is scaled by r^d, d bounding its degrees, to stay
     integral: the same point, since r is a nonzero constant."""
-    K = member.domain
-    x, y = MultiPoly.variables(2, K)
-    chart = [x - shear * y, y, MultiPoly.constant(2, K.one(), K)]
-    f, g = member.substitute(chart), contact.substitute(chart)
-    res = resultant_in_var(f, g, 1)
-    if res.degree() != 9 or min(max(h.collect(1)) for h in (f, g)) < 2:
+    res, a, b = _sheared_chart(member, contact, shear)
+    if a is None:
         return res.degree(), None
-    sub = resultant_in_var(f, g, 1, index=1).collect(1)
-    a, b = (sub.get(i, MultiPoly.zero(2, K)) for i in (1, 0))
+    K = member.domain
     top = max(a.degree(), b.degree()) + 1
     powers = [K.one()]
     for _ in range(max(top, 8)):
@@ -820,47 +855,13 @@ def _tolerance(precision_bits):
     return mpmath.mpf(2) ** -(precision_bits // 2)
 
 
-class _NumericLaw:
-    """Chord-tangent arithmetic on one member with embedded coefficients."""
-
-    def __init__(self, parameter: PencilParameter, origin_index, precision_bits):
-        self.precision_bits = precision_bits
-        self.t0 = _to_mpc(parameter.t0, precision_bits)
-        self.t1 = _to_mpc(parameter.t1, precision_bits)
-        self.tol = mpmath.mpf(2) ** -(precision_bits // 2)
-        self.origin = _embed_point(hesse_data().base_points[origin_index], precision_bits)
-
-    def member_value(self, p):
-        x, y, z = p
-        return self.t0 * (x**3 + y**3 + z**3) + self.t1 * x * y * z
-
-    def gradient(self, p):
-        x, y, z = p
-        return (
-            3 * self.t0 * x**2 + self.t1 * y * z,
-            3 * self.t0 * y**2 + self.t1 * x * z,
-            3 * self.t0 * z**2 + self.t1 * x * y,
-        )
-
-    def polar(self, p, q):
-        """grad F(p) . q, the s^2 t coefficient of F(s*p + t*q)."""
-        return sum(g * c for g, c in zip(self.gradient(p), q))
-
-    def tangent_third(self, p):
-        """Remaining intersection of the tangent line at p."""
-        grad = self.gradient(p)
-        candidates = [_cross(grad, basis) for basis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        r = _scale(max(candidates, key=lambda c: _norm2(_cross(p, c))))
-        # F(s*p + t*r) = t^2 (s grad F(r).p + t F(r)) up to noise
-        c, d = self.polar(r, p), self.member_value(r)
-        return _scale(tuple(d * a - c * b for a, b in zip(p, r)))
-
-    def third(self, p, q):
-        if _proj_distance(p, q) < self.tol:
-            return self.tangent_third(p)
-        # F(s*p + t*q) = s t (s grad F(p).q + t grad F(q).p) up to noise
-        a, b = self.polar(p, q), self.polar(q, p)
-        return _scale(tuple(b * u - a * v for u, v in zip(p, q)))
+def _numeric_tangent(u, grad_u, t0, t1) -> tuple:
+    """`_tangent_third` on embedded coordinates, with e_j for the coordinate
+    u_j of largest modulus.  r is where the tangent meets x_j = 0, so it
+    stays far from u; with the proof's e_z it nears u as u_z nears zero,
+    and the third point loses digits."""
+    j = max(range(3), key=lambda i: abs(u[i]))
+    return _tangent_third(u, grad_u, t0, t1, j)
 
 
 def _poly_roots(coeffs, precision_bits):
@@ -957,20 +958,18 @@ def two_torsion_polar_check(parameter, line_index, precision_bits=128) -> TwoTor
     form = restrict_to_line(ctx.member, polar)
     with mpmath.workprec(precision_bits + 48):
         tol = _tolerance(precision_bits)
-        law = _NumericLaw(ctx.parameter, line_index, precision_bits)
+        t0, t1 = (_to_mpc(t, precision_bits) for t in ctx.parameter.pair())
         p0, p1 = polar.basis_points()
         b0, b1 = _embed_point(p0, precision_bits), _embed_point(p1, precision_bits)
-        marked = law.origin
+        marked = _embed_point(data.base_points[line_index], precision_bits)
         points, tangent_res, doubling_res = [], [], []
         for s, t in _binary_form_roots(form, precision_bits):
             q = _scale(tuple(s * a + t * b for a, b in zip(b0, b1)))
-            residual = abs(law.member_value(q))
-            points.append(NumericPoint(q, precision_bits, residual))
-            grad = law.gradient(q)
-            norm = mpmath.sqrt(_norm2(grad))
-            incidence = abs(sum(g * m for g, m in zip(grad, marked))) / norm
-            tangent_res.append(incidence)
-            doubling_res.append(_proj_distance(law.tangent_third(q), marked))
+            grad = member_gradient(q, t0, t1)
+            # 3F(q) = grad F(q).q
+            points.append(NumericPoint(q, precision_bits, abs(_dot(grad, q)) / 3))
+            tangent_res.append(abs(_dot(grad, marked)) / mpmath.sqrt(_norm2(grad)))
+            doubling_res.append(_proj_distance(_numeric_tangent(q, grad, t0, t1), marked))
         holds = (
             len(points) == 3
             and all(p.residual < tol for p in points)
@@ -1012,47 +1011,59 @@ def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsio
 
     p_0 is a flex, so A + B + C = 0 exactly when A, B and C are collinear.
     So 3P is the third point of the line through -2P (third point of the
-    tangent at P) and -P (third point of the chord from p_0): one chord
-    per point, and k is the base point nearest 3P.  The base points lie at
-    chordal distance at least sqrt(3)/2 from each other, so a distance
-    below tol picks out one of them, also near the singular member, where
-    the line itself runs close to a side of the limiting triangle and so
-    to three base points.  Given 3P = p_k, 9P = 0 is 3 p_k = 0, measured
-    once per distinct k as the tangent at p_k closing on p_k.  Three
-    tangent steps from the first point, P -> -2P -> 4P -> -8P, closing on
-    P measure 9P = 0 independently of k."""
+    tangent at P) and -P (third point of the chord from p_0), made by the
+    proof's divide-free chord and tangent (`_numeric_tangent`), and k is
+    the base point nearest 3P: the largest |<3P, p_j>| / |p_j|.  The base
+    points lie at chordal distance at least sqrt(3)/2 from each other, so
+    a distance below tol picks out one of them, also near the singular
+    member, where the line itself runs close to a side of the limiting
+    triangle and so to three base points.  The chords and tangents take
+    16 more guard bits than the points.  Given 3P = p_k, 9P = 0 is
+    3 p_k = 0, measured once per distinct k as the tangent at p_k closing
+    on p_k.  Three tangent steps from the first point, P -> -2P -> 4P ->
+    -8P, closing on P measure 9P = 0 independently of k."""
     if not 1 <= cubic_index <= 8:
         raise ValueError("contact cubic index must be in 1..8")
     ctx = curve_context(parameter, origin_index=0)
-    data = hesse_data()
-    contact = data.halphen_cubics[cubic_index - 1]
+    _, _, member, contact = _integral_forms(ctx, cubic_index)
     with mpmath.workprec(precision_bits + 48):
         tol = _tolerance(precision_bits)
-        law = _NumericLaw(ctx.parameter, 0, precision_bits)
-        points = _transverse_intersection(ctx.member, contact, precision_bits, tol)
-        base_embed = [_embed_point(p, precision_bits) for p in data.base_points]
-        base_norm2 = [_norm2(b) for b in base_embed]
+        points = _transverse_intersection(member, contact, precision_bits, tol)
+    # near the singular member each chord and tangent nearly lies in the
+    # member, which amplifies its rounding by about 1/(lambda + 3)
+    with mpmath.workprec(precision_bits + 64):
+        t0, t1 = (_to_mpc(t, precision_bits) for t in ctx.parameter.pair())
+
+        def tangent(u):
+            return _numeric_tangent(u, member_gradient(u, t0, t1), t0, t1)
+
+        base = [_embed_point(p, precision_bits) for p in hesse_data().base_points]
+        # conj(p_j) / |p_j|, so that |<q, p_j>| / |p_j| is a dot product
+        units = [[c.conjugate() / mpmath.sqrt(_norm2(b)) for c in b] for b in base]
         contact_terms = _embed_poly(contact, precision_bits)
+        origin, grad_origin = base[0], member_gradient(base[0], t0, t1)
         flex_closure = {}  # k -> the tangent at p_k against p_k
         numeric_points, triple_idx, triple_res, nine_res = [], [], [], []
         for p in points:
-            residual = max(abs(law.member_value(p)), abs(_eval_embedded(contact_terms, p)))
+            grad = member_gradient(p, t0, t1)
+            # 3F(p) = grad F(p).p
+            residual = max(abs(_dot(grad, p)) / 3, abs(_eval_embedded(contact_terms, p)))
             numeric_points.append(NumericPoint(p, precision_bits, residual))
-            # 3P is the third point of the line through -2P and -P
-            q = law.third(law.tangent_third(p), law.third(law.origin, p))
-            # |3P x p_j|^2 / |p_j|^2 is |3P|^2 times the squared chordal distance
-            k = min(
-                range(9), key=lambda i: _norm2(_cross(q, base_embed[i])) / base_norm2[i]
+            # 3P is the third point of the line through -P and -2P
+            neg = _chord_third(origin, p, grad_origin, grad)
+            neg2 = _numeric_tangent(p, grad, t0, t1)
+            q = _chord_third(
+                neg, neg2, member_gradient(neg, t0, t1), member_gradient(neg2, t0, t1)
             )
+            k = max(range(9), key=lambda i: abs(_dot(q, units[i])))
             triple_idx.append(k)
-            triple_res.append(_proj_distance(q, base_embed[k]))
+            triple_res.append(_proj_distance(q, base[k]))
             if k not in flex_closure:
-                flex = base_embed[k]
-                flex_closure[k] = _proj_distance(law.tangent_third(flex), flex)
+                flex_closure[k] = _proj_distance(tangent(base[k]), base[k])
             nine_res.append(flex_closure[k])
         chain = points[0]
         for _ in range(3):
-            chain = law.tangent_third(chain)
+            chain = tangent(chain)
         chain_residual = _proj_distance(chain, points[0])
         holds = (
             len(points) == 9
@@ -1077,77 +1088,47 @@ def nine_torsion_check(parameter, cubic_index, precision_bits=128) -> NineTorsio
 
 def _transverse_intersection(f: MultiPoly, g: MultiPoly, precision_bits, tol):
     """All common zeros of two plane cubics meeting transversely in the
-    chart z = 1, followed by a bivariate Newton polish.  Polished zeros are
-    told apart by their chart coordinates; raises when the count of
-    distinct ones differs from nine.
+    chart z = 1, told apart by their chart coordinates; raises when the
+    count of distinct ones differs from nine.
 
     The x are the roots of R(x) = Res_y(f, g), found by `_poly_roots`
     (R is a polynomial in x^3 for the contact cubics, so it deflates).
-    The y over each x comes from the first subresultant, computed exactly:
-    S_1 = A(x)*y + B(x) lies in the ideal (f, g), so y = -B(x)/A(x) at a
-    common zero where A(x) does not vanish.  Where it does (two zeros over
-    one x, as on the Fermat member), the steps rerun on x = u - c*y, c = 1, 2."""
+    The y over each x comes from the first subresultant, computed exactly
+    (`_sheared_chart`): S_1 = A(x)*y + B(x) lies in the ideal (f, g), so
+    y = -B(x)/A(x) at a common zero where A(x) does not vanish.  Both reach
+    the working precision, so no polish follows.  Where A vanishes (two
+    zeros over one x, as on the Fermat member), the steps rerun on
+    x = u - c*y, c = 1, 2."""
     K = f.domain
     if g.domain is not K:
         raise ValueError("curves live over different domains")
-    x2, y2 = MultiPoly.variables(2, K)
-    one2 = MultiPoly.constant(2, K.one(), K)
     for c in range(3):
-        chart = [x2 - c * y2, y2, one2]
-        fa, ga = f.substitute(chart), g.substitute(chart)
-        res = resultant_in_var(fa, ga, 1)
+        res, a, b = _sheared_chart(f, g, c)
         if res.degree() != 9:  # a common zero on z = 0, which no shear moves
             raise ValueError("intersection is degenerate at infinity")
-        sub = resultant_in_var(fa, ga, 1, index=1).collect(1)
-        a_terms = _embed_poly(sub.get(1, MultiPoly.zero(2, K)), precision_bits)
-        b_terms = _embed_poly(sub.get(0, MultiPoly.zero(2, K)), precision_bits)
-        if not a_terms:
+        if not a:
             continue
+        a_terms, b_terms = _embed_poly(a, precision_bits), _embed_poly(b, precision_bits)
         rc = [_to_mpc(res.coefficient((9 - k, 0)), precision_bits) for k in range(10)]
-        starts = []
-        for u0 in _poly_roots(rc, precision_bits):
-            a0 = _eval_embedded(a_terms, (u0, 0))
-            scale = max(1, abs(u0))
+        zeros = []
+        for x in _poly_roots(rc, precision_bits):
+            a0 = _eval_embedded(a_terms, (x, 0))
+            scale = max(1, abs(x))
             if abs(a0) <= tol * sum(abs(t) * scale**i for (i, _), t in a_terms.items()):
                 break
-            starts.append((u0, -_eval_embedded(b_terms, (u0, 0)) / a0))
-        if len(starts) == 9:
+            zeros.append((x, -_eval_embedded(b_terms, (x, 0)) / a0))
+        if len(zeros) == 9:
             break
     else:
         raise ValueError("first subresultant vanishes: two common zeros share x")
-    f_terms = _embed_poly(fa, precision_bits)
-    g_terms = _embed_poly(ga, precision_bits)
-
-    def partials(terms, x, y):
-        dx = dy = mpmath.mpc(0)
-        for (i, j), t in terms.items():
-            if i:
-                dx += t * i * x ** (i - 1) * y**j
-            if j:
-                dy += t * j * x**i * y ** (j - 1)
-        return dx, dy
-
-    found = []  # (x, y) in the chart, and the point they give
-    for x, y in starts:
-        for _ in range(max(8, precision_bits // 8)):
-            fv, gv = _eval_embedded(f_terms, (x, y)), _eval_embedded(g_terms, (x, y))
-            fx, fy = partials(f_terms, x, y)
-            gx, gy = partials(g_terms, x, y)
-            det = fx * gy - fy * gx
-            if abs(det) == 0:
-                raise ValueError("intersection is not transverse")
-            dx = (fv * gy - gv * fy) / det
-            dy = (gv * fx - fv * gx) / det
-            x, y = x - dx, y - dy
-            if abs(dx) + abs(dy) < mpmath.mpf(2) ** -(precision_bits + 16):
-                break
+    found = []  # (x, y) in the chart
+    for x, y in zeros:
         # zeros apart by more than sqrt(tol) in the chart are distinct
-        if all(_norm2((x - u, y - v)) > tol for (u, v), _ in found):
-            point = _scale((x - c * y, y, mpmath.mpc(1)))  # undo the shear
-            found.append(((x, y), point))
+        if all(_norm2((x - u, y - v)) > tol for u, v in found):
+            found.append((x, y))
     if len(found) != 9:
         raise ValueError(f"expected nine transverse intersections, found {len(found)}")
-    return [point for _, point in found]
+    return [_scale((x - c * y, y, mpmath.mpc(1))) for x, y in found]  # undo the shear
 
 
 def prop62_check(parameter) -> PropertyResult:
@@ -1229,7 +1210,10 @@ def nine_torsion_sweep() -> PropertyResult:
     1/2, then one numeric cross-check: nine_torsion_check(1, 1) at its
     default 128 bits, whose 3P must all be the proof's p_k.  A pass needs
     all four; it reports each proof's k, shear and deg R, and the worst
-    residual of the sample, to 17 digits."""
+    residual of the sample, to 17 digits.  The sample runs the proof's own
+    `_chord_third` and `_tangent_third` (and at lambda = 1 the proof's R
+    and S_1), so a fault in those formulas fails both alike; the binary
+    cubic oracle of the tests checks them independently."""
     proofs = {}
     for lam in (Fraction(1), Fraction(2), Fraction(1, 2)):
         res = nine_torsion_proof(lam, 1)

@@ -1156,8 +1156,8 @@ def polar_avoidance_check() -> PropertyResult:
 
 def member_gradient(coords, t0, t1) -> tuple:
     """grad F at coords for the generic member F = t0*(x^3+y^3+z^3) + t1*xyz,
-    with t0 and t1 polynomial variables and coords field elements or
-    polynomials: entry k is 3*x_k^2*t0 + x_l*x_m*t1."""
+    with t0, t1 variables or numbers and coords field elements, polynomials,
+    residues or embedded numbers: entry k is 3*x_k^2*t0 + x_l*x_m*t1."""
     x, y, z = coords
     c0 = 3 * t0
     return (x * x * c0 + y * z * t1, y * y * c0 + x * z * t1, z * z * c0 + x * y * t1)

@@ -55,7 +55,7 @@ def test_nine_torsion_row_reports_each_proof_and_one_sample():
     assert result.details == {
         "proofs": {"lambda=1": proof, "lambda=2": proof, "lambda=1/2": proof},
         "precision_bits": 128,
-        "lambda=1,cubic=1": "2.4612746208796499e-52",
+        "lambda=1,cubic=1": "3.7300293959529727e-52",
         "tolerance": "1.0e-25",
     }
 

@@ -147,11 +147,13 @@ def _contact_cubic_replaced(index, cubic):
     return mutant
 
 
-def _tangent_partner_off_the_tangent(u, grad_u, t0, t1):
-    # r = (g_y, g_x, 0) in place of grad F(u) x e_z = (g_y, -g_x, 0): then
+def _tangent_partner_off_the_tangent(u, grad_u, t0, t1, j=2):
+    # r = (g_y, g_x, 0) in place of grad F(u) x e_z = (g_y, -g_x, 0), and
+    # the same unsigned swap for the numeric sample's e_j: then
     # grad F(u).r = 2 g_x g_y != 0, so r leaves the tangent and the formula
     # gives a point off the member, not -2P
-    r = (grad_u[1], grad_u[0], grad_u[2] * 0)
+    r = [grad_u[j] * 0] * 3
+    r[(j + 1) % 3], r[(j + 2) % 3] = grad_u[(j + 2) % 3], grad_u[(j + 1) % 3]
     grad_r = _member_gradient(r, t0, t1)
     a, b = _dot(grad_r, r), 3 * _dot(grad_r, u)
     return tuple(a * p - b * q for p, q in zip(u, r))
@@ -476,3 +478,13 @@ def test_mutant_is_killed(key, monkeypatch):
 def test_unmutated_check_passes(check_id):
     (result,) = harness.run(HarnessConfig(filters=(check_id,))).results
     assert result.status == "pass"
+
+
+def test_tangent_mutant_fails_the_numeric_sample_too(monkeypatch):
+    # the proof fails first in the harness, so the sample never sees the
+    # mutant there; called alone, the sample's tangents leave the member
+    # and 3P misses every base point
+    monkeypatch.setattr(ellaw, "_tangent_third", _tangent_partner_off_the_tangent)
+    report = ellaw.nine_torsion_check(1, 1)
+    assert not report.holds
+    assert min(report.triple_residuals) > report.tolerance
