@@ -66,10 +66,9 @@ every member with one at lambda = 1 on L_0, both at 128 bits.  Each residual is 
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 
@@ -109,18 +108,20 @@ from .plane import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class CurveContext:
     """A smooth pencil member with a marked base point as group origin.
 
     grad_coeffs is (3*t0, t1) for (t0 : t1) times the lcm of its
     denominators, in Z[eps]; the cubic form `member` is made when read."""
 
-    parameter: PencilParameter
-    origin_index: int
-    grad_coeffs: tuple
-    domain: object
-    polars: dict = field(default_factory=dict, repr=False)  # see _polar
+    __slots__ = ("parameter", "origin_index", "grad_coeffs", "domain", "polars")
+
+    def __init__(self, parameter: PencilParameter, origin_index: int, grad_coeffs: tuple, domain):
+        self.parameter = parameter
+        self.origin_index = origin_index
+        self.grad_coeffs = grad_coeffs
+        self.domain = domain
+        self.polars = {}  # see _polar
 
     @property
     def origin(self) -> ProjPoint:
@@ -254,8 +255,7 @@ def _add_each_chord_once(ctx: CurveContext):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsionTable:
+class TorsionTable(NamedTuple):
     parameter: PencilParameter
     table: tuple  # table[i][j] = k with p_i + p_j = p_k, origin p_0
     holds: bool  # sums match the (Z/3)^2 labels of the base points
@@ -807,8 +807,7 @@ def _to_mpc(value: FieldElement, precision_bits: int):
         return mpmath.mpc(re - im / 2, im * mpmath.sqrt(3) / 2)
 
 
-@dataclass(frozen=True)
-class NumericPoint:
+class NumericPoint(NamedTuple):
     coords: tuple  # mpc triple, scaled to max modulus 1
     precision_bits: int
     residual: object  # bound on the member equation at the point
@@ -937,8 +936,7 @@ def _binary_form_roots(form: MultiPoly, precision_bits):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoTorsionReport:
+class TwoTorsionReport(NamedTuple):
     holds: bool
     parameter: PencilParameter
     precision_bits: int
@@ -987,8 +985,7 @@ def two_torsion_polar_check(parameter, line_index, precision_bits=128) -> TwoTor
         )
 
 
-@dataclass(frozen=True)
-class NineTorsionReport:
+class NineTorsionReport(NamedTuple):
     """Numeric witness that a contact cubic cuts nine points P of exact
     order nine: 3P is a base point p_k other than the origin p_0, and
     3 p_k = 0.  Residuals are normalised, so they compare with `tolerance`

@@ -29,11 +29,10 @@ the holomorphic 2-form of the double cover w^2 + (degree-six invariant)
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .field import tower_eps, tower_zeta9
 from .hesse import (
@@ -83,8 +82,7 @@ def _mat_mul(a: tuple, b: tuple, domain) -> tuple:
 _CAP = 2000
 
 
-@dataclass(frozen=True)
-class PermImage:
+class PermImage(NamedTuple):
     """A finite group as the permutations its generators induce on a
     finite set, numbered 0..n-1.
 

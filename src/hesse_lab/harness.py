@@ -18,21 +18,29 @@ report is byte-identical between runs except each check's `runtime_ms`.
 import fnmatch
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from . import ellaw, groups, hesse, lattice
 
 SCHEMA_VERSION = "1"
 
 
-@dataclass(frozen=True)
 class HarnessConfig:
-    filters: tuple = ()
+    """The glob filters that select the checks of a run; none selects all."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "filters", tuple(self.filters))
+    __slots__ = ("filters",)
+
+    def __init__(self, filters=()):
+        if isinstance(filters, str):
+            raise TypeError("filters is a sequence of globs, not one string")
+        self.filters = tuple(filters)
+
+    def __eq__(self, other):
+        if not isinstance(other, HarnessConfig):
+            return NotImplemented
+        return self.filters == other.filters
 
 
 def default_config(**overrides) -> HarnessConfig:
@@ -40,8 +48,7 @@ def default_config(**overrides) -> HarnessConfig:
     return HarnessConfig(**overrides)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     status: str  # pass | fail
     witness: object
@@ -64,8 +71,7 @@ def _jsonify(value):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegisteredCheck:
+class RegisteredCheck(NamedTuple):
     check_id: str
     reference: str
     runner: object  # zero-argument callable -> PropertyResult
@@ -319,8 +325,7 @@ def select_checks(filters) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     config: HarnessConfig
     results: tuple
 

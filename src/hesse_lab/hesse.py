@@ -11,10 +11,9 @@ explicit number-field towers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .field import FieldElement, tower_eps, tower_eps_i, tower_eps_i_cbrt2
 from .multipoly import (
@@ -255,8 +254,7 @@ def member_is_singular(t: PencilParameter) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class HesseData:
+class HesseData(NamedTuple):
     """Exact configuration attached to the pencil, over Q(eps)."""
 
     domain: object
@@ -458,18 +456,18 @@ def collinear_base_triples() -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PropertyResult:
     """Outcome of a check: on a pass, `details` holds the scalars worth
     reporting; on a fail, `witness` says why, and must be given."""
 
-    holds: bool
-    details: dict = field(default_factory=dict)
-    witness: Optional[str] = None
+    __slots__ = ("holds", "details", "witness")
 
-    def __post_init__(self):
-        if not self.holds and self.witness is None:
+    def __init__(self, holds: bool, details: Optional[dict] = None, witness: Optional[str] = None):
+        if not holds and witness is None:
             raise ValueError("a failed check must give a reason")
+        self.holds = holds
+        self.details = {} if details is None else details
+        self.witness = witness
 
 
 def _expect(got: dict, want: dict) -> PropertyResult:
@@ -942,8 +940,7 @@ def dual_curve_check(m: PencilParameter) -> PropertyResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DynamicsReport:
+class DynamicsReport(NamedTuple):
     multiplicities: tuple
     critical_values: tuple
     complete: bool

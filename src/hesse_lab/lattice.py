@@ -9,7 +9,6 @@ registered lattice checks, each described by its row in the harness table.
 """
 
 import math
-from dataclasses import dataclass
 
 from .field import _solve_fraction_free
 from .hesse import PropertyResult, _expect
@@ -22,15 +21,14 @@ def _is_symmetric(rows) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class IntLattice:
-    gram: tuple  # tuple of tuple of int, symmetric
+    __slots__ = ("gram",)  # tuple of tuple of int, symmetric
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in r) for r in self.gram)
+    def __init__(self, gram):
+        rows = tuple(tuple(int(v) for v in r) for r in gram)
         if not _is_symmetric(rows):
             raise ValueError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", rows)
+        self.gram = rows
 
     @property
     def rank(self) -> int:
@@ -329,16 +327,16 @@ def kodaira_components(fiber_type: str) -> int:
     raise ValueError(f"unknown Kodaira fiber type {fiber_type!r}")
 
 
-@dataclass(frozen=True)
 class FibrationCombinatorics:
-    fiber_types: tuple
-    mordell_weil_rank: int
+    __slots__ = ("fiber_types", "mordell_weil_rank")
 
-    def __post_init__(self):
-        for t in self.fiber_types:
+    def __init__(self, fiber_types: tuple, mordell_weil_rank: int):
+        for t in fiber_types:
             kodaira_components(t)
-        if self.mordell_weil_rank < 0:
+        if mordell_weil_rank < 0:
             raise ValueError("invalid fibration data")
+        self.fiber_types = fiber_types
+        self.mordell_weil_rank = mordell_weil_rank
 
 
 def shioda_tate_rank(fc: FibrationCombinatorics) -> int:

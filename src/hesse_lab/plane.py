@@ -15,9 +15,8 @@ gives the same answer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .multipoly import MultiPoly, QQ, divide_exact, field_linsolve
 
@@ -242,8 +241,7 @@ def classify_point(form: MultiPoly, p: ProjPoint) -> SingularityClass:
     return SingularityClass.HIGHER
 
 
-@dataclass
-class IncidenceTable:
+class IncidenceTable(NamedTuple):
     matrix: list  # matrix[i][j] = point i on line j
     point_counts: list  # lines through each point
     line_counts: list  # points on each line

@@ -2,7 +2,6 @@
 and numeric torsion."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -672,7 +671,7 @@ def test_polar_two_torsion_proof_fails_at_each_step(monkeypatch):
     one, zero = K.one(), K.zero()
 
     def patched(points=data.base_points, polars=data.harmonic_polars):
-        wrong = replace(data, base_points=points, harmonic_polars=polars)
+        wrong = data._replace(base_points=points, harmonic_polars=polars)
         monkeypatch.setattr(ellaw, "hesse_data", lambda: wrong)
         return polar_two_torsion_proof()
 
@@ -804,7 +803,7 @@ def test_nine_torsion_proof_fails_at_each_clause(monkeypatch):
 
     def with_contact(cubic):
         cubics = (cubic,) + data.halphen_cubics[1:]
-        monkeypatch.setattr(ellaw, "hesse_data", lambda: replace(data, halphen_cubics=cubics))
+        monkeypatch.setattr(ellaw, "hesse_data", lambda: data._replace(halphen_cubics=cubics))
         return nine_torsion_proof(1, 1).witness
 
     expected = "expected one p_k with k != 0 at all nine"
@@ -881,7 +880,7 @@ def test_nine_torsion_sweep_needs_the_sample_to_agree_with_the_proof(monkeypatch
     numeric = ellaw.nine_torsion_check
 
     def elsewhere(lam, cubic):
-        return replace(numeric(lam, cubic), triple_indices=(3,) * 9)
+        return numeric(lam, cubic)._replace(triple_indices=(3,) * 9)
 
     monkeypatch.setattr(ellaw, "nine_torsion_check", elsewhere)
     result = nine_torsion_sweep()

@@ -107,6 +107,9 @@ def test_default_config_applies_overrides():
         harness.default_config(precision_bits=192)
     with pytest.raises(TypeError):
         harness.default_config(lambdas=(Fraction(5, 3),))
+    # one string is not a sequence of one-character globs
+    with pytest.raises(TypeError):
+        harness.default_config(filters="hesse.*")
 
 
 def test_lattice_subset_passes():

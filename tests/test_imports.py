@@ -1,8 +1,9 @@
 """Every module-level import in src/ and tests/ is used by its module,
 every definition in src/ is read by some module of src/, every field a
 class in src/ declares is read in src/ or by the benchmark in perfbench/,
-and mpmath is imported by `ellaw` alone, so the exact modules load without
-it."""
+mpmath is imported by `ellaw` alone, so the exact modules load without
+it, and no library module imports `dataclasses`, so start-up loads
+neither it nor `inspect`."""
 
 import ast
 import os
@@ -130,25 +131,30 @@ def test_every_library_definition_is_read_in_the_library():
     assert found == []
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for node in cls.decorator_list:
-        target = node.func if isinstance(node, ast.Call) else node
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
+def _name(node) -> str:
+    """The name a decorator, base or call target ends in."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass, or a class whose base is NamedTuple."""
+    return any(_name(n) == "dataclass" for n in cls.decorator_list) or any(
+        _name(n) == "NamedTuple" for n in cls.bases
+    )
 
 
 def declared_fields(tree) -> list:
     """(line, Class.field) of each field a class declares: an annotated
-    name in the body of a dataclass, or an entry of `__slots__`."""
+    name in the body of a dataclass or a NamedTuple, or an entry of
+    `__slots__`."""
     found = []
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         for node in cls.body:
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                if _is_dataclass(cls):
+                if _is_record(cls):
                     found.append((node.lineno, f"{cls.name}.{node.target.id}"))
             elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
@@ -190,6 +196,11 @@ def test_the_scan_flags_an_unread_field():
             "    __slots__ = ('coords', '_hash')\n"
             "    def key(self): return self._hash\n"
             "def run(r): return r.holds\n"
+            "import typing\n"
+            "class Table(typing.NamedTuple):\n"
+            "    rows: tuple\n"
+            "    size: int\n"
+            "def rows(t): return t.rows\n"
         ),
     }
     # a store and a keyword are not reads; the reader's load of count is
@@ -197,6 +208,7 @@ def test_the_scan_flags_an_unread_field():
     assert unread_fields(library, readers) == [
         "m.py:5: Report.margin",
         "m.py:10: Point.coords",
+        "m.py:16: Table.size",
     ]
 
 
@@ -238,17 +250,33 @@ def test_only_ellaw_imports_mpmath():
     assert found == [str(Path("src", "hesse_lab", "ellaw.py"))]
 
 
-def test_exact_modules_load_without_mpmath():
-    # a fresh interpreter, since this one has loaded mpmath already
-    modules = ("field", "multipoly", "plane", "hesse", "groups", "lattice")
+def _loaded_in_fresh_interpreter(modules, probes) -> list:
+    """The probes that sys.modules holds after a fresh interpreter imports
+    `modules`; this one has loaded mpmath, dataclasses and inspect already."""
     code = (
         "import sys\n"
-        + "".join(f"import hesse_lab.{m}\n" for m in modules)
-        + "print('mpmath' in sys.modules)\n"
+        + "".join(f"import {m}\n" for m in modules)
+        + f"print(' '.join(p for p in {tuple(probes)!r} if p in sys.modules))\n"
     )
     path = filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_exact_modules_load_without_mpmath():
+    modules = ("field", "multipoly", "plane", "hesse", "groups", "lattice")
+    assert _loaded_in_fresh_interpreter([f"hesse_lab.{m}" for m in modules], ["mpmath"]) == []
+
+
+def test_no_library_module_imports_dataclasses():
+    assert modules_importing(_texts(LIBRARY), "dataclasses") == []
+
+
+def test_the_cli_loads_without_dataclasses_or_inspect():
+    # both cost start-up time: dataclasses pulls in inspect, ast, dis and
+    # tokenize, then generates and compiles the methods of each record
+    probes = ["dataclasses", "inspect"]
+    assert _loaded_in_fresh_interpreter(["hesse_lab.cli"], probes) == []

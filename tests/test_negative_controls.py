@@ -9,8 +9,6 @@ A mutant is keyed by its check id, or by "check id/variant" for a further
 mutant of a check.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from hesse_lab import ellaw, groups, harness, hesse
@@ -73,14 +71,14 @@ def _fourier_lift_replaced_by_cycle():
 def _base_points_relabelled():
     data = _groups_hesse_data()
     p = data.base_points
-    return replace(data, base_points=(p[1], p[0]) + p[2:])
+    return data._replace(base_points=(p[1], p[0]) + p[2:])
 
 
 def _labels_one_and_three_swapped():
     data = _ellaw_hesse_data()
     labels = list(data.labels)
     labels[1], labels[3] = labels[3], labels[1]
-    return replace(data, labels=tuple(labels))
+    return data._replace(labels=tuple(labels))
 
 
 def _chord_replaced(indices, wrong):
@@ -142,7 +140,7 @@ def _contact_cubic_replaced(index, cubic):
         x, y, z = MultiPoly.variables(3, data.domain)
         cubics = list(data.halphen_cubics)
         cubics[index] = cubic(data.halphen_cubics, x, y, z)
-        return replace(data, halphen_cubics=tuple(cubics))
+        return data._replace(halphen_cubics=tuple(cubics))
 
     return mutant
 
@@ -165,7 +163,7 @@ def _cuspidal_sextic_plus_x6():
     data = _ellaw_hesse_data()
     x, _, _ = MultiPoly.variables(3, data.domain)
     sextic = data.invariants["cuspidal_sextic"] + x**6
-    return replace(data, invariants={**data.invariants, "cuspidal_sextic": sextic})
+    return data._replace(invariants={**data.invariants, "cuspidal_sextic": sextic})
 
 
 def _polar_replaced(index, by):
@@ -174,7 +172,7 @@ def _polar_replaced(index, by):
         data = _hesse_hesse_data()
         polars = list(data.harmonic_polars)
         polars[index] = polars[by]
-        return replace(data, harmonic_polars=tuple(polars))
+        return data._replace(harmonic_polars=tuple(polars))
 
     return mutant
 
@@ -198,7 +196,7 @@ def _equianharmonic_product_plus_x11y():
     data = _hesse_hesse_data()
     x, y, _ = MultiPoly.variables(3, data.domain)
     product = data.invariants["equianharmonic_product"] + x**11 * y
-    return replace(data, invariants={**data.invariants, "equianharmonic_product": product})
+    return data._replace(invariants={**data.invariants, "equianharmonic_product": product})
 
 
 def _reduced_mod(wrong):
